@@ -363,8 +363,9 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   session_options.session_stats = &session->scheduler_stats_;
   // Observability: the session ticks its own registry slab and its own
   // stage timer from the stepping thread (single-writer both ways);
-  // Finish() merges the timer into the engine aggregate. All-null when
-  // collect_stats is off — the runner's hot path then pays one branch.
+  // Finish() retires the slab and merges the timer into the engine
+  // aggregate. All-null when collect_stats is off — the runner's hot path
+  // then pays one branch.
   if (config_.collect_stats) {
     session_options.stats = query::ExecutionStatsBinding::Bind(
         &registry_,

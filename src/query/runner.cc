@@ -37,6 +37,7 @@ ExecutionStatsBinding ExecutionStatsBinding::Bind(stats::CounterRegistry* regist
                                                   stats::CounterSlab* slab,
                                                   stats::StageTimer* timer) {
   ExecutionStatsBinding binding;
+  binding.registry = registry;
   binding.slab = slab;
   binding.timer = timer;
   binding.steps = registry->RegisterCounter("execution.steps");
@@ -483,6 +484,14 @@ QueryTrace QueryExecution::Finish() {
     // is bounded by session count and harmless (ids are never reused).
     if (options_.detector_service != nullptr) {
       options_.detector_service->UnregisterSession(options_.service_session_id);
+    }
+    // Likewise hand the counter slab back: its ticks join the registry's
+    // retired totals and the slab is freed, so a long-running engine holds
+    // slabs for live queries only. Unhooked first — nothing may tick it now.
+    if (options_.stats.slab != nullptr) {
+      stats::CounterSlab* slab = options_.stats.slab;
+      options_.stats.slab = nullptr;
+      options_.stats.registry->RetireSlab(slab);
     }
   }
   return trace_;

@@ -34,8 +34,9 @@ namespace query {
 /// costs one pointer test. The slab and timer must be written from the
 /// session's coordinator thread only (the thread calling
 /// `BeginStep`/`FinishStep`), which is the registry's single-writer
-/// contract.
+/// contract. `Finish` retires the slab into `registry`, which owns it.
 struct ExecutionStatsBinding {
+  stats::CounterRegistry* registry = nullptr;
   stats::CounterSlab* slab = nullptr;
   stats::StageTimer* timer = nullptr;
   stats::MetricId steps = 0;

@@ -104,6 +104,14 @@ void PriorityScheduler::PlanRound(common::Span<const SessionSchedulerInfo> sessi
   }
 }
 
+void PriorityScheduler::RemoveSession(size_t index) {
+  // A session that left before its first round never got a counter.
+  if (index < rounds_waiting_.size()) {
+    rounds_waiting_.erase(rounds_waiting_.begin() +
+                          static_cast<ptrdiff_t>(index));
+  }
+}
+
 void DeadlineScheduler::PlanRound(common::Span<const SessionSchedulerInfo> sessions,
                                   std::vector<size_t>* order) {
   const size_t begin = order->size();

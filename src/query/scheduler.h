@@ -96,7 +96,9 @@ struct SessionSchedulerOptions {
 /// and must emit at least one live session when one exists.
 ///
 /// Schedulers are stateful (starvation counters, RNG streams) and are driven
-/// by exactly one workload at a time.
+/// by exactly one workload at a time. Per-session state is keyed by index, so
+/// a driver whose session list shrinks announces every departure through
+/// `RemoveSession`.
 class SessionScheduler {
  public:
   virtual ~SessionScheduler() = default;
@@ -105,6 +107,12 @@ class SessionScheduler {
   /// order, to `order` (not cleared first; the driver clears it).
   virtual void PlanRound(common::Span<const SessionSchedulerInfo> sessions,
                          std::vector<size_t>* order) = 0;
+
+  /// \brief The session at `index` left the workload: from the next round on,
+  /// every later session is planned one index lower. Stateful schedulers drop
+  /// the departing session's state here so the survivors' state stays
+  /// aligned with them. Schedulers without per-session state ignore it.
+  virtual void RemoveSession(size_t /*index*/) {}
 
   /// \brief Scheduler name for reports.
   virtual const char* name() const = 0;
@@ -147,6 +155,7 @@ class PriorityScheduler : public SessionScheduler {
 
   void PlanRound(common::Span<const SessionSchedulerInfo> sessions,
                  std::vector<size_t>* order) override;
+  void RemoveSession(size_t index) override;
   const char* name() const override { return "priority"; }
 
  private:
@@ -181,9 +190,11 @@ std::unique_ptr<SessionScheduler> MakeSessionScheduler(
 /// tenant's sessions to a per-tenant inner scheduler): the inner scheduler
 /// sees a compacted info array and plans positions into it, which are
 /// translated back here. Stateful inner schedulers key their per-session
-/// state by compact position, so a caller must keep `subset` stable across
-/// rounds (append-only, in increasing global index) — exactly what a
-/// tenant's session list does.
+/// state by compact position, so a caller must keep `subset` in increasing
+/// global index and change it only two ways between rounds: a new session
+/// joins at the end, and a session leaves from any position after the caller
+/// has told `inner->RemoveSession` that position — exactly what a tenant's
+/// live-session list does.
 void PlanRoundForSubset(SessionScheduler* inner,
                         common::Span<const SessionSchedulerInfo> sessions,
                         common::Span<const size_t> subset,

@@ -65,7 +65,10 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
   }
 
   // Arrival order: by timestamp, ties by input index (stable), so admission
-  // considers queries in the order they reached the door.
+  // considers queries in the order they reached the door. `held` keeps the
+  // arrived queries admission queued, in arrival order; `next_arrival` is the
+  // cursor over the rest. Every held query arrived before any the cursor has
+  // yet to reach, so held-then-cursor is arrival order.
   std::vector<size_t> waiting(queries.size());
   for (size_t i = 0; i < waiting.size(); ++i) waiting[i] = i;
   std::stable_sort(waiting.begin(), waiting.end(),
@@ -73,6 +76,8 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
                      return queries[a].arrival_seconds <
                             queries[b].arrival_seconds;
                    });
+  std::vector<size_t> held;
+  size_t next_arrival = 0;
 
   // The two-level scheduler: WFQ across tenants, the engine's configured
   // session scheduler (or the override) within each tenant.
@@ -84,18 +89,20 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
       std::max<uint64_t>(1, engine_->config().scheduler_starvation_rounds);
   WeightedTenantScheduler scheduler(&tenants_, sched_options);
 
-  // One admitted session and its charge-delta trackers (the tenant is
-  // charged per finished step from the deltas of the session's own trace
-  // accounting — no new measurement machinery).
+  // One live session and its charge-delta trackers (the tenant is charged
+  // per finished step from the deltas of the session's own trace accounting
+  // — no new measurement machinery).
   struct Admitted {
     std::unique_ptr<engine::QuerySession> session;
     size_t query_index = 0;
     size_t tenant = 0;
-    bool resolved = false;  ///< Outcome recorded (completed or shed).
     double last_seconds = 0.0;
     uint64_t last_samples = 0;
   };
-  std::vector<Admitted> admitted;
+  // The unresolved sessions, in admission order. A session leaves the moment
+  // its outcome is recorded, so a round's work and the loop's memory follow
+  // the live sessions, not the queries served so far.
+  std::vector<Admitted> live;
 
   // The global simulated clock: charged work accumulated so far, plus the
   // idle fast-forwards (clock_base) taken while nothing was live.
@@ -109,7 +116,7 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
 
   query::DetectorService* service = engine_->detector_service();
   engine::SessionWaveDriver driver(service, [&](size_t sidx) {
-    Admitted& a = admitted[sidx];
+    Admitted& a = live[sidx];
     a.session->FinishStep();
     const query::DiscoveryPoint& final = a.session->Trace().final;
     const double seconds_delta = final.seconds - a.last_seconds;
@@ -125,15 +132,43 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     if (observer) observer(a.query_index, *a.session, clock_base + work_seconds);
   });
 
-  const auto shed_session = [&](Admitted* a, const common::Status& why) {
-    a->session->Cancel();
-    QueryOutcome& outcome = outcomes[a->query_index];
-    outcome.kind = OutcomeKind::kShed;
-    outcome.status = why;
-    outcome.trace = a->session->Finish();
+  // What the scheduler sees of a session: coordinator-side tallies only.
+  const auto scheduler_info = [&](const Admitted& a) {
+    const query::DiscoveryPoint& final = a.session->Trace().final;
+    query::SessionSchedulerInfo info;
+    info.steps = a.session->scheduler_stats().steps_granted;
+    info.samples = final.samples;
+    info.reported_results = final.reported_results;
+    info.result_limit = queries[a.query_index].spec.limit;
+    info.seconds = final.seconds;
+    info.deadline_seconds = queries[a.query_index].spec.deadline_seconds;
+    info.done = a.session->Done();
+    return info;
+  };
+
+  // Resolve, then release: record the outcome of the session at `pos`
+  // (`Finish` also withdraws its wire registration and retires its counter
+  // slab), hand its final tallies to the scheduler, and destroy it. Runs only at round boundaries, where
+  // every session is quiescent (no pending steps) — the precondition both
+  // Finish and Cancel rely on.
+  const auto resolve = [&](size_t pos, OutcomeKind kind, common::Status why) {
+    Admitted& a = live[pos];
+    QueryOutcome& outcome = outcomes[a.query_index];
+    outcome.kind = kind;
+    outcome.status = std::move(why);
+    outcome.trace = a.session->Finish();
     outcome.finished_seconds = clock_base + work_seconds;
-    tenants_.OnShed(a->tenant);
-    a->resolved = true;
+    if (kind == OutcomeKind::kCompleted) {
+      tenants_.OnCompleted(a.tenant);
+    } else {
+      tenants_.OnShed(a.tenant);
+    }
+    scheduler.ReleaseSession(pos, scheduler_info(a));
+    live.erase(live.begin() + static_cast<ptrdiff_t>(pos));
+  };
+  const auto shed = [&](size_t pos, common::Status why) {
+    live[pos].session->Cancel();
+    resolve(pos, OutcomeKind::kShed, std::move(why));
   };
 
   std::vector<query::SessionSchedulerInfo> infos;
@@ -145,18 +180,13 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     const double now = clock_base + work_seconds;
 
     // Completion sweep: record outcomes for sessions that reached their stop
-    // condition last round. Everything here runs at a round boundary, so
-    // every session is quiescent (no pending steps) — the precondition both
-    // Finish and Cancel rely on.
-    for (Admitted& a : admitted) {
-      if (a.resolved || !a.session->Done()) continue;
-      QueryOutcome& outcome = outcomes[a.query_index];
-      outcome.kind = OutcomeKind::kCompleted;
-      outcome.status = common::Status::OK();
-      outcome.trace = a.session->Finish();
-      outcome.finished_seconds = now;
-      tenants_.OnCompleted(a.tenant);
-      a.resolved = true;
+    // condition last round.
+    for (size_t pos = 0; pos < live.size();) {
+      if (live[pos].session->Done()) {
+        resolve(pos, OutcomeKind::kCompleted, common::Status::OK());
+      } else {
+        ++pos;
+      }
     }
 
     // Budget enforcement: a tenant that crossed its GPU-second/frame budget
@@ -165,11 +195,14 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     for (size_t t = 0; t < tenants_.size(); ++t) {
       if (!tenants_.OverBudget(t)) continue;
       scheduler.SetTenantRunnable(t, false);
-      for (Admitted& a : admitted) {
-        if (a.resolved || a.tenant != t) continue;
-        shed_session(&a, common::Status::FailedPrecondition(
-                             "tenant '" + tenants_.spec(t).id +
-                             "' budget exhausted: session shed"));
+      for (size_t pos = 0; pos < live.size();) {
+        if (live[pos].tenant != t) {
+          ++pos;
+          continue;
+        }
+        shed(pos, common::Status::FailedPrecondition(
+                      "tenant '" + tenants_.spec(t).id +
+                      "' budget exhausted: session shed"));
       }
     }
 
@@ -178,58 +211,44 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     // saturation threshold (shed, not hang — interactive sessions are never
     // cancelled).
     if (admission_.SeverelySaturated(peak_pending)) {
-      size_t live_now = 0;
-      for (const Admitted& a : admitted) {
-        if (!a.resolved) ++live_now;
-      }
       const double per_session =
-          live_now > 0 ? peak_pending / static_cast<double>(live_now) : 0.0;
+          !live.empty() ? peak_pending / static_cast<double>(live.size()) : 0.0;
       const double excess =
           peak_pending - admission_.options().saturation_pending_frames;
       size_t to_shed =
           per_session > 0.0
               ? static_cast<size_t>(std::ceil(excess / per_session))
               : 1;
-      for (size_t r = admitted.size(); r > 0 && to_shed > 0; --r) {
-        Admitted& a = admitted[r - 1];
-        if (a.resolved) continue;
-        if (tenants_.spec(a.tenant).slo != SloClass::kBestEffort) continue;
-        shed_session(&a, common::Status::FailedPrecondition(
-                             "detector saturated: best-effort session shed"));
+      for (size_t r = live.size(); r > 0 && to_shed > 0; --r) {
+        if (tenants_.spec(live[r - 1].tenant).slo != SloClass::kBestEffort) {
+          continue;
+        }
+        shed(r - 1, common::Status::FailedPrecondition(
+                        "detector saturated: best-effort session shed"));
         --to_shed;
       }
     }
     scheduler.SetSaturated(admission_.Saturated(peak_pending));
 
-    // Admission pass: consider every arrived, still-waiting query in arrival
-    // order. Admit → fresh engine session bound to its tenant; queue → hold
-    // for a later pass; reject → final outcome with the refusal status.
-    size_t live = 0;
-    for (const Admitted& a : admitted) {
-      if (!a.resolved) ++live;
-    }
+    // Admission pass: consider the held queries, then every arrival due by
+    // now, in arrival order. Admit → fresh engine session bound to its
+    // tenant; queue → hold for a later pass; reject → final outcome with the
+    // refusal status. Returns whether the query stays held.
     std::fill(queued_per_tenant.begin(), queued_per_tenant.end(), 0);
-    std::vector<size_t> still_waiting;
-    still_waiting.reserve(waiting.size());
-    for (const size_t qi : waiting) {
+    const auto consider = [&](size_t qi) {
       const size_t t = tenant_of[qi];
-      if (queries[qi].arrival_seconds > now) {
-        still_waiting.push_back(qi);
-        continue;
-      }
       const AdmissionVerdict verdict = admission_.Consider(
-          t, now, queued_per_tenant[t], live, peak_pending);
+          t, now, queued_per_tenant[t], live.size(), peak_pending);
       if (verdict.decision == AdmissionDecision::kQueue) {
         ++queued_per_tenant[t];
-        still_waiting.push_back(qi);
-        continue;
+        return true;
       }
       if (verdict.decision == AdmissionDecision::kReject) {
         outcomes[qi].kind = OutcomeKind::kRejected;
         outcomes[qi].status = verdict.status;
         outcomes[qi].finished_seconds = now;
         tenants_.OnRejected(t);
-        continue;
+        return false;
       }
       const engine::QuerySpec& spec = queries[qi].spec;
       auto session =
@@ -240,35 +259,46 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
         outcomes[qi].status = session.status();
         outcomes[qi].finished_seconds = now;
         tenants_.OnRejected(t);
-        continue;
+        return false;
       }
-      const size_t sidx = admitted.size();
-      scheduler.BindSession(sidx, t);
+      scheduler.BindSession(live.size(), t);
       Admitted a;
       a.session = std::move(session).value();
       a.query_index = qi;
       a.tenant = t;
-      admitted.push_back(std::move(a));
+      live.push_back(std::move(a));
       tenants_.OnAdmitted(t);
       outcomes[qi].admitted_seconds = now;
-      ++live;
+      return false;
+    };
+    size_t kept = 0;
+    for (size_t k = 0; k < held.size(); ++k) {
+      if (consider(held[k])) held[kept++] = held[k];
     }
-    waiting.swap(still_waiting);
+    held.resize(kept);
+    while (next_arrival < waiting.size() &&
+           queries[waiting[next_arrival]].arrival_seconds <= now) {
+      const size_t qi = waiting[next_arrival++];
+      if (consider(qi)) held.push_back(qi);
+    }
     for (size_t t = 0; t < tenants_.size(); ++t) {
       tenants_.SetQueued(t, queued_per_tenant[t]);
     }
 
     // Idle fast-forward / termination: with no live work, jump the clock to
     // the next arrival or rate-limit refill instead of spinning.
-    if (live == 0) {
-      if (waiting.empty()) break;
+    if (live.empty()) {
+      if (held.empty() && next_arrival == waiting.size()) break;
+      // Held queries wait for a token (`NextTokenTime` also refills the
+      // buckets, so it is asked in arrival order); the cursor's query is the
+      // earliest of those not yet arrived.
       double target = std::numeric_limits<double>::infinity();
-      for (const size_t qi : waiting) {
-        const double arrival = queries[qi].arrival_seconds;
-        const double candidate =
-            arrival > now ? arrival
-                          : admission_.NextTokenTime(tenant_of[qi], now);
-        target = std::min(target, candidate);
+      for (const size_t qi : held) {
+        target = std::min(target, admission_.NextTokenTime(tenant_of[qi], now));
+      }
+      if (next_arrival < waiting.size()) {
+        target =
+            std::min(target, queries[waiting[next_arrival]].arrival_seconds);
       }
       // Nothing is live, so the backlog signal has fully drained; clearing
       // it lets saturation-held arrivals through on the next pass.
@@ -288,18 +318,8 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
 
     // Plan one round: coordinator-side tallies in, a sequence of step grants
     // out — the same contract RunConcurrent's single-level loop has.
-    infos.resize(admitted.size());
-    for (size_t i = 0; i < admitted.size(); ++i) {
-      const Admitted& a = admitted[i];
-      const query::DiscoveryPoint& final = a.session->Trace().final;
-      infos[i].steps = a.session->scheduler_stats().steps_granted;
-      infos[i].samples = final.samples;
-      infos[i].reported_results = final.reported_results;
-      infos[i].result_limit = queries[a.query_index].spec.limit;
-      infos[i].seconds = final.seconds;
-      infos[i].deadline_seconds = queries[a.query_index].spec.deadline_seconds;
-      infos[i].done = a.session->Done();
-    }
+    infos.clear();
+    for (const Admitted& a : live) infos.push_back(scheduler_info(a));
     order.clear();
     scheduler.PlanRound(common::Span<const query::SessionSchedulerInfo>(
                             infos.data(), infos.size()),
@@ -314,11 +334,11 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     double round_peak = 0.0;
     bool failed = false;
     for (const size_t sidx : order) {
-      common::Check(sidx < admitted.size(),
+      common::Check(sidx < live.size(),
                     "tenant scheduler planned an unknown session");
       common::Check(!infos[sidx].done,
                     "tenant scheduler planned a finished session");
-      if (!driver.Grant(sidx, admitted[sidx].session.get())) {
+      if (!driver.Grant(sidx, live[sidx].session.get())) {
         failed = true;
         break;
       }
@@ -329,25 +349,24 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     }
     if (failed || !driver.FlushWave()) break;
     peak_pending =
-        service != nullptr ? round_peak : static_cast<double>(live);
+        service != nullptr ? round_peak : static_cast<double>(live.size());
   }
 
   if (!driver.status().ok()) {
     // Transport death: release every half-begun step and the service's
     // queued tickets, then surface the failure instead of partial outcomes.
-    // Abort every admitted session, mid-step or not: each must withdraw its
-    // wire registration before the transport failure is surfaced, or its id
-    // would keep resolving to detectors the session is about to destroy.
-    for (Admitted& a : admitted) {
+    // Abort every live session, mid-step or not: each must withdraw its wire
+    // registration before the transport failure is surfaced, or its id would
+    // keep resolving to detectors the session is about to destroy (released
+    // sessions withdrew theirs at `Finish`).
+    for (Admitted& a : live) {
       a.session->AbortStep();
     }
     if (service != nullptr) service->CancelPending();
     return driver.status();
   }
 
-  for (const Admitted& a : admitted) {
-    common::Check(a.resolved, "admitted session left unresolved");
-  }
+  common::Check(live.empty(), "admitted session left unresolved");
 
   if (options_.verify_solo_traces) {
     // The determinism contract, enforced the MergeShardTraces way: every

@@ -10,7 +10,7 @@ namespace exsample {
 namespace serve {
 
 namespace {
-constexpr size_t kUnbound = std::numeric_limits<size_t>::max();
+constexpr size_t kNoTenant = std::numeric_limits<size_t>::max();
 }  // namespace
 
 WeightedTenantScheduler::WeightedTenantScheduler(
@@ -35,15 +35,29 @@ WeightedTenantScheduler::TenantState& WeightedTenantScheduler::State(
 
 void WeightedTenantScheduler::BindSession(size_t session_index, size_t tenant) {
   State(tenant);  // Materialize the tenant's state (and inner scheduler).
-  if (session_tenant_.size() <= session_index) {
-    session_tenant_.resize(session_index + 1, kUnbound);
-  }
-  common::Check(session_tenant_[session_index] == kUnbound ||
-                    session_tenant_[session_index] == tenant,
-                "session already bound to another tenant");
-  if (session_tenant_[session_index] != tenant) {
-    session_tenant_[session_index] = tenant;
-    states_[tenant].sessions.push_back(session_index);
+  common::Check(session_index == session_tenant_.size(),
+                "sessions bind once, at the end of the live span");
+  session_tenant_.push_back(tenant);
+  states_[tenant].sessions.push_back(session_index);
+}
+
+void WeightedTenantScheduler::ReleaseSession(
+    size_t session_index, const query::SessionSchedulerInfo& final_info) {
+  common::Check(session_index < session_tenant_.size(),
+                "released session was never bound");
+  TenantState& state = states_[session_tenant_[session_index]];
+  state.retired_seconds += final_info.seconds;
+  state.retired_steps += final_info.steps;
+  const auto it =
+      std::find(state.sessions.begin(), state.sessions.end(), session_index);
+  state.inner->RemoveSession(static_cast<size_t>(it - state.sessions.begin()));
+  state.sessions.erase(it);
+  session_tenant_.erase(session_tenant_.begin() +
+                        static_cast<ptrdiff_t>(session_index));
+  for (TenantState& other : states_) {
+    for (size_t& index : other.sessions) {
+      if (index > session_index) --index;
+    }
   }
 }
 
@@ -58,8 +72,12 @@ void WeightedTenantScheduler::PlanRound(
   std::vector<size_t> live(num_tenants, 0);
   std::vector<double> charged(num_tenants, 0.0);
   std::vector<uint64_t> steps(num_tenants, 0);
+  for (size_t t = 0; t < num_tenants; ++t) {
+    charged[t] = states_[t].retired_seconds;
+    steps[t] = states_[t].retired_steps;
+  }
   for (size_t i = 0; i < sessions.size(); ++i) {
-    common::Check(i < session_tenant_.size() && session_tenant_[i] != kUnbound,
+    common::Check(i < session_tenant_.size(),
                   "session planned without a tenant binding");
     const size_t t = session_tenant_[i];
     charged[t] += sessions[i].seconds;
@@ -147,16 +165,16 @@ void WeightedTenantScheduler::PlanRound(
     if (eligible[t]) vt[t] = base_vt(t);
   }
   for (size_t g = 0; g < total_grants; ++g) {
-    size_t best = kUnbound;
+    size_t best = kNoTenant;
     for (size_t t = 0; t < num_tenants; ++t) {
       if (!eligible[t]) continue;
       if (saturated_ && interactive_live &&
           tenants_->spec(t).slo == SloClass::kBestEffort) {
         continue;
       }
-      if (best == kUnbound || vt[t] < vt[best]) best = t;
+      if (best == kNoTenant || vt[t] < vt[best]) best = t;
     }
-    if (best == kUnbound) break;  // No runnable tenant with live work.
+    if (best == kNoTenant) break;  // No runnable tenant with live work.
     const std::vector<size_t>& plan = inner_order[best];
     order->push_back(plan[inner_pos[best] % plan.size()]);
     inner_pos[best] += 1;

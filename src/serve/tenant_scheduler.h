@@ -44,11 +44,20 @@ struct WeightedTenantSchedulerOptions {
 /// only when no interactive tenant has live sessions. Budget-exhausted
 /// tenants are removed from the pick via `SetTenantRunnable`.
 ///
+/// The planned span holds the *live* sessions in admission order: a session
+/// joins at the end (`BindSession`) and leaves from anywhere once its outcome
+/// is recorded (`ReleaseSession`), so a round costs O(live sessions), not
+/// O(sessions ever served). A departing session's charged seconds and steps
+/// move into its tenant's retired totals, so the WFQ totals stay the
+/// per-session sums over everything the tenant ever ran (added in departure
+/// order: the seconds can differ in the last bits from an admission-order
+/// sum, which may flip a near-tied pick).
+///
 /// Like every `SessionScheduler`, this only reorders and weights step
 /// grants: admitted sessions' traces are bit-identical to solo runs
 /// whatever the tenant mix (the serving layer enforces it fatally).
-/// Scheduling is a pure function of (bindings, infos sequence, flags,
-/// seed) — fixed inputs, fixed order.
+/// Scheduling is a pure function of (bindings, releases, infos sequence,
+/// flags, seed) — fixed inputs, fixed order.
 class WeightedTenantScheduler : public query::SessionScheduler {
  public:
   /// `tenants` supplies weights and SLO classes; it must outlive the
@@ -57,10 +66,19 @@ class WeightedTenantScheduler : public query::SessionScheduler {
                           WeightedTenantSchedulerOptions options);
 
   /// \brief Declares that the session planned under `session_index` belongs
-  /// to `tenant`. Must be called before any round that includes the index;
-  /// session indices bind append-only (the serving loop's session list only
-  /// grows), which keeps each tenant's inner-scheduler state aligned.
+  /// to `tenant`. Must be called once, before any round that includes the
+  /// index. A new session joins at the end of the span: `session_index` is
+  /// the number of sessions bound and not yet released.
   void BindSession(size_t session_index, size_t tenant);
+
+  /// \brief Removes the session planned under `session_index` once its
+  /// outcome is recorded, mirroring the caller's erase from its live list:
+  /// every later session moves down one index from the next round on.
+  /// `final_info` is the session's last tally; its seconds and steps join
+  /// the tenant's retired totals, and the tenant's inner scheduler drops the
+  /// session's state (`query::SessionScheduler::RemoveSession`).
+  void ReleaseSession(size_t session_index,
+                      const query::SessionSchedulerInfo& final_info);
 
   /// \brief Removes a tenant from the pick (budget exhausted). Its sessions
   /// are not planned while unrunnable.
@@ -77,7 +95,12 @@ class WeightedTenantScheduler : public query::SessionScheduler {
 
  private:
   struct TenantState {
-    std::vector<size_t> sessions;  ///< Bound global indices, append-only.
+    /// Span indices of the tenant's live sessions, ascending; the inner
+    /// scheduler plans positions into this list.
+    std::vector<size_t> sessions;
+    /// Charged seconds and granted steps of the tenant's released sessions.
+    double retired_seconds = 0.0;
+    uint64_t retired_steps = 0;
     std::unique_ptr<query::SessionScheduler> inner;
     bool runnable = true;
     bool active = false;           ///< Had live sessions last round.
@@ -94,7 +117,7 @@ class WeightedTenantScheduler : public query::SessionScheduler {
   const TenantRegistry* tenants_;
   WeightedTenantSchedulerOptions options_;
   std::vector<TenantState> states_;
-  std::vector<size_t> session_tenant_;  ///< session index -> tenant.
+  std::vector<size_t> session_tenant_;  ///< Span index -> tenant.
   bool saturated_ = false;
 };
 

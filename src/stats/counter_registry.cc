@@ -1,5 +1,7 @@
 #include "stats/counter_registry.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 
 namespace exsample {
@@ -39,12 +41,26 @@ CounterSlab* CounterRegistry::AcquireSlab(const std::string& scope) {
   return slabs_.back().get();
 }
 
+void CounterRegistry::RetireSlab(CounterSlab* slab) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find_if(slabs_.begin(), slabs_.end(),
+                               [slab](const std::unique_ptr<CounterSlab>& s) {
+                                 return s.get() == slab;
+                               });
+  common::Check(it != slabs_.end(), "retired slab not owned by this registry");
+  retired_counters_.resize(counter_ids_.size(), 0);
+  for (MetricId id = 0; id < retired_counters_.size(); ++id) {
+    retired_counters_[id] += slab->CounterValue(id);
+  }
+  slabs_.erase(it);
+}
+
 StatsSnapshot CounterRegistry::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   StatsSnapshot snapshot;
   snapshot.sync_sequence = ++sync_sequence_;
   for (const auto& [name, id] : counter_ids_) {
-    uint64_t total = 0;
+    uint64_t total = id < retired_counters_.size() ? retired_counters_[id] : 0;
     for (const auto& slab : slabs_) total += slab->CounterValue(id);
     snapshot.counters.emplace(name, total);
   }
@@ -64,6 +80,11 @@ size_t CounterRegistry::NumCounters() const {
 size_t CounterRegistry::NumGauges() const {
   std::lock_guard<std::mutex> lock(mu_);
   return gauge_ids_.size();
+}
+
+size_t CounterRegistry::NumSlabs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return slabs_.size();
 }
 
 }  // namespace stats

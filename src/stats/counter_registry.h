@@ -106,8 +106,11 @@ struct StatsSnapshot {
 /// setup); increments touch only the acquired slab (lock-free, see
 /// `CounterSlab`); `Sync` walks every slab under the mutex and sums slots
 /// into a `StatsSnapshot`. Slabs are owned by the registry and live until
-/// the registry dies, so a component may keep its raw pointer for its whole
-/// lifetime (the engine owns the registry and outlives its components).
+/// the registry dies or their writer retires them (`RetireSlab`), so a
+/// component may keep its raw pointer for its whole lifetime (the engine
+/// owns the registry and outlives its components). Short-lived writers — a
+/// query session — retire their slab when they finish, so a long-running
+/// engine holds slabs only for its live writers.
 class CounterRegistry {
  public:
   CounterRegistry() = default;
@@ -123,8 +126,16 @@ class CounterRegistry {
   MetricId RegisterGauge(const std::string& name);
 
   /// Acquires a new slab for one writer thread / component. The returned
-  /// pointer is valid for the registry's lifetime.
+  /// pointer is valid for the registry's lifetime, or until `RetireSlab`.
   CounterSlab* AcquireSlab(const std::string& scope);
+
+  /// Retires a slab whose writer is done for good: its counters are added
+  /// to totals the registry keeps for retired slabs (so every `Sync` sum
+  /// stays exact) and the slab is freed. Its gauges are dropped — a gauge
+  /// slot is the writer's share of a level, and a departed writer holds
+  /// none. The caller must first detach the slab from its writer: no tick
+  /// may land on it after this call.
+  void RetireSlab(CounterSlab* slab);
 
   /// Aggregates all slabs into a named snapshot and bumps the sync
   /// sequence number. Safe to call while writers are ticking slabs
@@ -136,6 +147,9 @@ class CounterRegistry {
   size_t NumCounters() const;
   size_t NumGauges() const;
 
+  /// Number of slabs acquired and not yet retired.
+  size_t NumSlabs() const;
+
  private:
   MetricId RegisterLocked(const std::string& name, MetricKind kind);
 
@@ -145,6 +159,8 @@ class CounterRegistry {
   std::map<std::string, MetricId> counter_ids_;
   std::map<std::string, MetricId> gauge_ids_;
   std::vector<std::unique_ptr<CounterSlab>> slabs_;
+  // Counter totals of retired slabs, indexed by counter id.
+  std::vector<uint64_t> retired_counters_;
   uint64_t sync_sequence_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -492,6 +493,67 @@ TEST(WeightedTenantSchedulerTest, LateActivationDoesNotReplayHistory) {
   EXPECT_NEAR(late_share, 0.5, 0.05);
 }
 
+TEST(WeightedTenantSchedulerTest, ReleasingSessionsPlansLikeKeepingThemDone) {
+  // The serving loop plans over its live sessions and releases each one when
+  // its outcome is recorded; a span that keeps every session with a `done`
+  // flag must plan the same rounds. Sessions join over time and leave in a
+  // scattered order across three tenants, with priority-ordered sessions
+  // inside each tenant. Step costs are exact binary fractions, so the
+  // retired totals equal the never-shrinking per-session sums bit for bit.
+  WfqHarness h;
+  const size_t tenants[] = {h.AddTenant("gold", 3.0),
+                            h.AddTenant("silver", 2.0),
+                            h.AddTenant("bronze", 1.0)};
+  WeightedTenantSchedulerOptions options;
+  options.inner = query::SchedulerKind::kPriority;
+  options.inner_options.seed = 13;
+  options.inner_options.starvation_rounds = 2;
+  WeightedTenantScheduler full(&h.registry, options);
+  WeightedTenantScheduler compact(&h.registry, options);
+  std::vector<size_t> live;  // Global index of each compact position.
+
+  size_t releases = 0;
+  for (size_t round = 0; round < 48; ++round) {
+    if (round % 2 == 0 && round < 30) {
+      const size_t global = h.AddSession(&full, tenants[(round / 2) % 3]);
+      compact.BindSession(live.size(), h.session_tenant[global]);
+      live.push_back(global);
+    }
+
+    std::vector<size_t> full_order;
+    full.PlanRound(common::Span<const query::SessionSchedulerInfo>(
+                       h.infos.data(), h.infos.size()),
+                   &full_order);
+    std::vector<query::SessionSchedulerInfo> live_infos;
+    for (const size_t global : live) live_infos.push_back(h.infos[global]);
+    std::vector<size_t> positions;
+    compact.PlanRound(common::Span<const query::SessionSchedulerInfo>(
+                          live_infos.data(), live_infos.size()),
+                      &positions);
+    std::vector<size_t> compact_order;
+    for (const size_t pos : positions) compact_order.push_back(live[pos]);
+    ASSERT_EQ(full_order, compact_order) << "round " << round;
+
+    for (const size_t idx : full_order) {
+      h.infos[idx].steps += 1;
+      h.infos[idx].seconds += 0.25 * static_cast<double>(1 + idx % 3);
+      if (h.infos[idx].steps % (1 + idx % 4) == 0) {
+        h.infos[idx].reported_results += 1;
+      }
+    }
+
+    if (round >= 5 && round % 3 == 0 && !live.empty()) {
+      const size_t pos = (round * 5) % live.size();
+      const size_t global = live[pos];
+      h.infos[global].done = true;
+      compact.ReleaseSession(pos, h.infos[global]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(pos));
+      ++releases;
+    }
+  }
+  EXPECT_GE(releases, 10u);
+}
+
 // --- TenantServer end-to-end -------------------------------------------------
 
 TEST(TenantServerTest, ServesTenantsWithSoloIdenticalTraces) {
@@ -774,6 +836,138 @@ TEST(TenantServerTest, ExportsPerTenantStats) {
   EXPECT_NE(json.find("\"tenant.observed.frames\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant.observed.charged_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant.observed.live_sessions\""), std::string::npos);
+}
+
+// --- Session lifetimes -------------------------------------------------------
+//
+// Serve releases a session the moment its outcome is recorded: the session
+// is destroyed, its counter slab retired, and it leaves the scheduler's span.
+// These tests serve streams long enough that early sessions are released
+// while later ones of the same tenant still run.
+
+class ServeLifetimeTest
+    : public ::testing::TestWithParam<query::SchedulerKind> {};
+
+TEST_P(ServeLifetimeTest, ReleasedSessionsLeaveLaterOnesOnSchedule) {
+  constexpr size_t kMaxLive = 4;
+  constexpr size_t kStarvationRounds = 2;
+  auto fx = ServeFixture::Make();
+  engine::EngineConfig config = OracleConfig();
+  config.coalesce_detect = true;
+  config.device_batch = 16;
+  config.scheduler_starvation_rounds = kStarvationRounds;
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
+
+  ServeOptions options;
+  options.inner_scheduler = GetParam();
+  options.verify_solo_traces = true;  // Fatal on divergence.
+  TenantServer server(&engine, options);
+  // One tenant takes every grant, so each round runs the inner scheduler's
+  // whole plan and its starvation bound holds exactly (under several
+  // tenants, WFQ may hand a tenant fewer grants than it has live sessions).
+  TenantSpec fleet;
+  fleet.id = "fleet";
+  fleet.max_concurrent_sessions = kMaxLive;
+  ASSERT_TRUE(server.AddTenant(fleet).ok());
+
+  std::vector<TenantQuery> queries;
+  for (size_t i = 0; i < 32; ++i) {
+    TenantQuery q;
+    q.tenant = "fleet";
+    q.arrival_seconds = 0.6 * static_cast<double>(i);
+    // Mixed lengths, so sessions finish out of admission order.
+    q.spec = MakeSpec(/*limit=*/3 + (i * 5) % 9, /*seed=*/200 + i);
+    q.spec.deadline_seconds = i % 2 == 0 ? 4.0 + static_cast<double>(i) : 0.0;
+    queries.push_back(q);
+  }
+
+  // Steps of other sessions between two consecutive steps of one session,
+  // and the registry's slab count (engine service, tenant, live sessions).
+  constexpr size_t kNever = std::numeric_limits<size_t>::max();
+  std::vector<size_t> last_step(queries.size(), kNever);
+  size_t step = 0, max_gap = 0, max_slabs = 0;
+  const auto observer = [&](size_t qi, const engine::QuerySession&, double) {
+    if (last_step[qi] != kNever) {
+      max_gap = std::max(max_gap, step - last_step[qi] - 1);
+    }
+    last_step[qi] = step++;
+    max_slabs = std::max(max_slabs, engine.counter_registry()->NumSlabs());
+  };
+  auto outcomes = server.Serve(queries, observer);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+
+  size_t released_mid_list = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryOutcome& a = outcomes.value()[i];
+    EXPECT_EQ(a.kind, OutcomeKind::kCompleted) << i;
+    for (const QueryOutcome& b : outcomes.value()) {
+      // `a` was released while a later-admitted session stayed live.
+      if (a.admitted_seconds < b.admitted_seconds &&
+          b.admitted_seconds < a.finished_seconds &&
+          a.finished_seconds < b.finished_seconds) {
+        ++released_mid_list;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(released_mid_list, 0u);
+
+  // A round grants at most kMaxLive steps, and a live session waits at most
+  // kStarvationRounds whole rounds between grants.
+  EXPECT_LE(max_gap, (kStarvationRounds + 2) * kMaxLive - 2);
+  // Finished sessions hand their slabs back: only the live ones hold one.
+  EXPECT_LE(max_slabs, 2 + kMaxLive);
+  EXPECT_EQ(engine.counter_registry()->NumSlabs(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InnerSchedulers, ServeLifetimeTest,
+    ::testing::Values(query::SchedulerKind::kPriority,
+                      query::SchedulerKind::kDeadline),
+    [](const ::testing::TestParamInfo<query::SchedulerKind>& info) {
+      return std::string(query::SchedulerKindName(info.param));
+    });
+
+TEST(TenantServerTest, TransportDeathAfterReleasesSurfacesStatus) {
+  // The only detect runner dies mid-stream, after earlier sessions completed
+  // and were released: Serve returns the transport failure instead of
+  // outcomes, having aborted the live sessions and drained the service.
+  auto fx = ServeFixture::Make();
+  engine::EngineConfig config = OracleConfig();
+  config.coalesce_detect = true;
+  config.device_batch = 16;
+  config.transport = engine::TransportKind::kLoopback;
+  config.transport_max_retries = 1;
+  config.loopback.fail_shard = 0;
+  config.loopback.fail_after_requests = 40;
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
+
+  TenantServer server(&engine, {});
+  TenantSpec a;
+  a.id = "a";
+  TenantSpec b;
+  b.id = "b";
+  ASSERT_TRUE(server.AddTenant(a).ok());
+  ASSERT_TRUE(server.AddTenant(b).ok());
+  std::vector<TenantQuery> queries;
+  for (size_t i = 0; i < 24; ++i) {
+    TenantQuery q;
+    q.tenant = i % 2 == 0 ? "a" : "b";
+    q.arrival_seconds = 1.0 * static_cast<double>(i);
+    q.spec = MakeSpec(/*limit=*/4, /*seed=*/300 + i);
+    queries.push_back(q);
+  }
+
+  auto outcomes = server.Serve(queries);
+  ASSERT_FALSE(outcomes.ok()) << "a dead fleet must not return outcomes";
+  EXPECT_EQ(outcomes.status().code(), common::StatusCode::kInternal)
+      << outcomes.status().ToString();
+  EXPECT_FALSE(engine.detector_service()->transport_status().ok());
+  EXPECT_EQ(engine.detector_service()->PendingFrames(), 0u);
+  const size_t completed =
+      server.tenants().usage(0).completed + server.tenants().usage(1).completed;
+  EXPECT_GT(completed, 0u);               // Released before the death...
+  EXPECT_LT(completed, queries.size());  // ...which came mid-stream.
 }
 
 // --- Threaded serving under TSan ---------------------------------------------

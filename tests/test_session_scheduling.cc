@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/search_engine.h"
 #include "query/detector_service.h"
 #include "query/scheduler.h"
@@ -566,6 +568,70 @@ TEST(SchedulerTest, PriorityStarvationBoundHoldsUnderTenantSkew) {
     EXPECT_GT(infos[i].steps, 1u) << "session " << i << " never progressed";
   }
   EXPECT_LE(max_wait, options.inner_options.starvation_rounds + 1);
+}
+
+TEST(SchedulerTest, PriorityStateFollowsDepartingSessions) {
+  // Two drivers of the same priority scheduler must plan identically:
+  // RunConcurrent's, which keeps every session in the span and flags the
+  // finished ones `done`, and the serving layer's, which plans over the live
+  // sessions only and announces each departure through RemoveSession.
+  // Sessions finish in a scattered order, so every departure shifts
+  // survivors whose starvation counters are mid-count — a counter left
+  // behind at its old index would move a starvation grant.
+  query::SessionSchedulerOptions options;
+  options.seed = 31;
+  options.starvation_rounds = 2;
+  query::PriorityScheduler full(options);
+  query::PriorityScheduler compact(options);
+
+  constexpr size_t kSessions = 12;
+  std::vector<query::SessionSchedulerInfo> infos(kSessions);
+  std::vector<size_t> live(kSessions);  // Global index of each live position.
+  for (size_t i = 0; i < kSessions; ++i) live[i] = i;
+  // Session finish_order[k] finishes after round 3 + 2k.
+  const std::vector<size_t> finish_order = {7, 2, 11, 0, 5, 9, 3, 10, 1, 6};
+
+  size_t skipped = 0;  // Rounds a live session went without a grant.
+  for (size_t round = 0; round < 3 + 2 * finish_order.size(); ++round) {
+    std::vector<size_t> full_order;
+    full.PlanRound(common::Span<const query::SessionSchedulerInfo>(
+                       infos.data(), infos.size()),
+                   &full_order);
+    std::vector<query::SessionSchedulerInfo> live_infos;
+    for (const size_t global : live) live_infos.push_back(infos[global]);
+    std::vector<size_t> positions;
+    compact.PlanRound(common::Span<const query::SessionSchedulerInfo>(
+                          live_infos.data(), live_infos.size()),
+                      &positions);
+    std::vector<size_t> compact_order;
+    for (const size_t pos : positions) compact_order.push_back(live[pos]);
+    ASSERT_EQ(full_order, compact_order) << "round " << round;
+
+    // Skewed yields: low-index sessions report often, high-index ones
+    // rarely, so the rate tiers hand grants unevenly and the starvation
+    // guard has real work.
+    std::vector<bool> granted(kSessions, false);
+    for (const size_t idx : full_order) {
+      granted[idx] = true;
+      infos[idx].steps += 1;
+      infos[idx].seconds += 0.5;
+      if (infos[idx].steps % (1 + idx) == 0) infos[idx].reported_results += 1;
+    }
+    for (const size_t global : live) {
+      if (!granted[global]) ++skipped;
+    }
+
+    if (round >= 3 && (round - 3) % 2 == 0) {
+      const size_t leaving = finish_order[(round - 3) / 2];
+      infos[leaving].done = true;
+      const auto it = std::find(live.begin(), live.end(), leaving);
+      ASSERT_NE(it, live.end());
+      compact.RemoveSession(static_cast<size_t>(it - live.begin()));
+      live.erase(it);
+    }
+  }
+  // The rounds really skipped sessions, so the counters were in play.
+  EXPECT_GT(skipped, 0u);
 }
 
 TEST(SchedulerTest, KindNamesRoundTrip) {

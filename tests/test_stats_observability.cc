@@ -60,6 +60,31 @@ TEST(CounterRegistryTest, SyncSumsAcrossSlabs) {
   EXPECT_EQ(registry.Sync().sync_sequence, 2u);
 }
 
+TEST(CounterRegistryTest, RetiredSlabsKeepSyncTotalsExact) {
+  CounterRegistry registry;
+  const MetricId frames = registry.RegisterCounter("frames");
+  const MetricId depth = registry.RegisterGauge("depth");
+  CounterSlab* a = registry.AcquireSlab("session/0");
+  CounterSlab* b = registry.AcquireSlab("session/1");
+  CounterSlab* c = registry.AcquireSlab("service");
+  a->Add(frames, 3);
+  b->Add(frames, 4);
+  c->Add(frames, 5);
+  c->SetGauge(depth, 2.5);
+  registry.RetireSlab(a);
+  registry.RetireSlab(b);
+  EXPECT_EQ(registry.NumSlabs(), 1u);
+
+  // A counter registered after the retirements still syncs from zero.
+  const MetricId late = registry.RegisterCounter("late");
+  c->Add(frames, 1);
+  c->Add(late, 2);
+  StatsSnapshot snap = registry.Sync();
+  EXPECT_EQ(snap.counters.at("frames"), 13u);
+  EXPECT_EQ(snap.counters.at("late"), 2u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 2.5);
+}
+
 TEST(CounterRegistryTest, NullSafeHelpersAreNoOpsOnNull) {
   SlabAdd(nullptr, 0, 5);
   SlabSetGauge(nullptr, 0, 1.0);
@@ -382,6 +407,43 @@ TEST(EngineStatsTest, StatsJsonReflectsACompletedWorkload) {
   EXPECT_GT(engine.stage_timer().Count(Stage::kPick), 0u);
   EXPECT_GT(engine.stage_timer().Count(Stage::kDetect), 0u);
   EXPECT_GT(engine.stage_timer().Count(Stage::kSubmitToGrant), 0u);
+}
+
+TEST(EngineStatsTest, FinishedSessionsRetireTheirSlabs) {
+  // A session's slab lives only while the session does: Finish folds its
+  // ticks into the registry's retired totals and frees it, and the synced
+  // counters read exactly what they read while every slab was live.
+  auto fx = EngineFixture::Make();
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth,
+                              OracleConfig());
+  stats::CounterRegistry* registry = engine.counter_registry();
+
+  constexpr size_t kSessions = 5;
+  std::vector<std::unique_ptr<engine::QuerySession>> sessions;
+  uint64_t steps = 0;
+  uint64_t samples = 0;
+  for (size_t i = 0; i < kSessions; ++i) {
+    engine::QueryOptions options;
+    options.batch_size = 4;
+    options.exsample.seed = 40 + i;
+    auto session =
+        engine.CreateSession(/*class_id=*/0, /*limit=*/3 + i, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    while (session.value()->Step()) {
+    }
+    steps += session.value()->scheduler_stats().steps_granted;
+    samples += session.value()->Trace().final.samples;
+    sessions.push_back(std::move(session).value());
+  }
+  EXPECT_EQ(registry->NumSlabs(), kSessions);
+  const StatsSnapshot live = registry->Sync();
+  EXPECT_EQ(live.counters.at("execution.steps"), steps);
+  EXPECT_EQ(live.counters.at("execution.frames_picked"), samples);
+
+  for (const auto& session : sessions) session->Finish();
+  EXPECT_EQ(registry->NumSlabs(), 0u);
+  const StatsSnapshot retired = registry->Sync();
+  EXPECT_EQ(retired.counters, live.counters);
 }
 
 TEST(EngineStatsTest, CollectionIsTraceNeutral) {
