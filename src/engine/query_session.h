@@ -64,8 +64,12 @@ class QuerySession {
   /// engine's detect transport failed permanently and cancelled its pending
   /// tickets). The session is finished afterwards; its trace ends at the
   /// last completed step. `RunConcurrent` calls this before surfacing the
-  /// transport error.
-  void AbortStep() { execution_->AbortPendingStep(); }
+  /// transport error. Like `Finish`, it retires the session's counter slab
+  /// and publishes its stage timer.
+  void AbortStep() {
+    execution_->AbortPendingStep();
+    PublishStageTimer();
+  }
 
   /// \brief Administrative cancellation: finishes the session at its last
   /// completed step without running it to its stop condition. The serving

@@ -411,8 +411,7 @@ std::string SearchEngine::StatsJson() {
         static_cast<double>(detector_service_->PendingFrames());
   }
   if (transport_ != nullptr) {
-    // Snapshot by value: a socket transport's reader threads mutate the
-    // tallies concurrently with this export.
+    // Snapshot by value: the transport keeps counting after this export.
     const query::TransportStats t = transport_->Stats();
     snapshot.counters["transport.requests"] = t.requests;
     snapshot.counters["transport.responses"] = t.responses;

@@ -423,6 +423,8 @@ void QueryExecution::AbortPendingStep() {
   if (options_.detector_service != nullptr) {
     options_.detector_service->UnregisterSession(options_.service_session_id);
   }
+  // Aborted sessions are dropped without Finish: retire the slab here.
+  RetireStatsSlab();
 }
 
 void QueryExecution::Terminate() {
@@ -485,16 +487,16 @@ QueryTrace QueryExecution::Finish() {
     if (options_.detector_service != nullptr) {
       options_.detector_service->UnregisterSession(options_.service_session_id);
     }
-    // Likewise hand the counter slab back: its ticks join the registry's
-    // retired totals and the slab is freed, so a long-running engine holds
-    // slabs for live queries only. Unhooked first — nothing may tick it now.
-    if (options_.stats.slab != nullptr) {
-      stats::CounterSlab* slab = options_.stats.slab;
-      options_.stats.slab = nullptr;
-      options_.stats.registry->RetireSlab(slab);
-    }
+    RetireStatsSlab();
   }
   return trace_;
+}
+
+void QueryExecution::RetireStatsSlab() {
+  if (options_.stats.slab == nullptr) return;
+  stats::CounterSlab* slab = options_.stats.slab;
+  options_.stats.slab = nullptr;
+  options_.stats.registry->RetireSlab(slab);
 }
 
 QueryRunner::QueryRunner(const scene::GroundTruth* truth,

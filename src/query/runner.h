@@ -213,7 +213,9 @@ class QueryExecution {
   /// tickets. Drains the prefetcher (decode tasks hold spans into the
   /// abandoned batch) and marks the execution finished: the strategy already
   /// consumed the batch's frames, so the query cannot legally continue. The
-  /// trace ends at the last completed step. No-op when nothing is pending.
+  /// trace ends at the last completed step. Either way the session's wire
+  /// registration is withdrawn and its counter slab retired, as `Finish`
+  /// does.
   void AbortPendingStep();
 
   /// \brief Administrative termination between steps: marks the execution
@@ -248,6 +250,10 @@ class QueryExecution {
 
  private:
   bool StopConditionHit() const;
+  /// Hands the counter slab back to the registry: its ticks join the retired
+  /// totals and the slab is freed, so an engine holds slabs for live queries
+  /// only. Unhooked first — nothing may tick it afterwards. Idempotent.
+  void RetireStatsSlab();
   void RecordEvent(size_t part, double seconds, uint32_t samples, uint32_t reported,
                    uint32_t distinct, bool emit_point);
   /// Detect stage over `frames` (owners in `shards` when sharded): waits for

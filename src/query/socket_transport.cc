@@ -8,30 +8,76 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstring>
 
 namespace exsample {
 namespace query {
 
 namespace {
 
-common::Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    // MSG_NOSIGNAL: a peer that died mid-write must surface as EPIPE, not
-    // kill the process with SIGPIPE.
-    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return common::Status::Internal("socket write failed");
-    }
-    if (n == 0) return common::Status::Internal("socket write made no progress");
-    done += static_cast<size_t>(n);
-  }
-  return common::Status::OK();
+void EncodeFrameHeader(size_t size, uint8_t* header) {
+  const uint32_t value = static_cast<uint32_t>(size);
+  header[0] = static_cast<uint8_t>(value);
+  header[1] = static_cast<uint8_t>(value >> 8);
+  header[2] = static_cast<uint8_t>(value >> 16);
+  header[3] = static_cast<uint8_t>(value >> 24);
 }
+
+uint32_t DecodeFrameHeader(const uint8_t* header) {
+  return static_cast<uint32_t>(header[0]) |
+         static_cast<uint32_t>(header[1]) << 8 |
+         static_cast<uint32_t>(header[2]) << 16 |
+         static_cast<uint32_t>(header[3]) << 24;
+}
+
+/// One frame on its way out: header and payload go to the kernel together,
+/// as two iovecs of one `sendmsg`, so a frame costs the peer one wakeup.
+class OutgoingFrame {
+ public:
+  explicit OutgoingFrame(common::Span<const uint8_t> payload)
+      : payload_(payload) {
+    EncodeFrameHeader(payload.size(), header_);
+  }
+
+  bool done() const { return sent_ == kFrameHeaderBytes + payload_.size(); }
+
+  /// One `sendmsg` of the unsent tail. Returns its result (errno set on -1).
+  /// MSG_NOSIGNAL: a peer that died mid-write must surface as EPIPE, not
+  /// kill the process with SIGPIPE.
+  ssize_t SendSome(int fd, int flags) {
+    iovec iov[2];
+    size_t count = 0;
+    if (sent_ < kFrameHeaderBytes) {
+      iov[count].iov_base = header_ + sent_;
+      iov[count].iov_len = kFrameHeaderBytes - sent_;
+      ++count;
+    }
+    const size_t payload_sent =
+        sent_ > kFrameHeaderBytes ? sent_ - kFrameHeaderBytes : 0;
+    if (payload_sent < payload_.size()) {
+      iov[count].iov_base = const_cast<uint8_t*>(payload_.data() + payload_sent);
+      iov[count].iov_len = payload_.size() - payload_sent;
+      ++count;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, flags | MSG_NOSIGNAL);
+    if (n > 0) sent_ += static_cast<size_t>(n);
+    return n;
+  }
+
+ private:
+  common::Span<const uint8_t> payload_;
+  uint8_t header_[kFrameHeaderBytes] = {};
+  size_t sent_ = 0;
+};
 
 common::Status ReadAll(int fd, uint8_t* data, size_t size) {
   size_t done = 0;
@@ -48,7 +94,7 @@ common::Status ReadAll(int fd, uint8_t* data, size_t size) {
 }
 
 /// Numeric-IPv4 (or "localhost") connect with a poll-bounded handshake.
-/// Returns the connected fd in blocking mode, or -1.
+/// Returns the connected fd, left non-blocking, or -1.
 int ConnectWithTimeout(const std::string& endpoint, double timeout_seconds) {
   const size_t colon = endpoint.rfind(':');
   common::Check(colon != std::string::npos && colon + 1 < endpoint.size(),
@@ -93,12 +139,32 @@ int ConnectWithTimeout(const std::string& endpoint, double timeout_seconds) {
       return -1;
     }
   }
-  ::fcntl(fd, F_SETFL, flags);  // Back to blocking for the reader thread.
   // The coordinator's frames are latency-sensitive and tiny; never Nagle.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
 }
+
+/// Milliseconds `poll` may wait for `deadline`, rounded up so a wait never
+/// ends just short of it; -1 (forever) for `time_point::max()`.
+int PollTimeoutMs(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max()) return -1;
+  const double ms = std::ceil(std::chrono::duration<double, std::milli>(
+                                  deadline - std::chrono::steady_clock::now())
+                                  .count());
+  if (ms <= 0.0) return 0;
+  return ms >= static_cast<double>(INT_MAX) ? INT_MAX : static_cast<int>(ms);
+}
+
+std::chrono::steady_clock::duration Seconds(double seconds) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(seconds));
+}
+
+/// Free space a connection's input buffer offers every read: one `recv`
+/// takes a wave's worth of typical responses (a few hundred bytes each);
+/// larger frames grow the buffer to their size.
+constexpr size_t kReadChunkBytes = 16 << 10;
 
 }  // namespace
 
@@ -106,25 +172,23 @@ common::Status WriteFrame(int fd, common::Span<const uint8_t> payload) {
   if (payload.size() > kMaxFrameBytes) {
     return common::Status::InvalidArgument("wire frame exceeds the size bound");
   }
-  uint8_t header[kFrameHeaderBytes];
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  header[0] = static_cast<uint8_t>(size);
-  header[1] = static_cast<uint8_t>(size >> 8);
-  header[2] = static_cast<uint8_t>(size >> 16);
-  header[3] = static_cast<uint8_t>(size >> 24);
-  const common::Status head = WriteAll(fd, header, kFrameHeaderBytes);
-  if (!head.ok()) return head;
-  return WriteAll(fd, payload.data(), payload.size());
+  OutgoingFrame frame(payload);
+  while (!frame.done()) {
+    const ssize_t n = frame.SendSome(fd, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return common::Status::Internal("socket write failed");
+    }
+    if (n == 0) return common::Status::Internal("socket write made no progress");
+  }
+  return common::Status::OK();
 }
 
 common::Result<std::vector<uint8_t>> ReadFrame(int fd, size_t max_frame_bytes) {
   uint8_t header[kFrameHeaderBytes];
   const common::Status head = ReadAll(fd, header, kFrameHeaderBytes);
   if (!head.ok()) return head;
-  const uint32_t size = static_cast<uint32_t>(header[0]) |
-                        static_cast<uint32_t>(header[1]) << 8 |
-                        static_cast<uint32_t>(header[2]) << 16 |
-                        static_cast<uint32_t>(header[3]) << 24;
+  const uint32_t size = DecodeFrameHeader(header);
   if (size > max_frame_bytes) {
     return common::Status::InvalidArgument("wire frame exceeds the size bound");
   }
@@ -143,44 +207,24 @@ SocketTransport::SocketTransport(size_t num_shards,
     : options_(std::move(options)) {
   common::Check(options_.hosts.size() == num_shards,
                 "socket transport needs one shard host per shard");
+  // Connections are opened lazily (first RegisterSession/Send), so the
+  // transport can be constructed before the fleet is up.
   conns_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     conns_.push_back(std::make_unique<Conn>());
   }
-  // Connections are opened lazily (first RegisterSession/Send), so the
-  // transport can be constructed before the fleet is up; readers park until
-  // their shard connects.
-  for (size_t s = 0; s < num_shards; ++s) {
-    conns_[s]->reader =
-        std::thread([this, s] { ReaderLoop(static_cast<uint32_t>(s)); });
-  }
 }
 
 SocketTransport::~SocketTransport() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    for (auto& conn : conns_) {
-      // Wake readers blocked mid-read; fds are closed after the join.
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-    cv_.notify_all();
-  }
   for (auto& conn : conns_) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-  for (auto& conn : conns_) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
+    if (conn->fd >= 0) ::close(conn->fd);
   }
 }
 
 bool SocketTransport::EnsureConnectedLocked(uint32_t shard,
-                                            Clock::time_point now) {
+                                            Clock::time_point now, Lock& lock) {
   Conn& conn = *conns_[shard];
-  if (conn.connected) return true;
+  if (conn.fd >= 0) return true;
   if (now < conn.next_attempt) return false;  // Backoff window: fail fast.
   const int fd =
       ConnectWithTimeout(options_.hosts[shard], options_.connect_timeout_seconds);
@@ -190,14 +234,10 @@ bool SocketTransport::EnsureConnectedLocked(uint32_t shard,
             ? options_.reconnect_backoff_seconds
             : std::min(conn.backoff_seconds * 2.0,
                        options_.reconnect_backoff_max_seconds);
-    conn.next_attempt =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(conn.backoff_seconds));
+    conn.next_attempt = now + Seconds(conn.backoff_seconds);
     return false;
   }
   conn.fd = fd;
-  conn.connected = true;
-  ++conn.generation;
   conn.backoff_seconds = 0.0;
   conn.next_attempt = Clock::time_point::min();
   if (conn.ever_connected) {
@@ -210,36 +250,29 @@ bool SocketTransport::EnsureConnectedLocked(uint32_t shard,
   // session state, so every live session's registration crosses before any
   // detect frame — TCP's in-order delivery makes the order a guarantee.
   for (const auto& session : live_sessions_) {
-    if (!WriteFrame(fd, common::Span<const uint8_t>(session.second.data(),
-                                                    session.second.size()))
-             .ok()) {
-      // The reader never saw this connection (we still hold the lock), so
-      // close it here instead of the usual reader-owned teardown.
-      conn.connected = false;
-      ++conn.generation;
-      ::close(conn.fd);
-      conn.fd = -1;
+    if (!WriteFrameLocked(shard,
+                          common::Span<const uint8_t>(session.second.data(),
+                                                      session.second.size()),
+                          lock)) {
       conn.backoff_seconds = options_.reconnect_backoff_seconds;
-      conn.next_attempt =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(conn.backoff_seconds));
+      conn.next_attempt = now + Seconds(conn.backoff_seconds);
       return false;
     }
     ++stats_.control_messages;
     stats_.bytes_sent += session.second.size();
   }
-  cv_.notify_all();  // The shard's reader picks the connection up.
   return true;
 }
 
 void SocketTransport::MarkDisconnectedLocked(uint32_t shard) {
   Conn& conn = *conns_[shard];
-  if (!conn.connected) return;
-  conn.connected = false;
-  ++conn.generation;
+  if (conn.fd < 0) return;
+  ::close(conn.fd);
+  conn.fd = -1;
   conn.pending_acks.clear();
-  // Wake a reader blocked mid-read; whoever captured the fd closes it.
-  ::shutdown(conn.fd, SHUT_RDWR);
+  conn.in = {};
+  conn.in_begin = 0;
+  conn.in_end = 0;
   // A dropped connection is a failure signal for everything riding it:
   // synthesize kUnavailable completions now instead of waiting for each
   // batch's deadline to expire.
@@ -251,7 +284,6 @@ void SocketTransport::MarkDisconnectedLocked(uint32_t shard) {
       ++it;
     }
   }
-  cv_.notify_all();
 }
 
 void SocketTransport::SynthesizeFailureLocked(uint64_t wire_seq,
@@ -265,19 +297,128 @@ void SocketTransport::SynthesizeFailureLocked(uint64_t wire_seq,
   ++stats_.inferred_failures;
 }
 
+bool SocketTransport::WriteFrameLocked(uint32_t shard,
+                                       common::Span<const uint8_t> payload,
+                                       Lock& lock) {
+  Conn& conn = *conns_[shard];
+  if (payload.size() > kMaxFrameBytes) {  // The peer would refuse it.
+    MarkDisconnectedLocked(shard);
+    return false;
+  }
+  OutgoingFrame frame(payload);
+  Clock::time_point deadline =
+      Clock::now() + Seconds(options_.request_deadline_seconds);
+  while (conn.fd >= 0) {
+    const ssize_t n = frame.SendSome(conn.fd, MSG_DONTWAIT);
+    if (n > 0) {
+      if (frame.done()) return true;
+      deadline = Clock::now() + Seconds(options_.request_deadline_seconds);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) break;
+    // The kernel has no room: the peer is not reading, possibly because it
+    // is blocked writing responses to us. Keep reading this connection while
+    // waiting for room, or a wave larger than the socket buffers would stall
+    // both processes.
+    if (Clock::now() >= deadline) break;  // No progress: give the peer up.
+    pollfd pfd{};
+    pfd.fd = conn.fd;
+    pfd.events = POLLIN | POLLOUT;
+    lock.unlock();
+    const int rc = ::poll(&pfd, 1, PollTimeoutMs(deadline));
+    lock.lock();
+    if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      ReadLocked(shard);
+    }
+  }
+  MarkDisconnectedLocked(shard);
+  return false;
+}
+
+void SocketTransport::PollLocked(Clock::time_point deadline, Lock& lock) {
+  // Indexed by shard; poll() skips the negative fds of disconnected shards.
+  std::vector<pollfd> fds(conns_.size());
+  for (size_t s = 0; s < conns_.size(); ++s) {
+    fds[s].fd = conns_[s]->fd;
+    fds[s].events = POLLIN;
+  }
+  lock.unlock();
+  const int rc = ::poll(fds.data(), fds.size(), PollTimeoutMs(deadline));
+  lock.lock();
+  if (rc <= 0) return;  // Timeout or EINTR: the caller re-checks deadlines.
+  for (uint32_t s = 0; s < conns_.size(); ++s) {
+    if (fds[s].revents == 0) continue;
+    ReadLocked(s);
+    // A hang-up may still deliver the peer's last frames, which the read
+    // above dispatched; then the connection is done.
+    if ((fds[s].revents & (POLLHUP | POLLERR)) != 0) MarkDisconnectedLocked(s);
+  }
+}
+
+void SocketTransport::ReadLocked(uint32_t shard) {
+  Conn& conn = *conns_[shard];
+  while (conn.fd >= 0) {
+    // Room for the read: move the partial frame (if any) to the front, and
+    // grow the buffer only when a frame needs more than it holds.
+    const size_t held = conn.in_end - conn.in_begin;
+    if (conn.in_begin > 0) {
+      std::memmove(conn.in.data(), conn.in.data() + conn.in_begin, held);
+      conn.in_begin = 0;
+      conn.in_end = held;
+    }
+    size_t want = kReadChunkBytes;
+    if (held >= kFrameHeaderBytes) {
+      const size_t frame_bytes =
+          kFrameHeaderBytes + DecodeFrameHeader(conn.in.data());
+      want = std::max(want, frame_bytes - held);
+    }
+    if (conn.in.size() - conn.in_end < want) conn.in.resize(conn.in_end + want);
+
+    const size_t room = conn.in.size() - conn.in_end;
+    const ssize_t n =
+        ::recv(conn.fd, conn.in.data() + conn.in_end, room, MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {  // EOF, or a reset or other read error.
+      MarkDisconnectedLocked(shard);
+      return;
+    }
+    conn.in_end += static_cast<size_t>(n);
+
+    // Dispatch every complete frame; an incomplete one waits for more bytes.
+    while (conn.in_end - conn.in_begin >= kFrameHeaderBytes) {
+      const uint8_t* head = conn.in.data() + conn.in_begin;
+      const size_t size = DecodeFrameHeader(head);
+      if (size > kMaxFrameBytes) {
+        MarkDisconnectedLocked(shard);  // Corrupt or hostile framing.
+        return;
+      }
+      if (conn.in_end - conn.in_begin - kFrameHeaderBytes < size) break;
+      if (!DispatchFrameLocked(shard, common::Span<const uint8_t>(
+                                          head + kFrameHeaderBytes, size))) {
+        MarkDisconnectedLocked(shard);
+        return;
+      }
+      conn.in_begin += kFrameHeaderBytes + size;
+    }
+    if (conn.in_begin == conn.in_end) conn.in_begin = conn.in_end = 0;
+    // A short read drained the socket: skip the recv that would only say so.
+    if (static_cast<size_t>(n) < room) return;
+  }
+}
+
 common::Status SocketTransport::RegisterSession(const RegisterSessionMsg& msg) {
-  std::unique_lock<std::mutex> lock(mu_);
+  Lock lock(mu_);
   std::vector<uint8_t> bytes = SerializeRegisterSession(msg);
   const common::Span<const uint8_t> frame(bytes.data(), bytes.size());
   live_sessions_.emplace_back(msg.session_id, bytes);
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             options_.register_ack_deadline_seconds));
+      Clock::now() + Seconds(options_.register_ack_deadline_seconds);
+  std::vector<uint32_t> awaiting;
   for (uint32_t s = 0; s < conns_.size(); ++s) {
-    Conn& conn = *conns_[s];
-    const bool was_connected = conn.connected;
-    if (!EnsureConnectedLocked(s, Clock::now())) {
+    const bool was_connected = conns_[s]->fd >= 0;
+    if (!EnsureConnectedLocked(s, Clock::now(), lock)) {
       // Unreachable runner: not an error — the registration replays on
       // reconnect, and an unreachable shard surfaces through the detect
       // path's failure inference, where retry/requeue can handle it.
@@ -285,35 +426,40 @@ common::Status SocketTransport::RegisterSession(const RegisterSessionMsg& msg) {
     }
     if (was_connected) {
       // A fresh connection already got the frame via the replay above.
-      if (!WriteFrame(conn.fd, frame).ok()) {
-        MarkDisconnectedLocked(s);
-        continue;
-      }
+      if (!WriteFrameLocked(s, frame, lock)) continue;
       ++stats_.control_messages;
       stats_.bytes_sent += bytes.size();
     }
-    // Wait (bounded) for the ack so a mis-deployment fails the session
-    // before any detect work is charged.
-    const uint64_t generation = conn.generation;
-    while (conn.connected && conn.generation == generation &&
-           conn.pending_acks.find(msg.session_id) == conn.pending_acks.end()) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-    }
-    const auto ack = conn.pending_acks.find(msg.session_id);
-    if (ack != conn.pending_acks.end()) {
-      const WireStatus status = ack->second;
-      conn.pending_acks.erase(ack);
-      if (status == WireStatus::kRepoMismatch) {
-        return common::Status::FailedPrecondition(
-            "shard server repository fingerprint mismatch (mis-deployment)");
+    awaiting.push_back(s);
+  }
+  // Wait (bounded) for every shard's ack so a mis-deployment fails the
+  // session before any detect work is charged. The shards ack in parallel.
+  for (;;) {
+    for (auto it = awaiting.begin(); it != awaiting.end();) {
+      Conn& conn = *conns_[*it];
+      const auto ack = conn.pending_acks.find(msg.session_id);
+      if (ack != conn.pending_acks.end()) {
+        const WireStatus status = ack->second;
+        conn.pending_acks.erase(ack);
+        if (status == WireStatus::kRepoMismatch) {
+          return common::Status::FailedPrecondition(
+              "shard server repository fingerprint mismatch (mis-deployment)");
+        }
+        it = awaiting.erase(it);
+      } else if (conn.fd < 0) {
+        it = awaiting.erase(it);  // Dropped: the replay re-deploys it.
+      } else {
+        ++it;
       }
     }
+    if (awaiting.empty() || Clock::now() >= deadline) break;
+    PollLocked(deadline, lock);
   }
   return common::Status::OK();
 }
 
 void SocketTransport::UnregisterSession(uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Lock lock(mu_);
   for (auto it = live_sessions_.begin(); it != live_sessions_.end();) {
     if (it->first == session_id) {
       it = live_sessions_.erase(it);
@@ -325,14 +471,11 @@ void SocketTransport::UnregisterSession(uint64_t session_id) {
   msg.session_id = session_id;
   const std::vector<uint8_t> bytes = SerializeUnregisterSession(msg);
   for (uint32_t s = 0; s < conns_.size(); ++s) {
-    Conn& conn = *conns_[s];
     // Fire-and-forget, connected shards only: a down server holds no state
     // once it restarts (the replay set no longer has this session).
-    if (!conn.connected) continue;
-    if (!WriteFrame(conn.fd, common::Span<const uint8_t>(bytes.data(),
-                                                         bytes.size()))
-             .ok()) {
-      MarkDisconnectedLocked(s);
+    if (conns_[s]->fd < 0) continue;
+    if (!WriteFrameLocked(
+            s, common::Span<const uint8_t>(bytes.data(), bytes.size()), lock)) {
       continue;
     }
     ++stats_.control_messages;
@@ -342,7 +485,7 @@ void SocketTransport::UnregisterSession(uint64_t session_id) {
 
 common::Status SocketTransport::Send(uint32_t runner_shard,
                                      const DetectRequestMsg& request) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Lock lock(mu_);
   common::Check(runner_shard < conns_.size(),
                 "socket send addresses an unknown shard");
   ++stats_.requests;
@@ -351,23 +494,19 @@ common::Status SocketTransport::Send(uint32_t runner_shard,
   entry.shard = runner_shard;
   entry.origin_shard = request.origin_shard;
   entry.attempt = request.attempt;
-  entry.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 options_.request_deadline_seconds));
-  if (!EnsureConnectedLocked(runner_shard, now)) {
+  entry.deadline = now + Seconds(options_.request_deadline_seconds);
+  if (!EnsureConnectedLocked(runner_shard, now, lock)) {
     // Unreachable (or inside its backoff window): infer the failure now so
     // the service's retry/requeue machinery moves on immediately.
     SynthesizeFailureLocked(request.wire_seq, entry);
-    cv_.notify_all();
     return common::Status::OK();
   }
   const std::vector<uint8_t> bytes = SerializeDetectRequest(request);
-  if (!WriteFrame(conns_[runner_shard]->fd,
-                  common::Span<const uint8_t>(bytes.data(), bytes.size()))
-           .ok()) {
-    MarkDisconnectedLocked(runner_shard);  // Fails whatever else rode it.
+  if (!WriteFrameLocked(runner_shard,
+                        common::Span<const uint8_t>(bytes.data(), bytes.size()),
+                        lock)) {
+    // The dropped connection already failed whatever else rode it.
     SynthesizeFailureLocked(request.wire_seq, entry);
-    cv_.notify_all();
     return common::Status::OK();
   }
   stats_.bytes_sent += bytes.size();
@@ -376,7 +515,7 @@ common::Status SocketTransport::Send(uint32_t runner_shard,
 }
 
 common::Result<DetectResponseMsg> SocketTransport::Receive() {
-  std::unique_lock<std::mutex> lock(mu_);
+  Lock lock(mu_);
   for (;;) {
     if (!completed_.empty()) {
       DetectResponseMsg response = std::move(completed_.front());
@@ -389,7 +528,7 @@ common::Result<DetectResponseMsg> SocketTransport::Receive() {
     }
     // Deadline-based failure inference: give up on every batch whose
     // deadline passed (a server that is up but wedged produces no other
-    // signal), then sleep until the next-earliest deadline or a completion.
+    // signal), then wait for input until the next-earliest deadline.
     const Clock::time_point now = Clock::now();
     Clock::time_point earliest = Clock::time_point::max();
     for (auto it = inflight_.begin(); it != inflight_.end();) {
@@ -402,7 +541,7 @@ common::Result<DetectResponseMsg> SocketTransport::Receive() {
       }
     }
     if (!completed_.empty()) continue;
-    cv_.wait_until(lock, earliest);
+    PollLocked(earliest, lock);
   }
 }
 
@@ -417,14 +556,12 @@ TransportStats SocketTransport::Stats() const {
 }
 
 bool SocketTransport::DispatchFrameLocked(uint32_t shard,
-                                          const std::vector<uint8_t>& frame) {
-  Conn& conn = *conns_[shard];
-  const common::Span<const uint8_t> bytes(frame.data(), frame.size());
-  const common::Result<WireKind> kind = PeekWireKind(bytes);
+                                          common::Span<const uint8_t> frame) {
+  const common::Result<WireKind> kind = PeekWireKind(frame);
   if (!kind.ok()) return false;
   switch (kind.value()) {
     case WireKind::kDetectResponse: {
-      common::Result<DetectResponseMsg> response = ParseDetectResponse(bytes);
+      common::Result<DetectResponseMsg> response = ParseDetectResponse(frame);
       if (!response.ok()) return false;
       const auto it = inflight_.find(response.value().wire_seq);
       if (it == inflight_.end() || it->second.shard != shard ||
@@ -438,53 +575,21 @@ bool SocketTransport::DispatchFrameLocked(uint32_t shard,
       stats_.bytes_received += frame.size();
       completed_.push_back(std::move(response).value());
       inflight_.erase(it);
-      cv_.notify_all();
       return true;
     }
     case WireKind::kSessionAck: {
-      common::Result<SessionAckMsg> ack = ParseSessionAck(bytes);
+      common::Result<SessionAckMsg> ack = ParseSessionAck(frame);
       if (!ack.ok()) return false;
-      // Replayed registrations produce acks nobody waits for; they are
-      // consumed here and forgotten when the waiter is gone.
-      conn.pending_acks[ack.value().session_id] = ack.value().status;
-      cv_.notify_all();
+      // Replayed registrations produce acks nobody waits for; they stay
+      // here until the connection drops.
+      conns_[shard]->pending_acks[ack.value().session_id] = ack.value().status;
       return true;
     }
     case WireKind::kHeartbeatAck:
-      return ParseHeartbeatAck(bytes).ok();
+      return ParseHeartbeatAck(frame).ok();
     default:
       // Request kinds arriving at the coordinator are a protocol violation.
       return false;
-  }
-}
-
-void SocketTransport::ReaderLoop(uint32_t shard) {
-  Conn& conn = *conns_[shard];
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (!conn.connected) {
-      cv_.wait(lock);
-      continue;
-    }
-    const int fd = conn.fd;
-    const uint64_t generation = conn.generation;
-    lock.unlock();
-    common::Result<std::vector<uint8_t>> frame = ReadFrame(fd, kMaxFrameBytes);
-    lock.lock();
-    if (conn.generation != generation) {
-      // Someone declared this connection dead (and may already have opened
-      // a replacement) while we were blocked: the captured fd is ours to
-      // close, and only ours — nobody reuses it before this close.
-      ::close(fd);
-      if (conn.fd == fd) conn.fd = -1;
-      continue;
-    }
-    if (stop_) break;  // Destructor shut us down; it closes fds after join.
-    if (!frame.ok() || !DispatchFrameLocked(shard, frame.value())) {
-      MarkDisconnectedLocked(shard);
-      ::close(fd);
-      conn.fd = -1;
-    }
   }
 }
 

@@ -2,12 +2,11 @@
 #define EXSAMPLE_QUERY_SOCKET_TRANSPORT_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,8 +27,10 @@ namespace query {
 /// a 4-byte little-endian payload length followed by the payload bytes.
 inline constexpr size_t kFrameHeaderBytes = 4;
 
-/// \brief Writes one length-prefixed frame to `fd` (blocking, EINTR-safe).
-/// Fails on short writes and on payloads past `kMaxFrameBytes`.
+/// \brief Writes one length-prefixed frame to a blocking `fd` (EINTR-safe).
+/// Header and payload reach the kernel in one `sendmsg` call, looping only
+/// on partial writes. Fails on write errors and on payloads past
+/// `kMaxFrameBytes`.
 common::Status WriteFrame(int fd, common::Span<const uint8_t> payload);
 
 /// \brief Reads one length-prefixed frame from `fd` (blocking, EINTR-safe).
@@ -67,8 +68,28 @@ struct SocketTransportOptions {
 };
 
 /// \brief `ShardTransport` over real TCP sockets: one connection per shard
-/// to an `exsample_shardd` server, a reader thread per connection, and the
-/// `RegisterSessionMsg` control plane deploying session state.
+/// to an `exsample_shardd` server, all of it driven from the coordinator
+/// thread, and the `RegisterSessionMsg` control plane deploying session state.
+///
+/// ## I/O model
+///
+/// The transport starts no threads. The one coordinator thread that drives
+/// Send/Receive/RegisterSession/UnregisterSession (the interface contract)
+/// does all socket I/O, so every connection has exactly one owner:
+///
+/// - Every frame leaves in one `sendmsg` (length header and payload as two
+///   iovecs): one segment, one wakeup of the peer.
+/// - Sockets are non-blocking. `Receive` and the registration ack wait
+///   `poll()` the connected sockets until the earliest request deadline (or
+///   the ack deadline) and read whatever has arrived.
+/// - Received bytes wait in a per-connection buffer, and a frame is
+///   dispatched only once it is complete: a peer that sends half a frame
+///   and goes silent blocks nothing, and the request deadline still fires.
+/// - A send the kernel cannot take keeps reading the same connection while
+///   it waits. The service ships a whole wave before it receives, so a
+///   server blocked writing responses nobody reads would otherwise stall
+///   both processes. A send that makes no progress for a request deadline
+///   fails the connection.
 ///
 /// ## Failure inference
 ///
@@ -77,26 +98,27 @@ struct SocketTransportOptions {
 /// `kUnavailable` completion for `Receive`, so the `DetectorService`'s
 /// retry → requeue machinery sees exactly the signal an explicit runner
 /// failure produces: a connect that fails (or is gated by backoff) fails the
-/// batch immediately; a connection that drops fails everything in flight on
-/// it; a batch unanswered past its deadline is given up on, and its late
-/// response — recognized by sequence number and attempt echo — is dropped.
-/// `Send` consequently never fails for environmental reasons (the interface
-/// contract); a non-OK return is a caller bug.
+/// batch immediately; a connection that drops (EOF, a reset, `POLLHUP` or
+/// `POLLERR`) or breaks the protocol is closed and fails everything in
+/// flight on it; a batch unanswered past its deadline is given up on, and
+/// its late response — recognized by sequence number and attempt echo — is
+/// dropped. `Send` consequently never fails for environmental reasons (the
+/// interface contract); a non-OK return is a caller bug.
 ///
 /// ## Session deployment
 ///
 /// `RegisterSession` ships the session's detector configuration to every
-/// shard and waits briefly for acks (`kRepoMismatch` acks fail the
-/// registration with `FailedPrecondition` — a mis-deployment, never
-/// retryable). Every live session's registration frame is kept and
-/// *replayed* on each (re)connect before any detect frame crosses, so a
-/// restarted server is re-deployed transparently — TCP's in-order delivery
-/// guarantees the runner materializes the session before any batch that
-/// references it.
+/// shard, then waits briefly for all their acks at once (`kRepoMismatch`
+/// acks fail the registration with `FailedPrecondition` — a
+/// mis-deployment, never retryable). Every live session's registration
+/// frame is kept and *replayed* on each (re)connect before any detect frame
+/// crosses, so a restarted server is re-deployed transparently — TCP's
+/// in-order delivery guarantees the runner materializes the session before
+/// any batch that references it.
 ///
-/// One coordinator thread drives Send/Receive/Register/Unregister; reader
-/// threads only dispatch completions. All shared state sits under one mutex
-/// (the hot path is dominated by syscalls, not the lock).
+/// `Stats()` and `InFlight()` may be called from any thread: the state they
+/// read sits under one mutex, which the coordinator releases while it
+/// waits in `poll()`.
 class SocketTransport : public ShardTransport {
  public:
   SocketTransport(size_t num_shards, SocketTransportOptions options);
@@ -119,20 +141,24 @@ class SocketTransport : public ShardTransport {
 
  private:
   using Clock = std::chrono::steady_clock;
+  using Lock = std::unique_lock<std::mutex>;
 
   struct Conn {
+    /// The connected non-blocking socket, or -1 while disconnected.
     int fd = -1;
-    bool connected = false;
     bool ever_connected = false;
-    /// Bumped on every state change so a reader blocked on an old fd can
-    /// tell its observation is stale.
-    uint64_t generation = 0;
     /// Backoff gate: no connect attempt before this instant.
     Clock::time_point next_attempt = Clock::time_point::min();
     double backoff_seconds = 0.0;
-    std::thread reader;
-    /// Acks the reader received that no waiter has consumed yet
-    /// (session_id -> status); cleared on disconnect.
+    /// Received bytes not yet dispatched live in `in[in_begin, in_end)`:
+    /// at most one incomplete frame once dispatch has run. `in` is sized to
+    /// its capacity and grows only for a frame larger than it, so a read
+    /// never zero-fills.
+    std::vector<uint8_t> in;
+    size_t in_begin = 0;
+    size_t in_end = 0;
+    /// Acks received that no waiter has consumed yet (session_id ->
+    /// status); cleared on disconnect.
     std::unordered_map<uint64_t, WireStatus> pending_acks;
   };
 
@@ -150,24 +176,35 @@ class SocketTransport : public ShardTransport {
   /// Connects `shard` if disconnected and its backoff window allows,
   /// replaying every live session's registration on success. Returns whether
   /// the shard is connected afterwards.
-  bool EnsureConnectedLocked(uint32_t shard, Clock::time_point now);
-  /// Declares `shard`'s connection dead: wakes its reader via shutdown(),
-  /// synthesizes `kUnavailable` completions for everything in flight on it,
-  /// and drops its pending acks.
+  bool EnsureConnectedLocked(uint32_t shard, Clock::time_point now, Lock& lock);
+  /// Declares `shard`'s connection dead: closes it, synthesizes
+  /// `kUnavailable` completions for everything in flight on it, and drops
+  /// its buffered input and pending acks.
   void MarkDisconnectedLocked(uint32_t shard);
   /// Synthesizes a `kUnavailable` completion (failure inference).
   void SynthesizeFailureLocked(uint64_t wire_seq, const InFlightEntry& entry);
-  void ReaderLoop(uint32_t shard);
+  /// Sends one frame to a connected `shard`, reading that connection while
+  /// the kernel has no room for it. On failure the connection is marked
+  /// disconnected and false is returned.
+  bool WriteFrameLocked(uint32_t shard, common::Span<const uint8_t> payload,
+                        Lock& lock);
+  /// Waits until `deadline` for input on any connected shard, then reads
+  /// and dispatches what arrived. Returns early on any input; callers
+  /// re-check their own conditions.
+  void PollLocked(Clock::time_point deadline, Lock& lock);
+  /// Reads what `shard`'s socket holds without blocking and dispatches every
+  /// complete frame. EOF, a read error or a protocol violation marks the
+  /// shard disconnected.
+  void ReadLocked(uint32_t shard);
   /// Routes one received frame (detect response or control ack). Returns
   /// false on a frame the protocol forbids — the caller drops the connection.
-  bool DispatchFrameLocked(uint32_t shard, const std::vector<uint8_t>& frame);
+  bool DispatchFrameLocked(uint32_t shard, common::Span<const uint8_t> frame);
 
   SocketTransportOptions options_;
 
+  /// Guards what `Stats()`/`InFlight()` read from other threads; the
+  /// coordinator holds it except while it waits in `poll()`.
   mutable std::mutex mu_;
-  /// Signaled on: completion available, ack arrived, connection state change.
-  std::condition_variable cv_;
-  bool stop_ = false;
   std::vector<std::unique_ptr<Conn>> conns_;
   /// Live sessions in registration order: serialized `RegisterSessionMsg`
   /// frames replayed to every fresh connection.

@@ -176,10 +176,10 @@ class ShardTransport {
   /// \brief Batches sent but not yet received.
   virtual size_t InFlight() const = 0;
 
-  /// \brief Snapshot of the transfer tallies, by value: a socket transport's
-  /// receive thread mutates the counters concurrently with readers, so
-  /// handing out a reference would be a latent data race for every transport
-  /// that isn't single-threaded.
+  /// \brief Snapshot of the transfer tallies, by value: the coordinator
+  /// thread keeps counting after the call, so a reference would alias live
+  /// counters. `SocketTransport` takes its lock here, so its snapshot is
+  /// safe from any thread.
   virtual TransportStats Stats() const = 0;
 };
 

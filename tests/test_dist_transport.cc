@@ -13,10 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -281,6 +287,10 @@ TEST(DistTransportTest, AllRunnersDownSurfacesStatusFromRunConcurrent) {
   EXPECT_FALSE(engine.detector_service()->transport_status().ok());
   EXPECT_EQ(engine.detector_service()->PendingFrames(), 0u);
   EXPECT_GT(observed_steps, 0u);  // The workload made progress before dying.
+  // Every session was aborted, none finished: each still retired its counter
+  // slab (only the service's remains) and published its stage timer.
+  EXPECT_EQ(engine.counter_registry()->NumSlabs(), 1u);
+  EXPECT_GE(engine.stage_timer().Count(stats::Stage::kPick), observed_steps);
 }
 
 TEST(DistTransportTest, RepositoryMismatchSurfacesStatus) {
@@ -803,6 +813,238 @@ TEST(SocketTransportTest, RepositoryMismatchAckFailsRegistrationByName) {
   EXPECT_EQ(result.status().code(), common::StatusCode::kFailedPrecondition);
   EXPECT_NE(result.status().message().find("fingerprint"), std::string::npos)
       << result.status().ToString();
+}
+
+// --- Socket transport I/O model: scripted peers ------------------------------
+//
+// The transport does all socket I/O on the coordinator thread. These peers
+// script the cases that model must survive: a frame that stops halfway, and
+// a wave whose requests and responses both overflow the socket buffers.
+
+/// A scripted in-test shard server: accepts one connection and runs
+/// `script` on it on its own thread. Every blocking call of the script times
+/// out after `kPeerTimeoutSeconds`, and the connection closes when the
+/// script returns, so the peer bounds the test's wall time even against a
+/// transport that blocks where it must not.
+class ScriptedPeer {
+ public:
+  static constexpr int kPeerTimeoutSeconds = 10;
+
+  /// `buffer_bytes` > 0 shrinks the connection's SO_SNDBUF and SO_RCVBUF.
+  ScriptedPeer(std::function<void(int fd)> script, int buffer_bytes = 0) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    common::Check(listener_ >= 0, "scripted peer: socket failed");
+    if (buffer_bytes > 0) {
+      // Set on the listener, before listen(): accepted sockets inherit the
+      // sizes, and the receive window is negotiated from them.
+      ::setsockopt(listener_, SOL_SOCKET, SO_SNDBUF, &buffer_bytes,
+                   sizeof(buffer_bytes));
+      ::setsockopt(listener_, SOL_SOCKET, SO_RCVBUF, &buffer_bytes,
+                   sizeof(buffer_bytes));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    common::Check(::bind(listener_, reinterpret_cast<const sockaddr*>(&addr),
+                         sizeof(addr)) == 0 &&
+                      ::listen(listener_, 1) == 0,
+                  "scripted peer: bind/listen failed");
+    socklen_t len = sizeof(addr);
+    ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, script = std::move(script)] {
+      pollfd pfd{};
+      pfd.fd = listener_;
+      pfd.events = POLLIN;
+      if (::poll(&pfd, 1, kPeerTimeoutSeconds * 1000) <= 0) return;
+      const int fd = ::accept(listener_, nullptr, nullptr);
+      if (fd < 0) return;
+      timeval timeout{};
+      timeout.tv_sec = kPeerTimeoutSeconds;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+      script(fd);
+      ::close(fd);
+    });
+  }
+
+  ~ScriptedPeer() {
+    thread_.join();
+    ::close(listener_);
+  }
+
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  std::string host() const { return "127.0.0.1:" + std::to_string(port_); }
+
+ private:
+  int listener_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+bool Reply(int fd, const std::vector<uint8_t>& bytes) {
+  return query::WriteFrame(
+             fd, common::Span<const uint8_t>(bytes.data(), bytes.size()))
+      .ok();
+}
+
+TEST(SocketTransportTest, HalfSentResponseWaitsOutTheRequestDeadline) {
+  // The peer acks the registration, then answers the detect request with a
+  // frame header alone and goes silent, connection open. The transport must
+  // buffer the partial frame, not block on it: Receive synthesizes
+  // kUnavailable when the request deadline passes.
+  ScriptedPeer peer([](int fd) {
+    auto registration = query::ReadFrame(fd, query::kMaxFrameBytes);
+    if (!registration.ok()) return;
+    query::SessionAckMsg ack;
+    ack.session_id = 11;
+    if (!Reply(fd, query::SerializeSessionAck(ack))) return;
+    if (!query::ReadFrame(fd, query::kMaxFrameBytes).ok()) return;
+    const uint8_t header[query::kFrameHeaderBytes] = {200, 0, 0, 0};
+    if (::send(fd, header, sizeof(header), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(sizeof(header))) {
+      return;
+    }
+    // Silent until the coordinator hangs up (or the peer timeout fires).
+    (void)query::ReadFrame(fd, query::kMaxFrameBytes);
+  });
+
+  query::SocketTransportOptions options;
+  options.hosts = {peer.host()};
+  options.request_deadline_seconds = 0.3;
+  query::SocketTransport transport(1, options);
+  query::RegisterSessionMsg registration;
+  registration.session_id = 11;
+  ASSERT_TRUE(transport.RegisterSession(registration).ok());
+
+  query::DetectRequestMsg request;
+  request.wire_seq = 7;
+  request.slots = {query::WireSlot{11, 42}};
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(transport.Send(0, request).ok());
+  auto response = transport.Receive();
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().wire_seq, 7u);
+  EXPECT_EQ(response.value().status, query::WireStatus::kUnavailable);
+  EXPECT_GE(waited, 0.25);
+  EXPECT_LT(waited, 3.0) << "the half-sent frame blocked the coordinator";
+  EXPECT_EQ(transport.Stats().inferred_failures, 1u);
+  EXPECT_EQ(transport.InFlight(), 0u);
+}
+
+TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
+  // The service ships a whole wave before it receives. Against a peer with
+  // shrunken socket buffers that answers every request with a large
+  // response and reads its next request only once that reply is written,
+  // the coordinator's sends block while the peer blocks on its reply:
+  // unless a blocked send keeps reading, both processes stall until the
+  // request deadline gives the peer up (which bounds the test's wall time).
+  constexpr size_t kWave = 10;
+  constexpr size_t kSlotsPerRequest = 40000;
+  constexpr size_t kDetectionsPerResponse = 6000;
+  ScriptedPeer peer(
+      [&](int fd) {
+        for (size_t i = 0; i < kWave; ++i) {
+          auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
+          if (!frame.ok()) return;
+          auto request = query::ParseDetectRequest(common::Span<const uint8_t>(
+              frame.value().data(), frame.value().size()));
+          if (!request.ok()) return;
+          query::DetectResponseMsg response;
+          response.wire_seq = request.value().wire_seq;
+          response.attempt = request.value().attempt;
+          response.detections.resize(1);
+          response.detections[0].resize(kDetectionsPerResponse);
+          if (!Reply(fd, query::SerializeDetectResponse(response))) return;
+        }
+      },
+      /*buffer_bytes=*/64 << 10);
+
+  query::SocketTransportOptions options;
+  options.hosts = {peer.host()};
+  // Generous: sanitizer builds move these megabytes slowly, and only a
+  // stall must miss it.
+  options.request_deadline_seconds = 10.0;
+  query::SocketTransport transport(1, options);
+
+  query::DetectRequestMsg request;
+  request.slots.assign(kSlotsPerRequest, query::WireSlot{3, 5});
+  const size_t request_bytes = query::SerializeDetectRequest(request).size();
+  query::DetectResponseMsg probe;
+  probe.detections.resize(1);
+  probe.detections[0].resize(kDetectionsPerResponse);
+  const size_t response_bytes = query::SerializeDetectResponse(probe).size();
+  // Either direction outgrows the buffers on its path: the requests even a
+  // send buffer autotuned to the usual 4 MiB maximum, the responses the
+  // peer's send buffer plus the coordinator's untouched receive buffer.
+  EXPECT_GT(kWave * request_bytes, size_t{5} << 20);
+  EXPECT_GT(kWave * response_bytes, size_t{2} << 20);
+
+  for (uint64_t seq = 0; seq < kWave; ++seq) {
+    request.wire_seq = seq;
+    ASSERT_TRUE(transport.Send(0, request).ok());
+  }
+  std::set<uint64_t> answered;
+  for (size_t i = 0; i < kWave; ++i) {
+    auto response = transport.Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status, query::WireStatus::kOk)
+        << "batch " << response.value().wire_seq << " was given up on";
+    if (response.value().status == query::WireStatus::kOk) {
+      ASSERT_EQ(response.value().detections.size(), 1u);
+      EXPECT_EQ(response.value().detections[0].size(), kDetectionsPerResponse);
+    }
+    answered.insert(response.value().wire_seq);
+  }
+  EXPECT_EQ(answered.size(), kWave);
+  const query::TransportStats stats = transport.Stats();
+  EXPECT_EQ(stats.inferred_failures, 0u);
+  EXPECT_EQ(stats.bytes_received, kWave * response_bytes);
+  EXPECT_EQ(transport.InFlight(), 0u);
+}
+
+size_t ThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t threads = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
+  }
+  ::closedir(dir);
+  return threads;
+}
+
+TEST(SocketTransportTest, StartsNoThreads) {
+  // All socket I/O runs on the caller's thread: a full register → detect →
+  // unregister round trip through a real server leaves the process's thread
+  // count where it was before the transport existed.
+  testutil::ShardServer server(EXSAMPLE_SHARDD_PATH, {});
+  const size_t before = ThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/task is unreadable";
+
+  query::SocketTransportOptions options;
+  options.hosts = {server.host()};
+  query::SocketTransport transport(1, options);
+  query::RegisterSessionMsg registration;
+  registration.session_id = 5;
+  ASSERT_TRUE(transport.RegisterSession(registration).ok());
+  query::DetectRequestMsg request;
+  request.wire_seq = 1;
+  request.slots = {query::WireSlot{5, 100}, query::WireSlot{5, 2000}};
+  ASSERT_TRUE(transport.Send(0, request).ok());
+  auto response = transport.Receive();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, query::WireStatus::kOk);
+  EXPECT_EQ(response.value().detections.size(), 2u);
+  transport.UnregisterSession(5);
+
+  EXPECT_EQ(ThreadCount(), before);
+  EXPECT_EQ(transport.Stats().connects, 1u);
 }
 
 }  // namespace

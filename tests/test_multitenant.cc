@@ -968,6 +968,9 @@ TEST(TenantServerTest, TransportDeathAfterReleasesSurfacesStatus) {
       server.tenants().usage(0).completed + server.tenants().usage(1).completed;
   EXPECT_GT(completed, 0u);               // Released before the death...
   EXPECT_LT(completed, queries.size());  // ...which came mid-stream.
+  // The aborted sessions retired their slabs like the released ones: only
+  // the service's and the two tenants' remain.
+  EXPECT_EQ(engine.counter_registry()->NumSlabs(), 3u);
 }
 
 // --- Threaded serving under TSan ---------------------------------------------

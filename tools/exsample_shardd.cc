@@ -10,8 +10,8 @@
 // coordinator's in-process run — the property the dist suite's
 // socket lane enforces.
 //
-//   exsample_shardd --port=0 --port-file=/tmp/shard.port \
-//                   --frames=80000 --seed=5 [--threads=N] [--hang-after=K]
+//   exsample_shardd --port=0 --port-file=/tmp/shard.port --frames=80000
+//                   --seed=5 [--threads=N] [--hang-after=K]
 //   exsample_shardd --port=7001 --dataset=night-street --scale=0.1 --seed=1
 //
 //   --port=N        TCP port to listen on (0: ephemeral; see --port-file)
