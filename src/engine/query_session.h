@@ -46,9 +46,9 @@ class QuerySession {
   }
 
   /// \brief Split-phase stepping, the seam cross-session batch coalescing
-  /// hangs off: `BeginStep` picks and stages the next batch (submitting its
-  /// detect work to the engine's shared `DetectorService` when coalescing is
-  /// on) and returns false once the query is done; after the service flush,
+  /// hangs off: `BeginStep` picks the next batch and submits its detect work
+  /// to the engine's shared `DetectorService`, and returns false once the
+  /// query is done; after the service flush,
   /// `FinishStep` completes the step. `Step()` remains the one-call
   /// composition. Drivers that begin a step must finish it before beginning
   /// another (`DetectPending` tells which half is owed).
@@ -83,6 +83,11 @@ class QuerySession {
   /// \brief True when no further `Step` will make progress.
   bool Done() const { return execution_->Done(); }
 
+  /// \brief OK unless the engine's detect transport failed permanently while
+  /// this session was stepping; then that failure — the session is done and
+  /// its trace ends at the last completed step.
+  const common::Status& status() const { return execution_->status(); }
+
   /// \brief The discovery trace accumulated so far.
   const query::QueryTrace& Trace() const { return execution_->trace(); }
 
@@ -90,7 +95,8 @@ class QuerySession {
   /// Under warm-start reuse, the finished strategy's chunk statistics — the
   /// sufficient statistic of its Gamma posteriors — are harvested into the
   /// engine's `reuse::BeliefBank` here, once, so later queries for the same
-  /// key can seed their priors from them.
+  /// key can seed their priors from them. A failed session (`status()`)
+  /// harvests nothing: its beliefs stopped mid-query.
   query::QueryTrace Finish() {
     query::QueryTrace trace = execution_->Finish();
     HarvestBeliefs();
@@ -125,8 +131,7 @@ class QuerySession {
   /// \brief Scheduling/coalescing observability, mirroring `PrefetchStats`:
   /// steps granted to this session, frames submitted through the shared
   /// detector service, and how many of its frames/device batches were
-  /// coalesced with other sessions'. All zeros (except `steps_granted`) when
-  /// the engine does not coalesce (`EngineConfig::coalesce_detect`).
+  /// coalesced with other sessions'.
   const query::SessionSchedulerStats& scheduler_stats() const {
     return scheduler_stats_;
   }
@@ -158,7 +163,7 @@ class QuerySession {
   }
 
   void HarvestBeliefs() {
-    if (belief_bank_ == nullptr || beliefs_harvested_) return;
+    if (belief_bank_ == nullptr || beliefs_harvested_ || !status().ok()) return;
     const core::ChunkStatsTable* stats = strategy_->ChunkStatistics();
     if (stats == nullptr) return;  // Strategy holds no chunk beliefs.
     belief_bank_->RecordPosterior(belief_key_, chunking_signature_, *stats);

@@ -151,13 +151,9 @@ common::ThreadPool* SearchEngine::shard_pool(uint32_t shard) {
 }
 
 query::DetectorService* SearchEngine::detector_service() {
-  if (!config_.coalesce_detect) return nullptr;
   if (detector_service_ == nullptr) {
     query::DetectorServiceOptions options;
     options.device_batch = std::max<size_t>(1, config_.device_batch);
-    // Mirror the dispatcher's parallelism rule: shards flush concurrently
-    // only when each owns a private pool (ParallelFor is single-driver).
-    options.parallel_shards = sharded_ != nullptr && config_.threads_per_shard > 0;
     options.max_retries = config_.transport_max_retries;
     if (config_.flush_deadline_seconds > 0.0) {
       options.flush_policy = query::FlushPolicy::kLatencyAware;
@@ -196,6 +192,8 @@ query::DetectorService* SearchEngine::detector_service() {
           std::make_unique<query::SocketTransport>(num_shards, config_.socket);
       options.transport = transport_.get();
     }
+    // kLocal leaves `options.transport` null: the service then owns a
+    // `LocalTransport` over these pools.
     detector_service_ = std::make_unique<query::DetectorService>(
         options, num_shards, std::move(pools), thread_pool());
     if (config_.collect_stats) {
@@ -302,7 +300,6 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
       if (sharded_->Shard(s).TotalFrames() == 0) continue;
       auto detector = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
       contexts[s].detector = detector.get();
-      contexts[s].pool = shard_pool(s);
       if (config_.simulate_decode) {
         // Per-shard decode: each shard owns its position state (and,
         // optionally, its private I/O pool), so a shard's sequential-read
@@ -316,9 +313,8 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
       }
       session->shard_detectors_.push_back(std::move(detector));
     }
-    session->shard_dispatcher_ = std::make_unique<query::ShardDispatcher>(
-        sharded_, std::move(contexts),
-        /*parallel_shards=*/config_.threads_per_shard > 0);
+    session->shard_dispatcher_ =
+        std::make_unique<query::ShardDispatcher>(sharded_, std::move(contexts));
   } else {
     session->detector_ = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
     if (config_.simulate_decode) {
@@ -352,9 +348,9 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   // as their detect stages share the detect pool.
   session_options.prefetch_depth = config_.prefetch_depth;
   session_options.decode_pool = io_pool();
-  // Cross-session detect coalescing: every session of a coalescing engine
-  // submits to the one shared service (solo runs flush themselves at width
-  // 1 — bit-identical, which is the contract the sched suite checks).
+  // Every session submits to the engine's one shared service (solo steps
+  // flush it inline — bit-identical to coalesced runs, which is the
+  // contract the sched suite checks).
   session_options.detector_service = detector_service();
   session_options.service_session_id = next_session_id_++;
   // The configuration the session's RegisterSessionMsg ships: a remote shard
@@ -454,7 +450,10 @@ common::Result<query::QueryTrace> SearchEngine::Run(
     const QueryOptions& options) {
   auto session = MakeSession(class_id, runner_options, options);
   if (!session.ok()) return session.status();
-  return session.value()->Finish();
+  query::QueryTrace trace = session.value()->Finish();
+  // A dead fleet ends the query early: its truncated trace is no answer.
+  if (!session.value()->status().ok()) return session.value()->status();
+  return trace;
 }
 
 common::Result<std::unique_ptr<QuerySession>> SearchEngine::CreateSession(
@@ -502,13 +501,12 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
   // step grants from coordinator-side tallies (it can weight sessions, not
   // change what they compute); the grants are executed in *waves*: every
   // session in a wave begins its step (submitting its detect work to the
-  // shared service when coalescing is on), the service flushes the merged
+  // shared service), the service flushes the merged
   // queues as full cross-session device batches, and the wave's sessions
   // finish their steps in submission order. A session scheduled twice in a
   // round closes the current wave first — a wave holds at most one pending
-  // step per session. Without a service the waves degenerate to plain
-  // sequential stepping. Per-query state lives in the sessions, so neither
-  // the grant order nor the coalescing can change any individual trace.
+  // step per session. Per-query state lives in the sessions, so neither the
+  // grant order nor the coalescing can change any individual trace.
   query::SessionSchedulerOptions scheduler_options;
   scheduler_options.seed = config_.scheduler_seed;
   scheduler_options.starvation_rounds =

@@ -50,16 +50,18 @@ enum class Method {
 /// \brief Returns the lowercase name of a method.
 const char* MethodName(Method method);
 
-/// \brief Which transport executes the shared detect service's coalesced
-/// device batches (`EngineConfig::coalesce_detect`).
+/// \brief Which transport executes the engine's detect service's device
+/// batches (`EngineConfig::transport`).
 enum class TransportKind {
-  /// In-process execution — the zero-copy path, and the default.
+  /// In process, through the service's own `query::LocalTransport`: no
+  /// serialization, shards one after another. The default.
   kLocal,
   /// Wire-serialized execution on per-shard runner threads
   /// (`query::LoopbackTransport`): every device batch crosses the versioned
   /// wire format, completions arrive in any order, and the fault-injection
-  /// knobs (`EngineConfig::loopback`) exercise the retry/requeue story.
-  /// Traces are bit-identical to `kLocal` — the `dist` suite enforces it.
+  /// knobs (`EngineConfig::loopback`) exercise the retry/requeue story. The
+  /// way an in-process engine detects its shards in parallel. Traces are
+  /// bit-identical to `kLocal` — the `dist` suite enforces it.
   kLoopback,
   /// Real TCP sockets to `exsample_shardd` shard servers
   /// (`query::SocketTransport`): sessions deploy over the
@@ -115,10 +117,11 @@ struct EngineConfig {
   /// Proxy model config (only used by kProxyGuided / kHybrid queries).
   detect::ProxyOptions proxy;
 
-  /// Threads in the engine-wide pool shared by every query's detect stage
-  /// (and the proxy scorers' scans). 0 = one per hardware thread; 1 (the
-  /// default) runs everything on the caller, with no synchronization. Thread
-  /// count never changes a trace — only wall-clock time.
+  /// Threads in the engine-wide pool the detect service's device batches
+  /// fan out over (and the proxy scorers' scans). 0 = one per hardware
+  /// thread; 1 (the default) runs everything on the caller, with no
+  /// synchronization. Thread count never changes a trace — only wall-clock
+  /// time.
   size_t num_threads = 1;
 
   /// Simulate decode cost: when true, every session charges I/O+decode
@@ -133,8 +136,9 @@ struct EngineConfig {
 
   /// Decode-ahead window of every session's pipelined decode stage
   /// (`RunnerOptions::prefetch_depth`). 0 (the default) decodes synchronously
-  /// before each detect window; depth d overlaps the decode of the next d
-  /// frames with detection, on the I/O pool. Never changes a trace — only
+  /// at submit time; depth d overlaps the decode of the next d frames with
+  /// detection (per `device_batch` slice), on the I/O pool. Never changes a
+  /// trace — only
   /// wall-clock (the `decode`-labeled suite proves bit-identity).
   size_t prefetch_depth = 0;
   /// Threads in the engine-wide I/O pool all sessions' prefetchers share
@@ -146,23 +150,20 @@ struct EngineConfig {
   /// 0 (the default) shares the engine-wide I/O pool across shards.
   size_t io_threads_per_shard = 0;
 
-  /// Share the detect stage across sessions: the engine owns one
-  /// `query::DetectorService`, every session submits its picked batches to
-  /// it, and `RunConcurrent` flushes the merged per-shard queues as device
-  /// batches of up to `device_batch` frames — so a multi-query workload
-  /// fills the detector with frames from many sessions instead of paying a
-  /// under-filled batch per session. Never changes a trace (each frame is
-  /// still detected by its own session's detector context, per-frame
-  /// deterministically; the `sched` suite enforces bit-identity against
-  /// solo runs). False (the default) keeps the per-session detect stage.
+  /// Read nowhere: every engine shares one detect service across its
+  /// sessions. Kept only because the repository benchmark (`perfbench/`)
+  /// still assigns it; it goes together with the remaining assignments.
   bool coalesce_detect = false;
-  /// Target frames per coalesced device batch ("one GPU inference call's
-  /// worth"); the service's fill-rate statistic is measured against it.
+  /// Target frames per device batch of the engine's detect service ("one
+  /// GPU inference call's worth"): every session submits its picked batches
+  /// to the service, whose flush merges them per shard into batches of up to
+  /// this many frames — so concurrent queries fill the detector together.
+  /// Decode overlaps detection, and fill rate is measured, at this size.
   size_t device_batch = 32;
   /// Which transport executes the service's device batches: in process
-  /// (`kLocal`, the default) or wire-serialized onto per-shard runner
-  /// threads (`kLoopback`, the RPC stand-in). Only read with
-  /// `coalesce_detect`; traces are identical either way.
+  /// (`kLocal`, the default), wire-serialized onto per-shard runner threads
+  /// (`kLoopback`, the RPC stand-in and the in-process way to detect shards
+  /// in parallel), or over TCP (`kSocket`). Traces are identical either way.
   TransportKind transport = TransportKind::kLocal;
   /// When > 0 (seconds, wall clock), the service flushes latency-aware
   /// (`query::FlushPolicy::kLatencyAware`): a shard's queue ships the moment
@@ -233,8 +234,10 @@ struct EngineConfig {
   /// `ShardedRepository`, whose own shard count wins.
   size_t num_shards = 1;
   /// Threads in each shard's private detect pool ("one GPU's worth" per
-  /// shard); shards then detect their sub-batches concurrently. 0 (the
-  /// default) shares the engine-wide pool across shards, one shard at a time.
+  /// shard); a shard's device batches fan out over it. Shards detect
+  /// concurrently only over `kLoopback`, whose runner thread per shard
+  /// drives that shard's pool. 0 (the default) shares the engine-wide pool
+  /// across shards.
   size_t threads_per_shard = 0;
 
   /// CPU placement of the engine's worker / I/O / shard-runner threads.
@@ -298,7 +301,8 @@ class SearchEngine {
 
   /// \brief "Find `limit` distinct objects of `class_id`": runs until the
   /// discriminator has returned `limit` results (or the repository is
-  /// exhausted) and returns the discovery trace.
+  /// exhausted) and returns the discovery trace — or, when the detect
+  /// transport fails permanently mid-query, that failure.
   common::Result<query::QueryTrace> FindDistinct(int32_t class_id, uint64_t limit,
                                                  const QueryOptions& options = {});
 
@@ -318,9 +322,9 @@ class SearchEngine {
   /// \brief Executes many queries over the shared engine state. Each round,
   /// the configured `SessionScheduler` plans which sessions step (fair
   /// round-robin by default; priority/deadline variants reorder and weight
-  /// the grants); with `coalesce_detect`, the scheduled sessions submit
-  /// their batches to the shared `DetectorService`, which flushes them as
-  /// full cross-session device batches. Returns one trace per spec, in
+  /// the grants); the scheduled sessions submit their batches to the shared
+  /// `DetectorService`, which flushes them as full cross-session device
+  /// batches. Returns one trace per spec, in
   /// order. Results are identical to running the specs one at a time — per-
   /// query state is isolated in the sessions, scheduling only reorders step
   /// grants, and coalescing only re-packs device batches — but the shared
@@ -364,15 +368,15 @@ class SearchEngine {
   /// single-repository engine.
   const video::ShardedRepository* sharded_repository() const { return sharded_; }
 
-  /// \brief The shared cross-session detect service, created lazily on first
-  /// use. Null when `config.coalesce_detect` is off (sessions then run their
-  /// own detect stages). Exposes coalescing stats (device-batch fill rate,
-  /// shared batches) for observability.
+  /// \brief The detect service every session's steps go through, created
+  /// lazily on first use; never null. Exposes coalescing stats (device-batch
+  /// fill rate, shared batches) and the sticky `transport_status()`.
   query::DetectorService* detector_service();
 
   /// \brief The transport the detect service executes over, or null for the
-  /// in-process path (`config.transport == kLocal`, or no service). Exposes
-  /// wire stats (batches, bytes, injected failures) for observability.
+  /// in-process path (`config.transport == kLocal`, where the service owns
+  /// its `LocalTransport`). Exposes wire stats (batches, bytes, injected
+  /// failures) for observability.
   const query::ShardTransport* shard_transport() const { return transport_.get(); }
 
   /// \brief The engine-owned cross-query reuse state, created lazily on
@@ -431,12 +435,12 @@ class SearchEngine {
   std::unique_ptr<common::ThreadPool> pool_;
   // Engine-wide I/O pool shared by all sessions' decode prefetchers.
   std::unique_ptr<common::ThreadPool> io_pool_;
-  // Wire transport behind the detect service (config.transport == kLoopback),
-  // created with the service. Declared before the service so the service —
+  // Wire transport behind the detect service (kLoopback, kSocket), created
+  // with the service. Declared before the service so the service —
   // whose flush loop leaves the transport empty — is destroyed first, and
   // the runner threads are joined after no coordinator can reach them.
   std::unique_ptr<query::ShardTransport> transport_;
-  // Shared cross-session detect service (config.coalesce_detect), lazy.
+  // The detect service every session submits to, lazy.
   std::unique_ptr<query::DetectorService> detector_service_;
   // Session identities for the service's shared-batch attribution.
   uint64_t next_session_id_ = 1;

@@ -12,15 +12,14 @@ namespace exsample {
 namespace engine {
 
 /// \brief Executes a planned sequence of step grants in *waves* over a set
-/// of `QuerySession`s sharing one (optional) `query::DetectorService`.
+/// of `QuerySession`s sharing one `query::DetectorService`.
 ///
 /// A wave is the unit cross-session coalescing works in: every granted
 /// session begins its step (submitting its detect work to the shared
 /// service), the service flushes the merged per-shard queues as full device
 /// batches, and the wave's sessions finish their steps in submission order.
 /// A session granted twice closes the current wave first — a wave holds at
-/// most one pending step per session. Without a service the waves degenerate
-/// to plain sequential stepping.
+/// most one pending step per session.
 ///
 /// This is the machinery `SearchEngine::RunConcurrent` always ran; it is
 /// factored out so the serving layer's tenant loop (`serve::TenantServer`)
@@ -39,9 +38,9 @@ class SessionWaveDriver {
   /// the step was granted under (the driver never interprets it).
   using FinishFn = std::function<void(size_t index)>;
 
-  /// `service` may be null (no coalescing). `on_finish` must call
-  /// `FinishStep()` on the session granted under `index` (and may observe it
-  /// afterwards); the driver sequences the calls in submission order.
+  /// `on_finish` must call `FinishStep()` on the session granted under
+  /// `index` (and may observe it afterwards); the driver sequences the calls
+  /// in submission order.
   SessionWaveDriver(query::DetectorService* service, FinishFn on_finish)
       : service_(service), on_finish_(std::move(on_finish)) {}
 
@@ -58,7 +57,7 @@ class SessionWaveDriver {
     // Latency-aware flushing (and its failure handling) between grants: a
     // submit may have filled a wire batch, and queued tickets may have aged
     // past the deadline while other sessions were stepping.
-    if (service_ != nullptr) service_->Poll();
+    service_->Poll();
     return CheckService();
   }
 
@@ -67,7 +66,7 @@ class SessionWaveDriver {
   /// Returns false on transport failure.
   bool FlushWave() {
     if (wave_.empty()) return true;
-    if (service_ != nullptr) service_->Flush();
+    service_->Flush();
     if (!CheckService()) return false;
     for (const size_t index : wave_) on_finish_(index);
     wave_.clear();
@@ -88,13 +87,13 @@ class SessionWaveDriver {
     for (const auto& session : sessions) {
       if (session != nullptr) session->AbortStep();
     }
-    if (service_ != nullptr) service_->CancelPending();
+    service_->CancelPending();
     wave_.clear();
   }
 
  private:
   bool CheckService() {
-    if (service_ == nullptr || service_->transport_status().ok()) return true;
+    if (service_->transport_status().ok()) return true;
     status_ = service_->transport_status();
     return false;
   }

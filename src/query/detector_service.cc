@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 namespace exsample {
@@ -40,16 +39,29 @@ ServiceStatsBinding ServiceStatsBinding::Bind(stats::CounterRegistry* registry,
 DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shards,
                                  std::vector<common::ThreadPool*> pools,
                                  common::ThreadPool* default_pool)
-    : options_(options), pools_(std::move(pools)), default_pool_(default_pool) {
+    : options_(options) {
   common::Check(options_.device_batch >= 1, "device batch must hold a frame");
   common::Check(num_shards >= 1, "detector service needs at least one shard queue");
-  common::Check(pools_.empty() || pools_.size() == num_shards,
-                "per-shard pools must cover every shard");
+  if (options_.transport == nullptr) {
+    owned_transport_ =
+        std::make_unique<LocalTransport>(num_shards, std::move(pools), default_pool);
+    options_.transport = owned_transport_.get();
+  }
   queues_.resize(num_shards);
   shard_down_.assign(num_shards, false);
-  if (options_.transport != nullptr) {
-    options_.transport->BindLocalResolver(&directory_);
-  }
+  options_.transport->BindLocalResolver(&directory_);
+}
+
+DetectorService::PendingRequest* DetectorService::Find(Ticket ticket) const {
+  const size_t slot = static_cast<size_t>(ticket & ((Ticket{1} << kSlotBits) - 1));
+  if (slot >= requests_.size() || requests_[slot].ticket != ticket) return nullptr;
+  return const_cast<PendingRequest*>(&requests_[slot]);
+}
+
+void DetectorService::Release(PendingRequest* request) {
+  request->ticket = 0;
+  request->ready = false;
+  free_slots_.push_back(static_cast<uint32_t>(request - requests_.data()));
 }
 
 DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
@@ -59,14 +71,13 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   common::Check(request.dispatcher != nullptr || request.detector != nullptr,
                 "detect request needs a detector or a dispatcher");
 
-  // First submit of a session over a transport: deploy its detector state to
-  // the runners before any wire batch can reference it. Two halves — publish
-  // the in-process detector pointers in the local directory (what the bound
+  // First submit of a session: deploy its detector state to the runners
+  // before any wire batch can reference it. Two halves — publish the
+  // in-process detector pointers in the local directory (what the bound
   // resolver serves local/loopback runners), and ship the session's
   // `RegisterSessionMsg` through the transport's control plane (what a
   // remote runner materializes an equivalent detector from).
-  if (options_.transport != nullptr &&
-      registered_sessions_.insert(request.session_id).second) {
+  if (registered_sessions_.insert(request.session_id).second) {
     if (request.dispatcher != nullptr) {
       for (uint32_t s = 0; s < request.dispatcher->NumShards(); ++s) {
         detect::ObjectDetector* detector = request.dispatcher->Context(s).detector;
@@ -74,9 +85,8 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
       }
     } else {
       // A dispatcher-less session serves every one of its frames with the
-      // one detector, whatever shard owns them (the in-process path does
-      // exactly that) — register it under every shard id a wire slot could
-      // name.
+      // one detector, whatever shard owns them — register it under every
+      // shard id a wire slot could name.
       for (uint32_t s = 0; s < queues_.size(); ++s) {
         directory_.Register(request.session_id, s, request.detector);
       }
@@ -95,23 +105,31 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
       CancelPending();
     }
   }
+  // Nothing can execute on a failed fleet: hand out a ticket no slot holds,
+  // which never becomes ready.
+  if (!transport_status_.ok()) return next_serial_++ << kSlotBits;
 
-  const Ticket ticket = next_ticket_++;
-  PendingRequest& pr = pending_[ticket];
+  size_t slot = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = requests_.size();
+    common::Check(slot < (size_t{1} << kSlotBits), "too many pending detect requests");
+    requests_.emplace_back();
+  }
+  const Ticket ticket = (next_serial_++ << kSlotBits) | slot;
+  PendingRequest& pr = requests_[slot];
   pr.ticket = ticket;
   pr.request = request;
-  pr.results.resize(request.frames.size());
+  pr.results.clear();  // Sized by the first slice that lands.
   pr.remaining = request.frames.size();
   pr.submit_seconds = NowSeconds();
 
-  std::vector<uint32_t> touched;  // Distinct shards this request routed to.
   for (size_t i = 0; i < request.frames.size(); ++i) {
     const uint32_t shard = request.shards.empty() ? 0 : request.shards[i];
     common::Check(shard < queues_.size(), "frame routed past the shard queues");
     queues_[shard].push_back(QueueEntry{ticket, i});
-    if (std::find(touched.begin(), touched.end(), shard) == touched.end()) {
-      touched.push_back(shard);
-    }
   }
   pending_frames_ += request.frames.size();
   stats_.requests += 1;
@@ -125,247 +143,143 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   // Latency-aware fill trigger: a shard whose queue now holds a full wire
   // batch ships it immediately — the batch cannot get any fuller, so
   // waiting for the round barrier would only add latency. Partial tails
-  // keep waiting (for the deadline or the barrier). Only shards this
-  // request routed frames to can have newly filled.
+  // keep waiting (for the deadline or the barrier).
   if (options_.flush_policy == FlushPolicy::kLatencyAware) {
-    std::vector<uint32_t> full;
-    for (const uint32_t s : touched) {
-      if (queues_[s].size() >= options_.device_batch) full.push_back(s);
-    }
-    if (!full.empty()) {
-      std::sort(full.begin(), full.end());  // Deterministic flush order.
-      FlushShards(full, /*only_full_slices=*/true, FlushReason::kFill);
-    }
+    FlushShards(FlushReason::kFill);
   }
   return ticket;
 }
 
 void DetectorService::Poll() {
   if (options_.flush_policy != FlushPolicy::kLatencyAware) return;
-  if (options_.flush_deadline_seconds <= 0.0) return;
-  if (!transport_status_.ok()) return;
-  const double now = NowSeconds();
-  std::vector<uint32_t> due;
-  for (uint32_t s = 0; s < queues_.size(); ++s) {
-    if (queues_[s].empty()) continue;
-    const PendingRequest& oldest = pending_.at(queues_[s].front().ticket);
-    if (now - oldest.submit_seconds >= options_.flush_deadline_seconds) {
-      due.push_back(s);
-    }
-  }
-  if (!due.empty()) {
-    FlushShards(due, /*only_full_slices=*/false, FlushReason::kDeadline);
-  }
+  if (options_.flush_deadline_seconds <= 0.0 || pending_frames_ == 0) return;
+  FlushShards(FlushReason::kDeadline);
 }
 
 void DetectorService::Flush() {
-  std::vector<uint32_t> active;
-  for (uint32_t s = 0; s < queues_.size(); ++s) {
-    if (!queues_[s].empty()) active.push_back(s);
-  }
-  if (active.empty()) return;
+  if (pending_frames_ == 0) return;
   stats_.flushes += 1;
   stats::SlabAdd(stats_binding_.slab, stats_binding_.flushes);
-  FlushShards(active, /*only_full_slices=*/false, FlushReason::kBarrier);
+  FlushShards(FlushReason::kBarrier);
 }
 
-void DetectorService::FlushShards(const std::vector<uint32_t>& shards,
-                                  bool only_full_slices, FlushReason reason) {
+void DetectorService::FlushShards(FlushReason reason) {
   if (!transport_status_.ok()) return;  // Sticky-failed: nothing can execute.
 
-  // Extract the work: the whole queue per shard, or only whole device-batch
-  // slices for the fill trigger. Each frame's pending request is resolved
-  // here, once, on the coordinator.
-  std::vector<ShardWork> work;
-  for (const uint32_t s : shards) {
+  // Extract the work, shard by shard in shard order: the whole queue, or
+  // only whole device-batch slices for the fill trigger. Each frame's
+  // request is resolved here, once, on the coordinator.
+  const double now = reason == FlushReason::kDeadline ? NowSeconds() : 0.0;
+  items_.clear();
+  work_.clear();
+  for (uint32_t s = 0; s < queues_.size(); ++s) {
     std::vector<QueueEntry>& queue = queues_[s];
     size_t count = queue.size();
-    if (only_full_slices) {
-      count = (count / options_.device_batch) * options_.device_batch;
+    if (count == 0) continue;
+    if (reason == FlushReason::kFill) {
+      count -= count % options_.device_batch;
+    } else if (reason == FlushReason::kDeadline &&
+               now - Find(queue.front().ticket)->submit_seconds <
+                   options_.flush_deadline_seconds) {
+      count = 0;
     }
     if (count == 0) continue;
-    std::vector<WorkItem> entries;
-    entries.reserve(count);
+    work_.push_back(ShardWork{s, items_.size(), items_.size() + count});
     for (size_t i = 0; i < count; ++i) {
-      entries.push_back(
-          WorkItem{queue[i].ticket, queue[i].frame_index, &pending_.at(queue[i].ticket)});
+      PendingRequest* request = Find(queue[i].ticket);
+      common::Check(request != nullptr, "queued frame of an unknown ticket");
+      items_.push_back(WorkItem{request, queue[i].frame_index});
     }
     queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(count));
     pending_frames_ -= count;
-    work.emplace_back(s, std::move(entries));
   }
-  if (work.empty()) return;
+  if (work_.empty()) return;
   if (reason == FlushReason::kFill) stats_.fill_flushes += 1;
   if (reason == FlushReason::kDeadline) stats_.deadline_flushes += 1;
   stats::SlabSetGauge(stats_binding_.slab, stats_binding_.queue_depth,
                       static_cast<double>(pending_frames_));
 
-  // Decode barrier: drain the prefetcher of every request about to be
-  // detected, in ticket order, before any detection runs (the charges were
-  // already planned, in batch order, at submit time — the drain only waits
-  // for the decode *work*).
-  std::vector<Ticket> involved;
-  for (const ShardWork& shard_work : work) {
-    for (const WorkItem& entry : shard_work.second) {
-      involved.push_back(entry.ticket);
-    }
-  }
-  std::sort(involved.begin(), involved.end());
-  involved.erase(std::unique(involved.begin(), involved.end()), involved.end());
-  for (const Ticket ticket : involved) {
-    const PendingRequest& pr = pending_.at(ticket);
-    if (pr.request.prefetcher != nullptr) pr.request.prefetcher->Drain();
-  }
-
-  // Execution.
-  if (options_.transport != nullptr) {
-    SendAndCollect(work);
-    if (!transport_status_.ok()) return;  // Everything pending was cancelled.
-  } else if (options_.parallel_shards && work.size() > 1) {
-    // One dispatch thread per owning shard, each driving that shard's own
-    // pool. A shard thread never touches the shared default pool: ParallelFor
-    // is single-driver, so shards without a private pool run their slices
-    // inline on their dispatch thread.
-    common::ThreadPool* default_pool = default_pool_;
-    default_pool_ = nullptr;
-    std::vector<std::thread> threads;
-    threads.reserve(work.size());
-    for (const ShardWork& shard_work : work) {
-      const uint32_t shard = shard_work.first;
-      const std::vector<WorkItem>* entries = &shard_work.second;
-      threads.emplace_back([this, shard, entries] { RunShardEntries(shard, *entries); });
-    }
-    for (std::thread& t : threads) t.join();
-    default_pool_ = default_pool;
-  } else {
-    for (const ShardWork& shard_work : work) {
-      RunShardEntries(shard_work.first, shard_work.second);
-    }
-  }
+  SendAndCollect();
+  if (!transport_status_.ok()) return;  // Everything pending was cancelled.
 
   // Bookkeeping, on the coordinator after every slice completed. Slice
   // boundaries are a pure function of the extracted queues, so the tallies
   // are deterministic whatever the execution order was.
-  for (const ShardWork& shard_work : work) {
-    BookSlices(shard_work.first, shard_work.second);
-  }
+  for (const ShardWork& work : work_) BookSlices(work);
 
   // Completion: a request is done when its last frame — on any shard — has
   // been detected; partial flushes leave it pending until then.
-  for (const ShardWork& shard_work : work) {
-    for (const WorkItem& entry : shard_work.second) {
-      common::Check(entry.request->remaining > 0, "detect slot completed twice");
-      entry.request->remaining -= 1;
-    }
-  }
-  const double now = NowSeconds();
-  for (const Ticket ticket : involved) {
-    const auto it = pending_.find(ticket);
-    if (it == pending_.end() || it->second.remaining > 0) continue;
+  double done_seconds = -1.0;
+  for (const WorkItem& item : items_) {
+    PendingRequest& pr = *item.request;
+    common::Check(pr.remaining > 0, "detect slot completed twice");
+    if (--pr.remaining > 0) continue;
+    if (done_seconds < 0.0) done_seconds = NowSeconds();
     if (ticket_latencies_.size() >= kTicketLatencyCap) {
       // Keep the most recent window (halving amortizes the shift to O(1)).
       ticket_latencies_.erase(
           ticket_latencies_.begin(),
           ticket_latencies_.begin() + static_cast<ptrdiff_t>(kTicketLatencyCap / 2));
     }
-    ticket_latencies_.push_back(now - it->second.submit_seconds);
+    ticket_latencies_.push_back(done_seconds - pr.submit_seconds);
     stats::TimerRecord(stats_binding_.timer, stats::Stage::kSubmitToGrant,
-                       now - it->second.submit_seconds);
-    ready_.emplace(ticket, std::move(it->second.results));
-    pending_.erase(it);
+                       done_seconds - pr.submit_seconds);
+    pr.ready = true;
   }
 }
 
 void DetectorService::UnregisterSession(uint64_t session_id) {
   if (registered_sessions_.erase(session_id) > 0) {
     directory_.Unregister(session_id);
-    if (options_.transport != nullptr) {
-      options_.transport->UnregisterSession(session_id);
-    }
+    options_.transport->UnregisterSession(session_id);
   }
 }
 
-void DetectorService::RunShardEntries(uint32_t shard,
-                                      const std::vector<WorkItem>& entries) {
-  common::ThreadPool* pool =
-      shard < pools_.size() && pools_[shard] != nullptr ? pools_[shard] : default_pool_;
-  // Slice the extracted queue into device batches and fan each across the
-  // shard's pool. Results land in fixed per-request slots, so neither the
-  // slicing nor the pool size can reorder what any session observes.
-  for (size_t begin = 0; begin < entries.size(); begin += options_.device_batch) {
-    const size_t count = std::min(options_.device_batch, entries.size() - begin);
-    const auto detect_one = [&](size_t j) {
-      const WorkItem& entry = entries[begin + j];
-      PendingRequest& pr = *entry.request;
-      detect::ObjectDetector* detector =
-          pr.request.dispatcher != nullptr
-              ? pr.request.dispatcher->Context(shard).detector
-              : pr.request.detector;
-      pr.results[entry.frame_index] =
-          detector->Detect(pr.request.frames[entry.frame_index]);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(count, detect_one);
-    } else {
-      for (size_t j = 0; j < count; ++j) detect_one(j);
-    }
-  }
-}
-
-void DetectorService::BookSlices(uint32_t shard,
-                                 const std::vector<WorkItem>& entries) {
-  std::vector<const PendingRequest*> in_slice;
-  for (size_t begin = 0; begin < entries.size(); begin += options_.device_batch) {
-    const size_t count = std::min(options_.device_batch, entries.size() - begin);
-    in_slice.clear();
-    for (size_t j = 0; j < count; ++j) {
-      const PendingRequest* pr = entries[begin + j].request;
-      if (std::find(in_slice.begin(), in_slice.end(), pr) == in_slice.end()) {
-        in_slice.push_back(pr);
+void DetectorService::BookSlices(const ShardWork& work) {
+  for (size_t begin = work.begin; begin < work.end; begin += options_.device_batch) {
+    const size_t end = std::min(begin + options_.device_batch, work.end);
+    in_slice_.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const PendingRequest* pr = items_[i].request;
+      if (std::find(in_slice_.begin(), in_slice_.end(), pr) == in_slice_.end()) {
+        in_slice_.push_back(pr);
       }
     }
-    bool shared = false;
-    for (const PendingRequest* pr : in_slice) {
-      if (pr->request.session_id != in_slice.front()->request.session_id) {
-        shared = true;
-        break;
-      }
-    }
+    const bool shared = std::any_of(
+        in_slice_.begin(), in_slice_.end(), [this](const PendingRequest* pr) {
+          return pr->request.session_id != in_slice_.front()->request.session_id;
+        });
     stats_.device_batches += 1;
-    stats_.frames += count;
+    stats_.frames += end - begin;
     if (shared) stats_.shared_batches += 1;
     stats::SlabAdd(stats_binding_.slab, stats_binding_.device_batches);
-    stats::SlabAdd(stats_binding_.slab, stats_binding_.frames, count);
-    if (shared) {
-      stats::SlabAdd(stats_binding_.slab, stats_binding_.shared_batches);
-    }
-    for (const PendingRequest* pr : in_slice) {
+    stats::SlabAdd(stats_binding_.slab, stats_binding_.frames, end - begin);
+    if (shared) stats::SlabAdd(stats_binding_.slab, stats_binding_.shared_batches);
+    for (const PendingRequest* pr : in_slice_) {
       SessionSchedulerStats* session = pr->request.session_stats;
       if (session == nullptr) continue;
       session->device_batches += 1;
       if (shared) {
         session->batches_shared += 1;
-        for (size_t j = 0; j < count; ++j) {
-          if (entries[begin + j].request == pr) session->frames_coalesced += 1;
+        for (size_t i = begin; i < end; ++i) {
+          if (items_[i].request == pr) session->frames_coalesced += 1;
         }
       }
     }
   }
   // Per-session dispatcher stats: book each request's frames on this shard
-  // as one service-detected batch, mirroring what the session's own
-  // `ShardDispatcher::DetectBatch` call would have recorded. A request's
-  // entries are contiguous and ticket-ascending (queues append per submit).
-  size_t i = 0;
-  while (i < entries.size()) {
-    const Ticket ticket = entries[i].ticket;
-    PendingRequest& pr = *entries[i].request;
+  // as one service-detected batch. A request's entries are contiguous
+  // (queues append per submit).
+  size_t i = work.begin;
+  while (i < work.end) {
+    PendingRequest& pr = *items_[i].request;
     size_t frames_on_shard = 0;
-    while (i < entries.size() && entries[i].ticket == ticket) {
+    while (i < work.end && items_[i].request == &pr) {
       ++frames_on_shard;
       ++i;
     }
     if (pr.request.dispatcher != nullptr) {
-      pr.request.dispatcher->RecordServiceDetect(shard, frames_on_shard);
+      pr.request.dispatcher->RecordServiceDetect(work.shard, frames_on_shard);
     }
   }
 }
@@ -385,93 +299,101 @@ bool DetectorService::RouteShard(uint32_t origin, uint32_t* runner) const {
   return false;
 }
 
-void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
-  ShardTransport* transport = options_.transport;
-  struct InFlightSlice {
-    uint32_t origin_shard = 0;
-    uint32_t runner = 0;
-    double send_seconds = 0.0;     // Wall clock at (re)send: round-trip stats.
-    uint32_t attempt = 0;          // Cumulative across runners (wire field).
-    uint32_t runner_attempts = 0;  // Failures on the *current* runner only:
-                                   // the retry budget is per runner, so a
-                                   // requeued batch gets a fresh budget on
-                                   // its survivor — one transient blip there
-                                   // must not cascade to marking it down.
-    std::vector<WorkItem> entries;
-  };
-  std::unordered_map<uint64_t, InFlightSlice> inflight;
+void DetectorService::SendSlice(Slice& slice) {
+  msg_.wire_seq = slice.wire_seq;
+  msg_.origin_shard = slice.origin_shard;
+  msg_.attempt = slice.attempt;
+  msg_.repo_fingerprint = options_.repo_fingerprint;
+  msg_.slots.clear();
+  for (size_t i = slice.begin; i < slice.end; ++i) {
+    const PendingRequest& pr = *items_[i].request;
+    msg_.slots.push_back(
+        WireSlot{pr.request.session_id, pr.request.frames[items_[i].frame_index]});
+  }
+  if (RoundTripTimer() != nullptr) slice.send_seconds = NowSeconds();
+  common::CheckOk(options_.transport->Send(slice.runner, msg_), "wire send failed");
+}
 
-  const auto build_msg = [&](const InFlightSlice& slice, uint64_t seq) {
-    DetectRequestMsg msg;
-    msg.wire_seq = seq;
-    msg.origin_shard = slice.origin_shard;
-    msg.attempt = slice.attempt;
-    msg.repo_fingerprint = options_.repo_fingerprint;
-    msg.slots.reserve(slice.entries.size());
-    for (const WorkItem& entry : slice.entries) {
-      const PendingRequest& pr = *entry.request;
-      msg.slots.push_back(
-          WireSlot{pr.request.session_id, pr.request.frames[entry.frame_index]});
+void DetectorService::SendAndCollect() {
+  ShardTransport* transport = options_.transport;
+  slices_.clear();
+  for (const ShardWork& work : work_) {
+    for (size_t begin = work.begin; begin < work.end; begin += options_.device_batch) {
+      slices_.push_back(Slice{work.shard, work.shard, begin,
+                              std::min(begin + options_.device_batch, work.end)});
     }
-    return msg;
-  };
+  }
 
   // Ship every slice first — the runners work concurrently — then collect
   // completions in whatever order they arrive; the wire sequence number
   // matches each response back to its slice, and results land in fixed
-  // ticket slots, so arrival order is irrelevant to the trace.
+  // ticket slots, so arrival order is irrelevant to the trace. A slice is
+  // sent once its frames finished decoding, in each request's batch order:
+  // later slices keep decoding while the runners detect earlier ones.
+  const uint64_t first_seq = next_wire_seq_;
+  size_t in_flight = 0;
   bool all_down = false;
-  for (const ShardWork& shard_work : work) {
-    const uint32_t shard = shard_work.first;
-    const std::vector<WorkItem>& entries = shard_work.second;
-    for (size_t begin = 0; begin < entries.size() && !all_down;
-         begin += options_.device_batch) {
-      const size_t count = std::min(options_.device_batch, entries.size() - begin);
-      InFlightSlice slice;
-      slice.origin_shard = shard;
-      slice.entries.assign(entries.begin() + static_cast<ptrdiff_t>(begin),
-                           entries.begin() + static_cast<ptrdiff_t>(begin + count));
-      if (!RouteShard(shard, &slice.runner)) {
-        all_down = true;
-        break;
-      }
-      const uint64_t seq = next_wire_seq_++;
-      slice.send_seconds = NowSeconds();
-      common::CheckOk(transport->Send(slice.runner, build_msg(slice, seq)),
-                      "wire send failed");
-      stats_.wire_batches += 1;
-      stats::SlabAdd(stats_binding_.slab, stats_binding_.wire_batches);
-      // Proactive reroute off a runner already known to be down: still a
-      // first send, counted apart from failure-driven requeue resends.
-      if (slice.runner != slice.origin_shard) stats_.wire_reroutes += 1;
-      inflight.emplace(seq, std::move(slice));
+  for (Slice& slice : slices_) {
+    if (!RouteShard(slice.origin_shard, &slice.runner)) {
+      all_down = true;
+      break;
     }
-    if (all_down) break;
+    for (size_t i = slice.begin; i < slice.end; ++i) {
+      DecodePrefetcher* prefetcher = items_[i].request->request.prefetcher;
+      if (prefetcher != nullptr) prefetcher->WaitThrough(items_[i].frame_index);
+    }
+    slice.wire_seq = next_wire_seq_++;
+    SendSlice(slice);
+    slice.in_flight = true;
+    ++in_flight;
+    stats_.wire_batches += 1;
+    stats::SlabAdd(stats_binding_.slab, stats_binding_.wire_batches);
+    // Proactive reroute off a runner already known to be down: still a
+    // first send, counted apart from failure-driven requeue resends.
+    if (slice.runner != slice.origin_shard) stats_.wire_reroutes += 1;
   }
 
   common::Status fatal;  // Non-availability failure: fail fast, by name.
-  while (!inflight.empty()) {
+  const auto complete = [&in_flight](Slice& slice) {
+    slice.in_flight = false;
+    --in_flight;
+  };
+  while (in_flight > 0) {
     auto received = transport->Receive();
     common::CheckOk(received.status(), "wire receive failed");
     DetectResponseMsg response = std::move(received).value();
-    const auto it = inflight.find(response.wire_seq);
-    common::Check(it != inflight.end(), "wire response for an unknown batch");
-    InFlightSlice& slice = it->second;
+    const uint64_t index = response.wire_seq - first_seq;
+    common::Check(response.wire_seq >= first_seq && index < slices_.size() &&
+                      slices_[index].in_flight,
+                  "wire response for an unknown batch");
+    Slice& slice = slices_[index];
 
     if (response.status == WireStatus::kOk) {
-      common::Check(response.detections.size() == slice.entries.size(),
+      common::Check(response.detections.size() == slice.end - slice.begin,
                     "wire response slot count mismatch");
       // One transport round-trip, (re)send to completed response. Retried
       // batches time from their last send — the round trip the wire actually
       // served, not the cumulative wait.
-      stats::TimerRecord(stats_binding_.timer, stats::Stage::kTransport,
-                         NowSeconds() - slice.send_seconds);
-      for (size_t i = 0; i < slice.entries.size(); ++i) {
-        slice.entries[i].request->results[slice.entries[i].frame_index] =
-            std::move(response.detections[i]);
+      if (stats::StageTimer* timer = RoundTripTimer()) {
+        timer->Record(stats::Stage::kTransport, NowSeconds() - slice.send_seconds);
+      }
+      PendingRequest& first = *items_[slice.begin].request;
+      if (slice.end - slice.begin == first.remaining &&
+          first.remaining == first.request.frames.size() &&
+          items_[slice.end - 1].request == &first) {
+        // The slice is the whole request in batch order (its queue entries
+        // are contiguous): adopt the response's lists as its results.
+        first.results = std::move(response.detections);
+      } else {
+        for (size_t i = slice.begin; i < slice.end; ++i) {
+          PendingRequest& pr = *items_[i].request;
+          if (pr.results.empty()) pr.results.resize(pr.request.frames.size());
+          pr.results[items_[i].frame_index] =
+              std::move(response.detections[i - slice.begin]);
+        }
       }
       stats_.wire_charged_seconds += response.charged_seconds;
-      inflight.erase(it);
+      complete(slice);
       continue;
     }
 
@@ -489,7 +411,7 @@ void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
     if (all_down || !fatal.ok()) {
       // Draining mode: the flush already failed; just consume what is still
       // in flight so the transport ends empty.
-      inflight.erase(it);
+      complete(slice);
       continue;
     }
 
@@ -503,9 +425,7 @@ void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
       slice.attempt += 1;
       slice.runner_attempts += 1;
       stats_.wire_retries += 1;
-      slice.send_seconds = NowSeconds();
-      common::CheckOk(transport->Send(slice.runner, build_msg(slice, response.wire_seq)),
-                      "wire send failed");
+      SendSlice(slice);
       continue;
     }
     if (!shard_down_[slice.runner]) {
@@ -515,16 +435,14 @@ void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
     uint32_t survivor = 0;
     if (!RouteShard(slice.origin_shard, &survivor)) {
       all_down = true;
-      inflight.erase(it);
+      complete(slice);
       continue;
     }
     slice.runner = survivor;
     slice.attempt += 1;
     slice.runner_attempts = 0;  // Fresh retry budget on the new runner.
     stats_.wire_requeues += 1;
-    slice.send_seconds = NowSeconds();
-    common::CheckOk(transport->Send(slice.runner, build_msg(slice, response.wire_seq)),
-                    "wire send failed");
+    SendSlice(slice);
   }
 
   if (!fatal.ok()) {
@@ -538,21 +456,23 @@ void DetectorService::SendAndCollect(const std::vector<ShardWork>& work) {
 }
 
 void DetectorService::CancelPending() {
-  pending_.clear();
+  for (PendingRequest& pr : requests_) {
+    if (pr.ticket != 0) Release(&pr);
+  }
   for (auto& queue : queues_) queue.clear();
   pending_frames_ = 0;
-  ready_.clear();
 }
 
 bool DetectorService::Ready(Ticket ticket) const {
-  return ready_.find(ticket) != ready_.end();
+  const PendingRequest* pr = Find(ticket);
+  return pr != nullptr && pr->ready;
 }
 
 std::vector<detect::Detections> DetectorService::Take(Ticket ticket) {
-  const auto it = ready_.find(ticket);
-  common::Check(it != ready_.end(), "taking a detect result that is not ready");
-  std::vector<detect::Detections> results = std::move(it->second);
-  ready_.erase(it);
+  PendingRequest* pr = Find(ticket);
+  common::Check(pr != nullptr && pr->ready, "taking a detect result that is not ready");
+  std::vector<detect::Detections> results = std::move(pr->results);
+  Release(pr);
   return results;
 }
 

@@ -2,8 +2,7 @@
 #define EXSAMPLE_QUERY_DETECTOR_SERVICE_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -69,25 +68,22 @@ enum class FlushPolicy {
 /// \brief Coalescing configuration of a `DetectorService`.
 struct DetectorServiceOptions {
   /// Target frames per coalesced device batch: a flush slices each shard's
-  /// merged queue into `DetectBatch`-style calls of at most this many frames.
-  /// The fill-rate statistic is measured against it ("how full were the
-  /// device batches we paid for"). Must be >= 1.
+  /// merged queue into wire batches of at most this many frames. The
+  /// fill-rate statistic is measured against it ("how full were the device
+  /// batches we paid for"), and it is the granularity decode overlaps
+  /// detection at. Must be >= 1.
   size_t device_batch = 32;
-  /// Flush the shards' sliced device batches concurrently, one dispatch
-  /// thread per owning shard (each driving its own shard's pool) — the same
-  /// stand-in for per-machine shard detectors `ShardDispatcher` uses.
-  /// In-process execution only; a transport's runners are already
-  /// per-shard-parallel.
-  bool parallel_shards = false;
   /// When a shard's queue is executed (see `FlushPolicy`).
   FlushPolicy flush_policy = FlushPolicy::kRoundBarrier;
   /// Age bound of `FlushPolicy::kLatencyAware`'s deadline trigger, in
   /// wall-clock seconds; 0 leaves only the batch-fill trigger.
   double flush_deadline_seconds = 0.0;
-  /// Executes the sliced device batches when set: every slice crosses this
-  /// transport as a wire batch and its response is scattered back by ticket.
-  /// Null executes in process (today's path). The transport must outlive the
-  /// service; the service binds its session directory to it on construction.
+  /// Executes the sliced device batches: every slice crosses this transport
+  /// as a wire batch and its response is scattered back by ticket. Null
+  /// makes the service build and own a `LocalTransport` over the pools its
+  /// constructor takes — in-process execution, through the same wire path.
+  /// A caller's transport must outlive the service; the service binds its
+  /// session directory to it on construction.
   ShardTransport* transport = nullptr;
   /// Transient-failure budget per wire batch: a failed batch is retried this
   /// many times on its runner, then the runner is marked down and the batch
@@ -133,9 +129,9 @@ struct DetectorServiceStats {
   uint64_t wire_reroutes = 0;
   /// Shard runners marked permanently down.
   uint64_t shards_down = 0;
-  /// Detector seconds the shard runners reported charging (transport only;
-  /// the sessions' own accounting is authoritative — this is the remote
-  /// half, for observability).
+  /// Detector seconds the shard runners reported charging (the sessions'
+  /// own accounting is authoritative — this is the runner half, for
+  /// observability).
   double wire_charged_seconds = 0.0;
 };
 
@@ -164,17 +160,25 @@ struct DetectorServiceStats {
 /// any transport is bit-identical to per-session batching (width 1), which
 /// the `sched` and `dist` suites enforce fatally.
 ///
+/// The service is the only way a picked batch reaches a detector: a solo
+/// `QueryExecution` steps through a private one (flushed inline), an engine's
+/// sessions share the engine's. Every slice crosses a `ShardTransport` —
+/// `LocalTransport` in process, `LoopbackTransport` onto per-shard runner
+/// threads, `SocketTransport` to shard servers — and every runner executes
+/// it with `ExecuteWireRequest`.
+///
 /// The decode-ahead seam moves with the detect stage: a request's prefetcher
 /// keeps decoding on the I/O pools from submit time until the flush that
 /// consumes the request — the decode window spans the coalesce window.
-/// Every flush drains the prefetchers of the requests it executes, in ticket
-/// order, before any detection runs.
+/// Before a slice is first sent, the service waits for that slice's frames
+/// to finish decoding, in each request's batch order; later slices keep
+/// decoding while earlier ones are detected, on every transport.
 ///
 /// **Transport boundary.** The per-shard queues are the distribution seam:
-/// with `options.transport` set, every sliced device batch crosses a
-/// `ShardTransport` as a serialized wire request and its response is
-/// scattered back by wire sequence number — completions may arrive in any
-/// order, because results land in fixed ticket slots either way. Failed
+/// every sliced device batch crosses the transport as a wire request and its
+/// response is scattered back by wire sequence number — completions may
+/// arrive in any order, because results land in fixed ticket slots either
+/// way. Failed
 /// batches are retried `max_retries` times, then requeued onto a surviving
 /// shard's runner with `origin_shard` (and therefore the serving detector
 /// contexts and the charged seconds) unchanged; when every runner is down
@@ -183,8 +187,7 @@ struct DetectorServiceStats {
 /// instead of hanging.
 ///
 /// One coordinator thread drives the service (Submit/Poll/Flush/Take); only
-/// the per-frame detect fan-out — and, over a transport, the shard runners —
-/// runs elsewhere.
+/// the per-frame detect fan-out and the shard runners run elsewhere.
 class DetectorService {
  public:
   using Ticket = uint64_t;
@@ -217,30 +220,32 @@ class DetectorService {
     detect::DetectorOptions detector_options;
     /// The session's shard dispatcher: per-shard detectors + stats. When
     /// set, each frame is detected by `dispatcher->Context(shard).detector`
-    /// and the dispatcher's per-shard stats are updated as if it had
-    /// dispatched the sub-batches itself.
+    /// and the flush books the frames into the dispatcher's per-shard stats
+    /// (`RecordServiceDetect`).
     ShardDispatcher* dispatcher = nullptr;
-    /// The session's decode prefetcher; drained (in ticket order) before a
-    /// flush detects anything of this request. Null when the session does
-    /// not decode.
+    /// The session's decode prefetcher, whose current batch is `frames`.
+    /// Before a slice holding frame `i` of this request is first sent, the
+    /// service waits for frames `0..i` to finish decoding (`WaitThrough`).
+    /// Null when the session does not decode.
     DecodePrefetcher* prefetcher = nullptr;
     /// The session's scheduler/coalescing tallies; updated at flush time.
     SessionSchedulerStats* session_stats = nullptr;
   };
 
   /// `num_shards` fixes the submission-queue fan-out (1 for unsharded
-  /// engines). `pools` — when non-empty, one per shard — name the worker
-  /// pool each shard's in-process device batches fan out over (null entries
-  /// run inline); `default_pool` serves shards without one. With
-  /// `options.transport`, execution happens runner-side and these pools are
-  /// not used.
+  /// engines). Without `options.transport`, the service's own
+  /// `LocalTransport` runs each shard's device batches over `pools[shard]`
+  /// (when `pools` is non-empty, one entry per shard) or else
+  /// `default_pool`, inline when both are null. With a transport, execution
+  /// happens runner-side and the pools are not used.
   DetectorService(DetectorServiceOptions options, size_t num_shards = 1,
                   std::vector<common::ThreadPool*> pools = {},
                   common::ThreadPool* default_pool = nullptr);
 
   /// \brief Enqueues a session's batch and returns its ticket. Non-blocking
   /// under the barrier policy; the latency-aware policy may execute shard
-  /// queues that reached a full wire batch before returning.
+  /// queues that reached a full wire batch before returning. A service whose
+  /// transport already failed queues nothing: the ticket never becomes ready.
   Ticket Submit(const DetectRequest& request);
 
   /// \brief Latency-aware housekeeping: executes any shard queue whose
@@ -279,7 +284,6 @@ class DetectorService {
   /// \brief Frames currently queued and not yet flushed.
   size_t PendingFrames() const { return pending_frames_; }
 
-  size_t NumShards() const { return queues_.size(); }
   const DetectorServiceOptions& options() const { return options_; }
   const DetectorServiceStats& stats() const { return stats_; }
 
@@ -316,68 +320,95 @@ class DetectorService {
   const SessionDirectory& directory() const { return directory_; }
 
  private:
+  /// One submitted request, in a slot table: a ticket's low `kSlotBits`
+  /// bits name its slot, the serial above them keeps tickets unique and
+  /// increasing.
   struct PendingRequest {
-    Ticket ticket = 0;
+    Ticket ticket = 0;  // 0: the slot is free.
     DetectRequest request;
     std::vector<detect::Detections> results;  // Slot per frame, filled at flush.
-    size_t remaining = 0;      // Frames not yet detected (any shard).
+    size_t remaining = 0;         // Frames not yet detected (any shard).
     double submit_seconds = 0.0;  // Wall clock at Submit, for latency stats.
+    bool ready = false;           // Every frame detected; awaiting Take.
   };
+  static constexpr unsigned kSlotBits = 24;
   /// One queued frame: where it came from (ticket t, batch position i).
   struct QueueEntry {
     Ticket ticket = 0;
     size_t frame_index = 0;
   };
-  /// One extracted frame of a flush, its owning request resolved *once* on
-  /// the coordinator (`pending_` nodes are pointer-stable for the flush's
-  /// duration) — the per-frame detect fan-out on the pool workers must not
-  /// pay a map lookup per frame.
+  /// One extracted frame of a flush, its request resolved once.
   struct WorkItem {
-    Ticket ticket = 0;
-    size_t frame_index = 0;
     PendingRequest* request = nullptr;
+    size_t frame_index = 0;
   };
-  using ShardWork = std::pair<uint32_t, std::vector<WorkItem>>;
+  /// One shard's extracted frames: `items_[begin, end)`.
+  struct ShardWork {
+    uint32_t shard = 0;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  /// One device-batch slice, `items_[begin, end)`, and its wire state.
+  struct Slice {
+    uint32_t origin_shard = 0;
+    uint32_t runner = 0;
+    size_t begin = 0;
+    size_t end = 0;
+    uint64_t wire_seq = 0;
+    double send_seconds = 0.0;  // Wall clock at (re)send: round-trip stats.
+    uint32_t attempt = 0;       // Cumulative across runners (wire field).
+    // Failures on the current runner only: a requeued batch gets a fresh
+    // retry budget, so one blip on its survivor cannot mark that down too.
+    uint32_t runner_attempts = 0;
+    bool in_flight = false;
+  };
   enum class FlushReason { kBarrier, kFill, kDeadline };
 
-  /// Extracts and executes work from the named shard queues: the full queue
-  /// per shard, or only whole `device_batch` slices (`only_full_slices`,
-  /// the fill trigger — a partial tail keeps waiting). Runs prefetcher
-  /// drains, execution (in-process or over the transport), slice
-  /// bookkeeping, and request completion.
-  void FlushShards(const std::vector<uint32_t>& shards, bool only_full_slices,
-                   FlushReason reason);
+  /// The request a live ticket names; null once taken or cancelled.
+  PendingRequest* Find(Ticket ticket) const;
+  void Release(PendingRequest* request);  // Frees the request's slot.
 
-  /// In-process execution of one shard's extracted entries (sliced into
-  /// device batches, fanned over the shard's pool). Safe to call for
-  /// different shards from different threads: writes go to per-request
-  /// result slots only.
-  void RunShardEntries(uint32_t shard, const std::vector<WorkItem>& entries);
+  /// Extracts and executes the shard queues `reason` selects: every
+  /// non-empty queue (barrier), every queue whose oldest ticket is past the
+  /// deadline (deadline), or the whole `device_batch` slices of every full
+  /// queue (fill — a partial tail keeps waiting). Runs execution over the
+  /// transport, slice bookkeeping, and request completion.
+  void FlushShards(FlushReason reason);
 
-  /// Transport execution of all extracted entries: sends every slice as a
-  /// wire batch, receives completions in arrival order, retries/requeues
-  /// failures. Sets `transport_status_` (and cancels everything pending) on
-  /// permanent failure.
-  void SendAndCollect(const std::vector<ShardWork>& work);
+  /// Sends every slice of the extracted work as a wire batch — each after
+  /// its frames finished decoding — then receives completions in arrival
+  /// order, retrying and requeueing failures. Sets `transport_status_` (and
+  /// cancels everything pending) on permanent failure.
+  void SendAndCollect();
 
-  /// Deterministic per-slice bookkeeping shared by both execution paths.
-  void BookSlices(uint32_t shard, const std::vector<WorkItem>& entries);
+  /// Builds `slice`'s wire request and sends it to `slice.runner`.
+  void SendSlice(Slice& slice);
+
+  /// Where wire round trips are timed: over a caller's transport only. In
+  /// process the round trip is the detection itself, which sessions time as
+  /// their detect stage, and a clock read is not free on a one-frame step.
+  stats::StageTimer* RoundTripTimer() const {
+    return owned_transport_ == nullptr ? stats_binding_.timer : nullptr;
+  }
+
+  /// Deterministic per-slice bookkeeping of one shard's extracted work.
+  void BookSlices(const ShardWork& work);
 
   /// Picks the runner for `origin`'s batches: `origin` itself while its
   /// runner is up, else the next surviving shard. Returns false — leaving
   /// `*runner` untouched — when every runner is down.
   bool RouteShard(uint32_t origin, uint32_t* runner) const;
 
-  DetectorServiceOptions options_;
-  std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
-  common::ThreadPool* default_pool_ = nullptr;
+  DetectorServiceOptions options_;  // `transport` is never null.
+  // The in-process transport built when the caller's options named none.
+  std::unique_ptr<ShardTransport> owned_transport_;
 
-  std::map<Ticket, PendingRequest> pending_;     // Ticket order.
+  std::vector<PendingRequest> requests_;  // Slot table; see PendingRequest.
+  std::vector<uint32_t> free_slots_;
+  Ticket next_serial_ = 1;
   std::vector<std::vector<QueueEntry>> queues_;  // Per shard.
   size_t pending_frames_ = 0;
-  Ticket next_ticket_ = 1;
   uint64_t next_wire_seq_ = 1;
-  std::unordered_map<Ticket, std::vector<detect::Detections>> ready_;
   std::vector<bool> shard_down_;       // Runners marked permanently failed.
   common::Status transport_status_;    // Sticky; OK while the fleet serves.
   SessionDirectory directory_;         // Runner-side id -> detector registry.
@@ -385,6 +416,13 @@ class DetectorService {
   std::vector<double> ticket_latencies_;
   DetectorServiceStats stats_;
   ServiceStatsBinding stats_binding_;
+
+  // Per-flush scratch, kept so a steady-state flush allocates nothing.
+  std::vector<WorkItem> items_;
+  std::vector<ShardWork> work_;
+  std::vector<Slice> slices_;
+  std::vector<const PendingRequest*> in_slice_;
+  DetectRequestMsg msg_;
 };
 
 }  // namespace query

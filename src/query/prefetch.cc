@@ -189,6 +189,18 @@ void DecodePrefetcher::WaitFrame(size_t index) {
   WaitReadyLocked(lock, index);
 }
 
+void DecodePrefetcher::WaitThrough(size_t index) {
+  // Depth 0 decoded the whole batch at submit time: nothing to wait for.
+  if (options_.depth == 0) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  common::Check(index < slots_.size(), "prefetch wait past the batch");
+  while (cursor_ <= index) {
+    const size_t next = cursor_++;
+    EnqueueAheadLocked();
+    WaitReadyLocked(lock, next);
+  }
+}
+
 void DecodePrefetcher::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   while (cursor_ < slots_.size()) {

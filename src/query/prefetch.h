@@ -117,6 +117,10 @@ class DecodePrefetcher {
   /// for the window bound).
   void WaitFrame(size_t index);
 
+  /// \brief `WaitFrame` for every frame up to `index` not yet waited on, in
+  /// batch order; returns at once when the consumer is already past it.
+  void WaitThrough(size_t index);
+
   /// \brief Waits for every frame of the current batch (detect consumed the
   /// whole batch, or the batch is being abandoned).
   void Drain();

@@ -75,6 +75,33 @@ QueryExecution::QueryExecution(const scene::GroundTruth* truth,
     prefetcher_ = std::make_unique<DecodePrefetcher>(options_.video_store,
                                                      decode_pool, prefetch_options);
   }
+  // Without a shared service, steps go through a private one whose device
+  // batch is the detect window: the whole batch without decode overlap, else
+  // max(depth, detect parallelism) — a smaller window would serialize
+  // latency-bound detect calls the full batch fans out.
+  service_ = options_.detector_service;
+  if (service_ == nullptr) {
+    ShardDispatcher* dispatcher = options_.shard_dispatcher;
+    std::vector<common::ThreadPool*> pools;
+    size_t parallelism =
+        options_.thread_pool != nullptr ? options_.thread_pool->NumThreads() : 1;
+    if (dispatcher != nullptr) {
+      for (uint32_t s = 0; s < dispatcher->NumShards(); ++s) {
+        common::ThreadPool* pool = dispatcher->Context(s).pool;
+        pools.push_back(pool);
+        if (pool != nullptr) parallelism = std::max(parallelism, pool->NumThreads());
+      }
+    }
+    DetectorServiceOptions service_options;
+    service_options.device_batch =
+        prefetcher_ == nullptr || prefetcher_->depth() == 0
+            ? std::max<size_t>(1, options_.batch_size)
+            : std::max(prefetcher_->depth(), parallelism);
+    owned_service_ = std::make_unique<DetectorService>(
+        service_options, dispatcher != nullptr ? dispatcher->NumShards() : 1,
+        std::move(pools), dispatcher != nullptr ? nullptr : options_.thread_pool);
+    service_ = owned_service_.get();
+  }
   trace_.strategy_name = strategy_->name();
   trace_.total_instances = truth_->NumInstances(options_.recall_class);
   current_.seconds = strategy_->UpfrontCostSeconds();
@@ -104,56 +131,6 @@ void QueryExecution::RecordEvent(size_t part, double seconds, uint32_t samples,
   event.distinct = distinct;
   event.emit_point = emit_point;
   parts_[part].events.push_back(event);
-}
-
-std::vector<detect::Detections> QueryExecution::DetectStage(
-    const std::vector<video::FrameId>& frames, const std::vector<uint32_t>& shards) {
-  ShardDispatcher* dispatcher = options_.shard_dispatcher;
-  const auto detect_range = [&](size_t begin, size_t count) {
-    const common::Span<video::FrameId> sub(frames.data() + begin, count);
-    return dispatcher != nullptr
-               ? dispatcher->DetectBatch(
-                     sub, common::Span<const uint32_t>(shards.data() + begin, count))
-               : detector_->DetectBatch(sub, options_.thread_pool);
-  };
-
-  if (prefetcher_ == nullptr || prefetcher_->depth() == 0) {
-    // No decode overlap configured: one full-batch detect call, as before.
-    return detect_range(0, frames.size());
-  }
-
-  // Windowed consumption: wait for the next window of frames to be decoded,
-  // detect them, repeat. While window w is in the detector, the prefetcher
-  // decodes ahead (up to `depth` frames past the last-waited one) — waiting
-  // on a frame opens the decode-ahead window past it. The window is never
-  // smaller than the detect stage's parallelism: decode-ahead is bounded by
-  // `depth` either way, but a too-small window would serialize latency-bound
-  // detect calls the full-batch path fans out. Windowing never changes
-  // results: detection is per-frame deterministic and result slots are
-  // fixed, so this is the same output the single full-batch call produces.
-  std::vector<detect::Detections> out(frames.size());
-  size_t parallelism = 1;
-  if (options_.thread_pool != nullptr) {
-    parallelism = options_.thread_pool->NumThreads();
-  }
-  if (dispatcher != nullptr) {
-    for (uint32_t s = 0; s < dispatcher->NumShards(); ++s) {
-      common::ThreadPool* pool = dispatcher->Context(s).pool;
-      if (pool != nullptr) parallelism = std::max(parallelism, pool->NumThreads());
-    }
-  }
-  const size_t window = std::max(prefetcher_->depth(), parallelism);
-  for (size_t begin = 0; begin < frames.size(); begin += window) {
-    const size_t count = std::min(window, frames.size() - begin);
-    for (size_t i = begin; i < begin + count; ++i) {
-      prefetcher_->WaitFrame(i);
-    }
-    std::vector<detect::Detections> sub = detect_range(begin, count);
-    for (size_t j = 0; j < count; ++j) {
-      out[begin + j] = std::move(sub[j]);
-    }
-  }
-  return out;
 }
 
 bool QueryExecution::StopConditionHit() const {
@@ -245,9 +222,8 @@ bool QueryExecution::BeginStep() {
   // plan on the owning shard (each shard keeps its own position state),
   // otherwise the query-global store is used and the cost is still
   // attributed to the owning shard's partial trace. The decode *work* runs
-  // asynchronously while the detect stage consumes the batch — which, under
-  // a shared service, happens only at flush time, so the decode-ahead window
-  // spans the whole coalesce window instead of one session's detect windows.
+  // asynchronously until the service flush waits for each slice's frames,
+  // so the decode-ahead window spans the whole coalesce window.
   if (prefetcher_ != nullptr && !detect_frames.empty()) {
     stats::StageTimer::Scoped decode_timer(options_.stats.timer,
                                            stats::Stage::kDecode);
@@ -265,14 +241,12 @@ bool QueryExecution::BeginStep() {
     }
   }
 
-  // Stage the detect work. With a shared service the batch's detect set is
-  // *submitted* — merged with other sessions' pending frames into full
-  // device batches at the next flush; without one it is held for
-  // FinishStep's local detect stage. Either way the backing vector stays
-  // stable until the step finishes (the service and the prefetcher hold
-  // spans into it). A fully-reused batch submits nothing at all — that is
-  // the whole point.
-  if (options_.detector_service != nullptr && !detect_frames.empty()) {
+  // Submit the detect work: the batch's detect set is merged with whatever
+  // else the service holds into device batches at the next flush. The
+  // backing vector stays stable until the step finishes (the service and
+  // the prefetcher hold spans into it). A fully-reused batch submits nothing
+  // at all — that is the whole point.
+  if (!detect_frames.empty()) {
     DetectorService::DetectRequest request;
     request.session_id = options_.service_session_id;
     request.frames = common::Span<const video::FrameId>(detect_frames.data(),
@@ -287,8 +261,7 @@ bool QueryExecution::BeginStep() {
     request.prefetcher = prefetcher_.get();
     request.session_stats = options_.session_stats;
     request.detector_options = options_.detector_options;
-    pending_ticket_ = options_.detector_service->Submit(request);
-    pending_ticket_valid_ = true;
+    pending_ticket_ = service_->Submit(request);
   }
   pending_detect_ = true;
   return true;
@@ -296,30 +269,31 @@ bool QueryExecution::BeginStep() {
 
 void QueryExecution::FinishStep() {
   common::Check(pending_detect_, "FinishStep without a pending BeginStep");
-  pending_detect_ = false;
-  ShardDispatcher* dispatcher = options_.shard_dispatcher;
-  const bool reusing = options_.reuse != nullptr;
-  const std::vector<video::FrameId>& detect_frames =
-      reusing ? miss_frames_ : pending_frames_;
-  const std::vector<uint32_t>& detect_shards = reusing ? miss_shards_ : frame_shards_;
+  CompleteStep(/*flush=*/false);
+}
 
-  // Detect stage over the batch's detect set (the misses, under reuse):
-  // per-frame-independent, fans out across the pool — or, when the
-  // repository is sharded, across the owning shards' detector contexts;
-  // under a shared service the work already ran in coalesced device batches
-  // and is collected here. Result i belongs to detect_frames[i] whatever the
-  // execution order. A fully-reused batch has nothing to collect.
+bool QueryExecution::CompleteStep(bool flush) {
+  // Collect the batch's detections (a fully-reused batch submitted nothing).
+  // A solo step's inline flush is its detect stage, timed as one.
   std::vector<detect::Detections> miss_detections;
   {
     stats::StageTimer::Scoped detect_timer(options_.stats.timer,
                                            stats::Stage::kDetect);
-    if (pending_ticket_valid_) {
-      miss_detections = options_.detector_service->Take(pending_ticket_);
-      pending_ticket_valid_ = false;
-    } else if (options_.detector_service == nullptr && !detect_frames.empty()) {
-      miss_detections = DetectStage(detect_frames, detect_shards);
+    if (flush) service_->Flush();
+    if (!service_->transport_status().ok()) {
+      // The fleet is gone and the batch's detections with it: abandon the
+      // step, keeping the failure for `status()`.
+      AbortPendingStep();
+      return false;
     }
+    pending_detect_ = false;
+    if (pending_ticket_ != 0) miss_detections = service_->Take(pending_ticket_);
+    pending_ticket_ = 0;
   }
+  ShardDispatcher* dispatcher = options_.shard_dispatcher;
+  const bool reusing = options_.reuse != nullptr;
+  const std::vector<video::FrameId>& detect_frames =
+      reusing ? miss_frames_ : pending_frames_;
   stats::SlabAdd(options_.stats.slab, options_.stats.frames_detected,
                  detect_frames.size());
 
@@ -400,9 +374,12 @@ void QueryExecution::FinishStep() {
 
   // Keep `final` current so a live session's trace reads correctly mid-run.
   trace_.final = current_;
+  return true;
 }
 
 void QueryExecution::AbortPendingStep() {
+  // Drivers abandon a step only when the detect transport failed; keep why.
+  if (status_.ok()) status_ = service_->transport_status();
   if (pending_detect_) {
     pending_detect_ = false;
     // Stop the decode tasks holding spans into the abandoned batch before
@@ -414,15 +391,12 @@ void QueryExecution::AbortPendingStep() {
     reuse_outcomes_.clear();
     reuse_detections_.clear();
     pending_ticket_ = 0;
-    pending_ticket_valid_ = false;
   }
   // Unregister unconditionally, not just when a step was pending: an aborted
   // session's detectors die with it, and a directory (or remote worker) entry
   // left behind would let a later wire batch resolve to a dangling pointer.
   finished_ = true;
-  if (options_.detector_service != nullptr) {
-    options_.detector_service->UnregisterSession(options_.service_session_id);
-  }
+  service_->UnregisterSession(options_.service_session_id);
   // Aborted sessions are dropped without Finish: retire the slab here.
   RetireStatsSlab();
 }
@@ -433,25 +407,14 @@ void QueryExecution::Terminate() {
   // Shed/cancelled sessions exit through here without Finish: withdraw the
   // wire registration so the session id can never again resolve to detectors
   // owned by this (about-to-die) execution.
-  if (options_.detector_service != nullptr) {
-    options_.detector_service->UnregisterSession(options_.service_session_id);
-  }
+  service_->UnregisterSession(options_.service_session_id);
 }
 
 bool QueryExecution::Step() {
-  if (!BeginStep()) return false;
-  // Standalone stepping under a shared service: flush inline (coalesce width
-  // 1 for this session's frames; anything other sessions left pending rides
-  // along, which coalescing guarantees is trace-neutral).
-  if (options_.detector_service != nullptr) {
-    options_.detector_service->Flush();
-    // Standalone stepping has no error channel; concurrent workloads get the
-    // status surfaced by `SearchEngine::RunConcurrent` instead of this stop.
-    common::CheckOk(options_.detector_service->transport_status(),
-                    "detect transport failed during a standalone step");
-  }
-  FinishStep();
-  return true;
+  // Standalone stepping flushes inline: anything other sessions left pending
+  // on a shared service rides along, which coalescing guarantees is
+  // trace-neutral.
+  return BeginStep() && CompleteStep(/*flush=*/true);
 }
 
 QueryTrace QueryExecution::Finish() {
@@ -484,9 +447,7 @@ QueryTrace QueryExecution::Finish() {
     // its engine stays destructible; a session abandoned mid-query without
     // Finish leaves one never-again-resolved directory entry behind, which
     // is bounded by session count and harmless (ids are never reused).
-    if (options_.detector_service != nullptr) {
-      options_.detector_service->UnregisterSession(options_.service_session_id);
-    }
+    service_->UnregisterSession(options_.service_session_id);
     RetireStatsSlab();
   }
   return trace_;

@@ -77,14 +77,16 @@ struct RunnerOptions {
   /// pipeline iteration (Sec. III-F). 1 reproduces the single-frame loop of
   /// Algorithm 1 exactly — including bit-identical cost accounting.
   size_t batch_size = 1;
-  /// When non-null, `DetectBatch` fans the batch across this pool. Thread
+  /// When non-null (and no `detector_service` is set), the execution's
+  /// private detect service fans each device batch across this pool. Thread
   /// count affects wall-clock only, never the trace: simulated cost
   /// accounting stays per-frame and detection is per-frame deterministic.
   common::ThreadPool* thread_pool = nullptr;
   /// When non-null, the repository is sharded: the decode and detect stages
   /// route every picked frame to its owning shard's context (detector, store,
   /// pool) instead of the query-global `detector`/`video_store`/`thread_pool`
-  /// above, and the execution records per-shard partial traces that `Finish`
+  /// above — the detect service queues each frame on its owning shard — and
+  /// the execution records per-shard partial traces that `Finish`
   /// merges into the returned global trace. Detect routing never changes a
   /// trace (shard detectors are per-frame deterministic and discrimination
   /// stays sequential in batch order) — the shard equivalence suite enforces
@@ -102,26 +104,24 @@ struct RunnerOptions {
   /// routes every read through a `DecodePrefetcher`; with depth 0 (the
   /// default) the prefetcher runs synchronously — plan + perform inline
   /// before the detect stage, the legacy schedule. Depth d >= 1 performs the
-  /// decode work on `decode_pool` while the detect stage consumes the batch
-  /// in windows of d frames, keeping at most d frames decoded ahead — decode
-  /// of window w+1 overlaps detection of window w. Like thread count, depth
+  /// decode work on `decode_pool` while the detect service consumes the
+  /// batch slice by slice, keeping at most d frames decoded ahead — decode
+  /// of slice w+1 overlaps detection of slice w. Like thread count, depth
   /// changes wall-clock only, never a trace: charges are planned in batch
   /// order on the coordinator (enforced bit-identical by the decode suite).
   size_t prefetch_depth = 0;
   /// Pool the prefetcher's decode work runs on. Null shares `thread_pool`.
   /// Sharded executions prefer each shard's `ShardContext::io_pool`.
   common::ThreadPool* decode_pool = nullptr;
-  /// When non-null, the detect stage is *submitted* to this shared service
-  /// instead of being executed by this session: `BeginStep` enqueues the
-  /// picked batch (non-blocking) and `FinishStep` collects the detections
-  /// after a `Flush` has coalesced every pending session's frames into full
-  /// device batches. Like batch size and thread count, coalescing never
-  /// changes a trace — detection stays per-frame deterministic per session
-  /// and every order-sensitive stage stays on the coordinator in batch order
-  /// (the `sched` suite enforces bit-identity against solo runs). `Step()`
-  /// still works standalone: it submits, flushes, and finishes inline
-  /// (coalesce width 1 — note the flush also executes whatever *other*
-  /// sessions have pending, which is harmless for exactly this reason).
+  /// The detect service every step submits its picked batch to: `BeginStep`
+  /// enqueues the batch and `FinishStep` collects the detections after a
+  /// `Flush` coalesced every pending session's frames into device batches.
+  /// Null builds a private service over `thread_pool` (or the dispatcher's
+  /// `ShardContext::pool`s) whose device batch is the whole batch, or
+  /// max(`prefetch_depth`, pool threads) under decode overlap. Coalescing
+  /// never changes a trace — detection is per-frame deterministic per
+  /// session and every order-sensitive stage stays on the coordinator in
+  /// batch order (the `sched` suite enforces bit-identity against solo runs).
   DetectorService* detector_service = nullptr;
   /// Stable identity of this execution's session for the service's
   /// stats attribution (which device batches were shared across sessions).
@@ -161,9 +161,10 @@ struct RunnerOptions {
 /// \brief Incremental execution state of one distinct-object query.
 ///
 /// Runs Algorithm 1 as a batch pipeline: pick-batch (strategy) → prefetch
-/// (async decode on the pool, bounded window) → parallel-detect (thread
-/// pool), consuming the batch in windows so decode overlaps detection →
-/// sequential-discriminate → feed back (`ObserveBatch`). One `Step` processes
+/// (async decode on the pool, bounded window) → detect (submitted to the
+/// `DetectorService`, which sends the batch slice by slice so decode
+/// overlaps detection) → sequential-discriminate → feed back
+/// (`ObserveBatch`). One `Step` processes
 /// one batch; interleaving `Step` calls of several executions is how the
 /// engine serves concurrent queries over shared resources
 /// (`SearchEngine::RunConcurrent`).
@@ -183,26 +184,28 @@ class QueryExecution {
 
   /// \brief Processes one batch. Returns false — without consuming anything —
   /// when the query is finished (stop condition hit or strategy exhausted).
-  /// Equivalent to `BeginStep()` + (service flush) + `FinishStep()`.
+  /// `BeginStep()` + service flush (timed as the detect stage) +
+  /// `FinishStep()`. When the flush finds the detect transport failed, the
+  /// step is abandoned as `AbortPendingStep` does and false is returned;
+  /// `status()` then holds the failure.
   bool Step();
 
   /// \brief First half of a step: picks the next batch, charges strategy
-  /// overhead and decode (planned in batch order), and stages the detect
-  /// work — submitted to `options.detector_service` when one is set, held
-  /// locally otherwise. Returns false — without consuming anything — when
-  /// the query is finished. After a true return the execution is *pending*
-  /// (`DetectPending()`): the caller must complete the step with
-  /// `FinishStep` (after flushing the service) before beginning another.
+  /// overhead and decode (planned in batch order), and submits the detect
+  /// work to the detect service. Returns false — without consuming
+  /// anything — when the query is finished. After a true return the
+  /// execution is *pending* (`DetectPending()`): the caller must complete
+  /// the step with `FinishStep` (after flushing the service) before
+  /// beginning another.
   ///
   /// This is the yield point cross-session coalescing needs: a scheduler
   /// begins several sessions' steps, the shared service flushes them as full
   /// device batches, and each session then finishes its step.
   bool BeginStep();
 
-  /// \brief Second half of a step: collects the batch's detections (from the
-  /// service, which must have been flushed, or by running the local detect
-  /// stage), discriminates in batch order, and feeds the strategy back.
-  /// Fatal unless a `BeginStep` is pending.
+  /// \brief Second half of a step: collects the batch's detections from the
+  /// service (which must have been flushed), discriminates in batch order,
+  /// and feeds the strategy back. Fatal unless a `BeginStep` is pending.
   void FinishStep();
 
   /// \brief True between a successful `BeginStep` and its `FinishStep`.
@@ -215,7 +218,7 @@ class QueryExecution {
   /// consumed the batch's frames, so the query cannot legally continue. The
   /// trace ends at the last completed step. Either way the session's wire
   /// registration is withdrawn and its counter slab retired, as `Finish`
-  /// does.
+  /// does, and `status()` takes the service's transport failure.
   void AbortPendingStep();
 
   /// \brief Administrative termination between steps: marks the execution
@@ -230,6 +233,11 @@ class QueryExecution {
 
   /// \brief True once no further `Step` will make progress.
   bool Done() const { return finished_; }
+
+  /// \brief OK unless a step was abandoned because the detect transport
+  /// failed; then that failure, and the trace ends at the last completed
+  /// step.
+  const common::Status& status() const { return status_; }
 
   /// \brief Runs to completion and returns the finalized trace.
   QueryTrace Finish();
@@ -256,17 +264,22 @@ class QueryExecution {
   void RetireStatsSlab();
   void RecordEvent(size_t part, double seconds, uint32_t samples, uint32_t reported,
                    uint32_t distinct, bool emit_point);
-  /// Detect stage over `frames` (owners in `shards` when sharded): waits for
-  /// prefetched windows and overlaps their detection with the decode of
-  /// later windows. Under reuse, `frames` is the batch's miss subset.
-  std::vector<detect::Detections> DetectStage(const std::vector<video::FrameId>& frames,
-                                              const std::vector<uint32_t>& shards);
+  /// Second half of a step, after an optional inline service flush:
+  /// collects the detections, discriminates in batch order, feeds the
+  /// strategy back. Returns false when the transport failed and the step
+  /// was abandoned instead.
+  bool CompleteStep(bool flush);
 
   const scene::GroundTruth* truth_;
   detect::ObjectDetector* detector_;
   track::Discriminator* discriminator_;
   SearchStrategy* strategy_;
   RunnerOptions options_;
+  // The detect service every step submits to: `options_.detector_service`,
+  // or `owned_service_` when the options named none.
+  DetectorService* service_ = nullptr;
+  std::unique_ptr<DetectorService> owned_service_;
+  common::Status status_;
 
   QueryTrace trace_;
   DiscoveryPoint current_;
@@ -289,8 +302,7 @@ class QueryExecution {
   std::vector<detect::Detections> reuse_detections_;
   std::vector<video::FrameId> miss_frames_;
   std::vector<uint32_t> miss_shards_;
-  DetectorService::Ticket pending_ticket_ = 0;
-  bool pending_ticket_valid_ = false;
+  DetectorService::Ticket pending_ticket_ = 0;  // 0: nothing submitted.
   bool pending_detect_ = false;
   uint64_t next_seq_ = 0;
   double charged_overhead_ = 0.0;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/span.h"
 #include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "video/decode.h"
@@ -31,9 +30,9 @@ struct ShardContext {
   /// position state (each shard decodes independently), so sequential-read
   /// locality is per shard. Must be built over the *global* repository view.
   video::SimulatedVideoStore* store = nullptr;
-  /// Optional private pool the shard's detect stage fans out over ("one GPU's
-  /// worth of workers"). Null runs the shard's sub-batch on the dispatching
-  /// thread.
+  /// Optional private pool the shard's device batches fan out over ("one
+  /// GPU's worth of workers") when a solo execution runs its own detector
+  /// service. Null runs them on the thread executing the batch.
   common::ThreadPool* pool = nullptr;
   /// Optional private I/O pool the shard's *decode prefetch* work runs on
   /// (the disk+decoder next to the shard's video, kept separate from the
@@ -51,28 +50,26 @@ struct ShardStats {
   double decode_seconds = 0.0;  ///< Simulated decode seconds charged.
 };
 
-/// \brief Routes a picked batch to the shards that own its frames.
+/// \brief A sharded session's per-shard execution contexts: which shard
+/// owns a frame, which detector serves it, where its decode is charged, and
+/// the per-shard tallies.
 ///
-/// The batch pipeline's detect stage hands the whole batch to the dispatcher;
-/// the dispatcher partitions it by owning shard (stable, preserving batch
-/// order within each shard), runs every shard's sub-batch through that
-/// shard's detector context, and scatters results back so result `i`
-/// corresponds to `frames[i]` — the same contract as
-/// `ObjectDetector::DetectBatch`, so shard count can never reorder what the
-/// discriminator observes.
-///
-/// With `parallel_shards`, sub-batches of different shards run concurrently
-/// (one dispatch thread per shard, each driving its own shard's pool), which
-/// is what the shard-scaling bench measures. Results land in fixed slots and
-/// detectors are per-frame deterministic, so parallel dispatch — like thread
-/// count everywhere else in the pipeline — changes wall-clock only, never the
-/// trace.
+/// The dispatcher does not detect. A sharded session submits its picked
+/// batch to a `DetectorService` with each frame's owning shard
+/// (`ShardOfFrame`); the service queues the frames per shard, sends each
+/// shard's device batches through its transport, and the runner serving
+/// shard s resolves the session's `Context(s).detector`. Results land in
+/// fixed slots and detectors are per-frame deterministic, so shard count —
+/// like thread count everywhere else in the pipeline — changes wall-clock
+/// only, never the trace. The service books what it detected back here
+/// (`RecordServiceDetect`), and the decode prefetcher plans each frame's
+/// read on its shard's store (`PlanDecode`).
 class ShardDispatcher {
  public:
   /// `repo` and every context member must outlive the dispatcher. `contexts`
   /// must have one entry per shard; non-empty shards require a detector.
   ShardDispatcher(const video::ShardedRepository* repo,
-                  std::vector<ShardContext> contexts, bool parallel_shards = false);
+                  std::vector<ShardContext> contexts);
 
   size_t NumShards() const { return contexts_.size(); }
   const video::ShardedRepository& repo() const { return *repo_; }
@@ -81,21 +78,11 @@ class ShardDispatcher {
   /// fatal error (the strategy layer never emits them).
   uint32_t ShardOfFrame(video::FrameId frame) const;
 
-  /// \brief Detects a whole batch across the owning shards; result `i`
-  /// corresponds to `frames[i]`. `shards`, when non-empty, must be the
-  /// precomputed owner of each frame (`ShardOfFrame`), saving the per-frame
-  /// lookup; empty resolves owners internally.
-  std::vector<detect::Detections> DetectBatch(common::Span<video::FrameId> frames,
-                                              common::Span<const uint32_t> shards = {});
-
   /// \brief Simulated per-frame detector cost of one shard.
   double SecondsPerFrame(uint32_t shard) const;
 
-  /// \brief Books `frames` of this session detected on `shard` by the shared
-  /// `DetectorService` (which routes frames through the contexts directly,
-  /// bypassing `DetectBatch`) into `Stats()`, counted as one batch — exactly
-  /// what a `DetectBatch` call over the same sub-batch would have recorded,
-  /// so per-shard observability reads the same with and without coalescing.
+  /// \brief Books `frames` of this session detected on `shard` by the
+  /// `DetectorService` into `Stats()`, counted as one batch.
   void RecordServiceDetect(uint32_t shard, size_t frames);
 
   /// \brief True when every non-empty shard has a decode store (decode is
@@ -122,12 +109,7 @@ class ShardDispatcher {
   const video::ShardedRepository* repo_;
   std::vector<ShardContext> contexts_;
   std::vector<ShardStats> stats_;
-  bool parallel_shards_ = false;
   bool has_stores_ = false;
-
-  // Per-batch scratch, reused to keep the steady state allocation-free.
-  std::vector<std::vector<size_t>> shard_slots_;  // Batch positions per shard.
-  std::vector<std::vector<video::FrameId>> shard_frames_;
 };
 
 }  // namespace query

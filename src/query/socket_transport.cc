@@ -494,6 +494,7 @@ common::Status SocketTransport::Send(uint32_t runner_shard,
   entry.shard = runner_shard;
   entry.origin_shard = request.origin_shard;
   entry.attempt = request.attempt;
+  entry.slots = request.slots.size();
   entry.deadline = now + Seconds(options_.request_deadline_seconds);
   if (!EnsureConnectedLocked(runner_shard, now, lock)) {
     // Unreachable (or inside its backoff window): infer the failure now so
@@ -571,6 +572,13 @@ bool SocketTransport::DispatchFrameLocked(uint32_t shard,
         // dropped, never double-delivered.
         ++stats_.late_responses_dropped;
         return true;
+      }
+      if (response.value().status == WireStatus::kOk &&
+          response.value().detections.size() != it->second.slots) {
+        // Answers for slots the batch does not have (or none for slots it
+        // does) cannot be scattered back: a protocol violation. The caller
+        // drops the connection, which infers this batch unavailable.
+        return false;
       }
       stats_.bytes_received += frame.size();
       completed_.push_back(std::move(response).value());

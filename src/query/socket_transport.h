@@ -170,6 +170,9 @@ class SocketTransport : public ShardTransport {
     /// matches a real runner's response.
     uint32_t origin_shard = 0;
     uint32_t attempt = 0;
+    /// Slots of the request: a `kOk` response must carry one detection list
+    /// per slot, or it is a protocol violation.
+    size_t slots = 0;
     Clock::time_point deadline;
   };
 
@@ -197,7 +200,9 @@ class SocketTransport : public ShardTransport {
   /// shard disconnected.
   void ReadLocked(uint32_t shard);
   /// Routes one received frame (detect response or control ack). Returns
-  /// false on a frame the protocol forbids — the caller drops the connection.
+  /// false on a frame the protocol forbids — including a `kOk` response whose
+  /// detection lists do not match its batch's slots — and the caller drops
+  /// the connection.
   bool DispatchFrameLocked(uint32_t shard, common::Span<const uint8_t> frame);
 
   SocketTransportOptions options_;

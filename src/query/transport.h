@@ -206,9 +206,9 @@ DetectResponseMsg ExecuteWireRequest(
 
 /// \brief The in-process transport: `Send` executes the batch synchronously
 /// on the caller (fanning over the shard's pool) and queues the response for
-/// `Receive`, with no serialization — today's execution path behind the
-/// transport interface, bit-compatible with the service's built-in local
-/// execution by construction (same detectors, same slicing, same slots).
+/// `Receive`, with no serialization. A `DetectorService` given no transport
+/// builds and owns one, so every in-process detect call runs here; shards
+/// execute one after another (`LoopbackTransport` runs them in parallel).
 class LocalTransport : public ShardTransport {
  public:
   /// `pools` — when non-empty, one per shard — name the worker pool each
@@ -228,11 +228,10 @@ class LocalTransport : public ShardTransport {
   TransportStats Stats() const override { return stats_; }
 
  private:
+  // Resolves in process: a slot whose session the service never registered
+  // fails `ExecuteWireRequest`'s resolve check, where a remote runner would
+  // reject the batch.
   const SessionResolver* resolver_ = nullptr;
-  // Sessions the control plane deployed; Send enforces that every slot names
-  // one, so a service that skipped `RegisterSession` fails in-process exactly
-  // where a remote runner would reject the batch.
-  std::unordered_set<uint64_t> registered_sessions_;
   std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
   common::ThreadPool* default_pool_ = nullptr;
   std::deque<DetectResponseMsg> completed_;

@@ -17,11 +17,10 @@ struct AdmissionOptions {
   /// 0 = unlimited.
   size_t max_live_sessions = 0;
   /// Detector saturation threshold, in pending coalesced frames (the peak of
-  /// `DetectorService::PendingFrames()` over the last round — without a
-  /// service, the live-session count stands in). At or above it the engine
-  /// is *saturated*: best-effort arrivals queue, best-effort tenants are
-  /// deprioritized by the weighted-fair scheduler, and the shedder starts
-  /// cancelling best-effort sessions. 0 = never saturated.
+  /// `DetectorService::PendingFrames()` over the last round). At or above
+  /// it the engine is *saturated*: best-effort arrivals queue, best-effort
+  /// tenants are deprioritized by the weighted-fair scheduler, and the
+  /// shedder starts cancelling best-effort sessions. 0 = never saturated.
   double saturation_pending_frames = 0.0;
   /// Severe-saturation multiplier: at `saturation_pending_frames *
   /// shed_over_factor` pending frames, best-effort arrivals are rejected at

@@ -111,7 +111,7 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
   // Saturation signal: the peak of the service's pending coalesced frames
   // sampled during the last round's grants (`PendingFrames()` is zero at
   // round boundaries — the queues just flushed — so boundary sampling would
-  // never see load). Without a service, the live-session count stands in.
+  // never see load).
   double peak_pending = 0.0;
 
   query::DetectorService* service = engine_->detector_service();
@@ -342,14 +342,11 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
         failed = true;
         break;
       }
-      if (service != nullptr) {
-        round_peak = std::max(
-            round_peak, static_cast<double>(service->PendingFrames()));
-      }
+      round_peak =
+          std::max(round_peak, static_cast<double>(service->PendingFrames()));
     }
     if (failed || !driver.FlushWave()) break;
-    peak_pending =
-        service != nullptr ? round_peak : static_cast<double>(live.size());
+    peak_pending = round_peak;
   }
 
   if (!driver.status().ok()) {
@@ -362,7 +359,7 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     for (Admitted& a : live) {
       a.session->AbortStep();
     }
-    if (service != nullptr) service->CancelPending();
+    service->CancelPending();
     return driver.status();
   }
 

@@ -293,6 +293,41 @@ TEST(DistTransportTest, AllRunnersDownSurfacesStatusFromRunConcurrent) {
   EXPECT_GE(engine.stage_timer().Count(stats::Stage::kPick), observed_steps);
 }
 
+TEST(DistTransportTest, DeadFleetFailsSoloQueriesWithAStatus) {
+  // Solo queries and stepped sessions run through the engine's service too:
+  // a fleet that dies mid-query must come back as a non-OK Status, never
+  // abort the process.
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  EngineConfig config = OracleConfig();
+  config.transport = TransportKind::kLoopback;
+  config.transport_max_retries = 1;
+  config.loopback.fail_shard = 0;  // The only runner: nothing survives.
+  config.loopback.fail_after_requests = 3;
+  config.reuse.warm_start = true;  // A failed query must bank no beliefs.
+
+  SearchEngine engine = MakeEngine(*fx, 1, config);
+  auto found = engine.FindDistinct(/*class_id=*/0, /*limit=*/50);
+  ASSERT_FALSE(found.ok()) << "a dead fleet must not return a trace";
+  EXPECT_EQ(found.status().code(), common::StatusCode::kInternal);
+  EXPECT_NE(found.status().message().find("shard runner"), std::string::npos)
+      << found.status().ToString();
+
+  SearchEngine stepped_engine = MakeEngine(*fx, 1, config);
+  auto session = stepped_engine.CreateSession(/*class_id=*/0, /*limit=*/50);
+  ASSERT_TRUE(session.ok());
+  size_t steps = 0;
+  while (session.value()->Step()) ++steps;
+  EXPECT_TRUE(session.value()->Done());
+  EXPECT_EQ(steps, config.loopback.fail_after_requests);
+  EXPECT_EQ(session.value()->status().code(), found.status().code());
+  EXPECT_EQ(session.value()->status().message(), found.status().message());
+  EXPECT_EQ(session.value()->Trace().final.samples, steps);
+  // Finish hands back the truncated trace; the status says why it stopped.
+  EXPECT_EQ(session.value()->Finish().final.samples, steps);
+  EXPECT_FALSE(session.value()->status().ok());
+  EXPECT_EQ(stepped_engine.reuse_manager()->beliefs().Stats().posteriors_recorded, 0u);
+}
+
 TEST(DistTransportTest, RepositoryMismatchSurfacesStatus) {
   auto fx = DistFixture::Make(/*num_shards=*/2);
 
@@ -937,6 +972,53 @@ TEST(SocketTransportTest, HalfSentResponseWaitsOutTheRequestDeadline) {
   EXPECT_EQ(transport.InFlight(), 0u);
 }
 
+TEST(SocketTransportTest, ResponseWithTheWrongSlotCountIsAProtocolViolation) {
+  // The peer acks the registration, then answers a two-slot detect request
+  // with `kOk` and a single detection list. A response that cannot be
+  // scattered back must drop the connection like any other protocol
+  // violation — the batch is inferred unavailable — never reach the
+  // service as a short `kOk`.
+  ScriptedPeer peer([](int fd) {
+    auto registration = query::ReadFrame(fd, query::kMaxFrameBytes);
+    if (!registration.ok()) return;
+    query::SessionAckMsg ack;
+    ack.session_id = 11;
+    if (!Reply(fd, query::SerializeSessionAck(ack))) return;
+    auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
+    if (!frame.ok()) return;
+    auto request = query::ParseDetectRequest(common::Span<const uint8_t>(
+        frame.value().data(), frame.value().size()));
+    if (!request.ok()) return;
+    query::DetectResponseMsg response;
+    response.wire_seq = request.value().wire_seq;
+    response.attempt = request.value().attempt;
+    response.detections.resize(request.value().slots.size() - 1);
+    if (!Reply(fd, query::SerializeDetectResponse(response))) return;
+    // Hold the connection until the coordinator hangs up.
+    (void)query::ReadFrame(fd, query::kMaxFrameBytes);
+  });
+
+  query::SocketTransportOptions options;
+  options.hosts = {peer.host()};
+  options.request_deadline_seconds = 5.0;
+  query::SocketTransport transport(1, options);
+  query::RegisterSessionMsg registration;
+  registration.session_id = 11;
+  ASSERT_TRUE(transport.RegisterSession(registration).ok());
+
+  query::DetectRequestMsg request;
+  request.wire_seq = 9;
+  request.slots = {query::WireSlot{11, 42}, query::WireSlot{11, 43}};
+  ASSERT_TRUE(transport.Send(0, request).ok());
+  auto response = transport.Receive();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().wire_seq, 9u);
+  EXPECT_EQ(response.value().status, query::WireStatus::kUnavailable);
+  EXPECT_TRUE(response.value().detections.empty());
+  EXPECT_GE(transport.Stats().inferred_failures, 1u);
+  EXPECT_EQ(transport.InFlight(), 0u);
+}
+
 TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
   // The service ships a whole wave before it receives. Against a peer with
   // shrunken socket buffers that answers every request with a large
@@ -958,7 +1040,8 @@ TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
           query::DetectResponseMsg response;
           response.wire_seq = request.value().wire_seq;
           response.attempt = request.value().attempt;
-          response.detections.resize(1);
+          // One detection list per slot, the first one large.
+          response.detections.resize(request.value().slots.size());
           response.detections[0].resize(kDetectionsPerResponse);
           if (!Reply(fd, query::SerializeDetectResponse(response))) return;
         }
@@ -976,7 +1059,7 @@ TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
   request.slots.assign(kSlotsPerRequest, query::WireSlot{3, 5});
   const size_t request_bytes = query::SerializeDetectRequest(request).size();
   query::DetectResponseMsg probe;
-  probe.detections.resize(1);
+  probe.detections.resize(kSlotsPerRequest);
   probe.detections[0].resize(kDetectionsPerResponse);
   const size_t response_bytes = query::SerializeDetectResponse(probe).size();
   // Either direction outgrows the buffers on its path: the requests even a
@@ -996,7 +1079,7 @@ TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
     EXPECT_EQ(response.value().status, query::WireStatus::kOk)
         << "batch " << response.value().wire_seq << " was given up on";
     if (response.value().status == query::WireStatus::kOk) {
-      ASSERT_EQ(response.value().detections.size(), 1u);
+      ASSERT_EQ(response.value().detections.size(), kSlotsPerRequest);
       EXPECT_EQ(response.value().detections[0].size(), kDetectionsPerResponse);
     }
     answered.insert(response.value().wire_seq);

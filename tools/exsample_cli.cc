@@ -41,17 +41,18 @@
 //                      scheduler prioritizes against (sessions that have
 //                      spent the most of their budget step first); without
 //                      it the deadline scheduler degenerates to fair order
-//   --coalesce[=B]     share one detector service across the sessions,
-//                      merging their picked frames into device batches of up
-//                      to B frames (default B: 32); prints the batch fill
-//                      rate. Traces are identical with or without it.
+//   --coalesce=B       device batch of the detector service every session
+//                      shares: picked frames merge into batches of up to B
+//                      frames (default B: 32); the batch fill rate is
+//                      printed. Traces are identical at every B.
 //   --batch=B          frames per session step          (default: 8)
 //
-// Distributed transport (implies --coalesce; traces are identical):
+// Detect transport (traces are identical over every transport):
 //   --transport=KIND   local | loopback | socket (default: local). Loopback
 //                      executes every device batch through the serialized
 //                      wire format on per-shard runner threads — the RPC
-//                      stand-in — and prints the wire traffic. Socket speaks
+//                      stand-in, and how shards detect in parallel — and
+//                      prints the wire traffic. Socket speaks
 //                      the same wire format over TCP to one exsample_shardd
 //                      per shard (see --shard-hosts)
 //   --shard-hosts=LIST comma-separated host:port of each shard's
@@ -131,7 +132,6 @@ struct CliArgs {
   std::string affinity;
   size_t concurrent = 0;
   size_t batch = 8;
-  bool coalesce = false;
   size_t device_batch = 32;
   double deadline = 0.0;
   std::string scheduler = "fair";
@@ -139,7 +139,6 @@ struct CliArgs {
   std::string shard_hosts;
   double flush_deadline_ms = 0.0;
   size_t max_retries = 2;
-  bool max_retries_set = false;
   bool reuse = false;
   std::string reuse_components = "all";
   size_t repeat = 1;
@@ -198,10 +197,7 @@ CliArgs ParseArgs(int argc, char** argv) {
       args.concurrent = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseArg(arg, "--scheduler", &value)) {
       args.scheduler = value;
-    } else if (std::strcmp(arg, "--coalesce") == 0) {
-      args.coalesce = true;
     } else if (ParseArg(arg, "--coalesce", &value)) {
-      args.coalesce = true;
       args.device_batch = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseArg(arg, "--batch", &value)) {
       args.batch = std::strtoull(value.c_str(), nullptr, 10);
@@ -209,15 +205,12 @@ CliArgs ParseArgs(int argc, char** argv) {
       args.deadline = std::strtod(value.c_str(), nullptr);
     } else if (ParseArg(arg, "--transport", &value)) {
       args.transport = value;
-      if (value != "local") args.coalesce = true;  // Transport rides the service.
     } else if (ParseArg(arg, "--shard-hosts", &value)) {
       args.shard_hosts = value;
     } else if (ParseArg(arg, "--flush-deadline", &value)) {
       args.flush_deadline_ms = std::strtod(value.c_str(), nullptr);
-      args.coalesce = true;  // Flush policy is the service's.
     } else if (ParseArg(arg, "--max-retries", &value)) {
       args.max_retries = std::strtoull(value.c_str(), nullptr, 10);
-      args.max_retries_set = true;
     } else if (std::strcmp(arg, "--reuse") == 0) {
       args.reuse = true;
     } else if (ParseArg(arg, "--reuse", &value)) {
@@ -354,10 +347,9 @@ void PrintReuseStats(engine::SearchEngine& search, double saved_seconds) {
 }
 
 // The shared detector-service summary (fill rate, latency-aware flushes,
-// wire traffic) printed after any multi-session run that coalesces detect.
+// wire traffic) printed after any multi-session run.
 void PrintDetectorStats(engine::SearchEngine& search) {
   const query::DetectorService* service = search.detector_service();
-  if (service == nullptr) return;
   const query::DetectorServiceStats& stats = service->stats();
   std::printf(
       "detector service: %llu frames in %llu device batches "
@@ -588,31 +580,24 @@ int main(int argc, char** argv) {
                  args.reuse_components.c_str());
     return 1;
   }
-  if (args.coalesce) {
-    config.coalesce_detect = true;
-    config.device_batch = std::max<size_t>(1, args.device_batch);
-    config.transport = *transport_kind;
-    config.flush_deadline_seconds = args.flush_deadline_ms / 1000.0;
-    config.transport_max_retries = args.max_retries;
-    if (*transport_kind == engine::TransportKind::kSocket) {
-      std::string rest = args.shard_hosts;
-      while (!rest.empty()) {
-        const size_t comma = rest.find(',');
-        config.socket.hosts.push_back(rest.substr(0, comma));
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-      }
-      if (config.socket.hosts.size() != std::max<size_t>(1, args.shards)) {
-        std::fprintf(stderr,
-                     "--transport=socket needs --shard-hosts with one "
-                     "host:port per shard (%zu given, %zu shards)\n",
-                     config.socket.hosts.size(), std::max<size_t>(1, args.shards));
-        return 1;
-      }
+  config.device_batch = std::max<size_t>(1, args.device_batch);
+  config.transport = *transport_kind;
+  config.flush_deadline_seconds = args.flush_deadline_ms / 1000.0;
+  config.transport_max_retries = args.max_retries;
+  if (*transport_kind == engine::TransportKind::kSocket) {
+    std::string rest = args.shard_hosts;
+    while (!rest.empty()) {
+      const size_t comma = rest.find(',');
+      config.socket.hosts.push_back(rest.substr(0, comma));
+      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
     }
-  } else if (args.max_retries_set) {
-    std::fprintf(stderr,
-                 "warning: --max-retries is ignored without --coalesce or "
-                 "--transport (retries are the detect transport's)\n");
+    if (config.socket.hosts.size() != std::max<size_t>(1, args.shards)) {
+      std::fprintf(stderr,
+                   "--transport=socket needs --shard-hosts with one "
+                   "host:port per shard (%zu given, %zu shards)\n",
+                   config.socket.hosts.size(), std::max<size_t>(1, args.shards));
+      return 1;
+    }
   }
   if (!args.affinity.empty()) {
     engine::PlacementConfig placement;
@@ -669,9 +654,8 @@ int main(int argc, char** argv) {
   if (args.concurrent > 0) {
     // Multi-session workload: N sessions cycle over the dataset's query
     // classes (all on --class when one was named), each with its own seed,
-    // executed by RunConcurrent under the configured scheduler — and, with
-    // --coalesce, one shared detector service filling device batches across
-    // the sessions.
+    // executed by RunConcurrent under the configured scheduler, with the
+    // engine's detector service filling device batches across the sessions.
     if (args.recall.has_value()) {
       std::fprintf(stderr,
                    "warning: --recall is ignored with --concurrent (sessions "
@@ -731,10 +715,9 @@ int main(int argc, char** argv) {
         }
       }
       std::printf("serving %zu queries from %zu tenants (%s scheduler within "
-                  "tenants%s)...\n",
+                  "tenants)...\n",
                   tenant_queries.size(), entries->size(),
-                  query::SchedulerKindName(*scheduler_kind),
-                  args.coalesce ? ", coalesced detect" : "");
+                  query::SchedulerKindName(*scheduler_kind));
       auto outcomes = server.Serve(tenant_queries);
       if (!outcomes.ok()) {
         std::fprintf(stderr, "serving failed: %s\n",
@@ -797,9 +780,8 @@ int main(int argc, char** argv) {
                    "warning: --repeat is ignored with --concurrent (the N "
                    "sessions already share the engine's reuse state)\n");
     }
-    std::printf("running %zu sessions (%s scheduler%s%s)...\n", specs.size(),
+    std::printf("running %zu sessions (%s scheduler%s)...\n", specs.size(),
                 query::SchedulerKindName(*scheduler_kind),
-                args.coalesce ? ", coalesced detect" : "",
                 args.reuse ? ", cross-query reuse" : "");
     // With reuse on, watch the sessions to accumulate their per-session
     // saved-seconds tallies (the sessions are internal to RunConcurrent).
@@ -861,6 +843,11 @@ int main(int argc, char** argv) {
         return 1;
       }
       final_trace = session.value()->Finish();
+      if (!session.value()->status().ok()) {
+        std::fprintf(stderr, "query failed: %s\n",
+                     session.value()->status().ToString().c_str());
+        return 1;
+      }
       const reuse::ReuseSessionStats& rs = session.value()->reuse_stats();
       saved_seconds += rs.saved_detector_seconds;
       if (args.repeat > 1) {
