@@ -5,8 +5,8 @@
 //
 //   1. Isolation does not change computation: every admitted-and-completed
 //      query's trace is bit-identical to a solo run of the same spec and
-//      seed on a fresh engine (exit 3 on divergence — the MergeShardTraces
-//      contract, one layer up).
+//      seed on a fresh engine (exit 3 on divergence — the bit-identity
+//      contract every lower layer keeps, one layer up).
 //
 //   2. Weighted fairness: three tenants with weights 4/2/1 submitting
 //      identical bursty work split the charged detector-seconds measured

@@ -104,16 +104,11 @@ class QuerySession {
     return trace;
   }
 
-  /// \brief The session's shard dispatcher, or null when the engine is not
-  /// sharded. Exposes per-shard execution stats for observability.
+  /// \brief The session's shard contexts: one per shard of a sharded engine,
+  /// else a single one owning every frame. Never null. Exposes each shard's
+  /// detector and decode store, and per-shard execution stats.
   const query::ShardDispatcher* shard_dispatcher() const {
     return shard_dispatcher_.get();
-  }
-
-  /// \brief The per-shard partial traces accumulated so far (empty when the
-  /// engine is not sharded).
-  const std::vector<query::ShardTracePart>& ShardParts() const {
-    return execution_->ShardParts();
   }
 
   /// \brief The session's decode prefetcher, or null when the engine does not
@@ -122,11 +117,6 @@ class QuerySession {
   const query::DecodePrefetcher* prefetcher() const {
     return execution_->prefetcher();
   }
-
-  /// \brief The session's decode store (unsharded engines with
-  /// `simulate_decode`), or null. Sharded engines keep one store per shard in
-  /// the dispatcher's contexts instead.
-  const video::SimulatedVideoStore* video_store() const { return store_.get(); }
 
   /// \brief Scheduling/coalescing observability, mirroring `PrefetchStats`:
   /// steps granted to this session, frames submitted through the shared
@@ -171,16 +161,13 @@ class QuerySession {
   }
 
   std::unique_ptr<query::SearchStrategy> strategy_;
-  std::unique_ptr<detect::ObjectDetector> detector_;
-  // Decode accounting (EngineConfig::simulate_decode): position state is
-  // per-query, so each session owns its store(s) — one query-global, or one
-  // per shard, routed via the dispatcher's contexts.
-  std::unique_ptr<video::SimulatedVideoStore> store_;
-  std::vector<std::unique_ptr<video::SimulatedVideoStore>> shard_stores_;
-  // Sharded engines: one detector context per shard plus the dispatcher that
-  // routes batches to them (detector noise streams stay per-query, so each
-  // session owns its shard detectors; pools are shared via the engine).
+  // One detector context per shard plus the dispatcher that routes batches
+  // to them (detector noise streams stay per-query, so each session owns its
+  // shard detectors; pools are shared via the engine). Decode accounting
+  // (EngineConfig::simulate_decode) is per-query too: each shard context
+  // gets the session's own store.
   std::vector<std::unique_ptr<detect::ObjectDetector>> shard_detectors_;
+  std::vector<std::unique_ptr<video::SimulatedVideoStore>> shard_stores_;
   std::unique_ptr<query::ShardDispatcher> shard_dispatcher_;
   std::unique_ptr<track::Discriminator> discriminator_;
   std::unique_ptr<query::QueryExecution> execution_;

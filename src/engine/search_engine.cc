@@ -155,10 +155,7 @@ query::DetectorService* SearchEngine::detector_service() {
     query::DetectorServiceOptions options;
     options.device_batch = std::max<size_t>(1, config_.device_batch);
     options.max_retries = config_.transport_max_retries;
-    if (config_.flush_deadline_seconds > 0.0) {
-      options.flush_policy = query::FlushPolicy::kLatencyAware;
-      options.flush_deadline_seconds = config_.flush_deadline_seconds;
-    }
+    options.flush_deadline_seconds = config_.flush_deadline_seconds;
     const size_t num_shards = sharded_ != nullptr ? sharded_->NumShards() : 1;
     std::vector<common::ThreadPool*> pools;
     if (sharded_ != nullptr && config_.threads_per_shard > 0) {
@@ -214,19 +211,6 @@ reuse::ReuseManager* SearchEngine::reuse_manager() {
     reuse_manager_ = std::make_unique<reuse::ReuseManager>(config_.reuse);
   }
   return reuse_manager_.get();
-}
-
-common::ThreadPool* SearchEngine::shard_io_pool(uint32_t shard) {
-  if (config_.io_threads_per_shard == 0) return nullptr;
-  if (shard_io_pools_.empty()) {
-    shard_io_pools_.resize(sharded_->NumShards());
-  }
-  if (shard_io_pools_[shard] == nullptr) {
-    shard_io_pools_[shard] =
-        std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-            config_.io_threads_per_shard, config_.placement.io_cpus});
-  }
-  return shard_io_pools_[shard].get();
 }
 
 common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
@@ -289,39 +273,30 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
     session->chunking_signature_ = reuse::ChunkingSignature(*chunking_);
   }
 
-  if (sharded_ != nullptr) {
-    // One detector context per shard. Each shard's detector carries the same
-    // options (and seed) as the unsharded detector would, and detection is a
-    // pure per-frame function of (truth, options, frame) — so shard routing
-    // returns exactly the detections a single detector would have.
-    std::vector<query::ShardContext> contexts(sharded_->NumShards());
-    session->shard_detectors_.reserve(sharded_->NumShards());
-    for (uint32_t s = 0; s < sharded_->NumShards(); ++s) {
-      if (sharded_->Shard(s).TotalFrames() == 0) continue;
-      auto detector = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
-      contexts[s].detector = detector.get();
-      if (config_.simulate_decode) {
-        // Per-shard decode: each shard owns its position state (and,
-        // optionally, its private I/O pool), so a shard's sequential-read
-        // locality is priced next to its video — the documented carve-out to
-        // shard-count trace-invariance.
-        auto store = std::make_unique<video::SimulatedVideoStore>(
-            &sharded_->Global(), config_.decode_cost);
-        contexts[s].store = store.get();
-        contexts[s].io_pool = shard_io_pool(s);
-        session->shard_stores_.push_back(std::move(store));
-      }
-      session->shard_detectors_.push_back(std::move(detector));
-    }
-    session->shard_dispatcher_ =
-        std::make_unique<query::ShardDispatcher>(sharded_, std::move(contexts));
-  } else {
-    session->detector_ = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
+  // One detector context per shard (one shard owning every frame when the
+  // engine is not sharded). Each shard's detector carries the same options
+  // (and seed) as an unsharded detector would, and detection is a pure
+  // per-frame function of (truth, options, frame) — so shard routing returns
+  // exactly the detections a single detector would have.
+  const size_t num_shards = sharded_ != nullptr ? sharded_->NumShards() : 1;
+  std::vector<query::ShardContext> contexts(num_shards);
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    if (sharded_ != nullptr && sharded_->Shard(s).TotalFrames() == 0) continue;
+    auto detector = std::make_unique<detect::SimulatedDetector>(truth_, det_opts);
+    contexts[s].detector = detector.get();
     if (config_.simulate_decode) {
-      session->store_ =
-          std::make_unique<video::SimulatedVideoStore>(repo_, config_.decode_cost);
+      // Decode position state is per shard context, so a shard's
+      // sequential-read locality is priced next to its video — the
+      // documented carve-out to shard-count trace-invariance.
+      auto store = std::make_unique<video::SimulatedVideoStore>(repo_,
+                                                                config_.decode_cost);
+      contexts[s].store = store.get();
+      session->shard_stores_.push_back(std::move(store));
     }
+    session->shard_detectors_.push_back(std::move(detector));
   }
+  session->shard_dispatcher_ =
+      std::make_unique<query::ShardDispatcher>(sharded_, std::move(contexts));
 
   if (config_.discriminator == EngineConfig::DiscriminatorKind::kOracle) {
     session->discriminator_ = std::make_unique<track::OracleDiscriminator>();
@@ -342,7 +317,6 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   session_options.batch_size = batch_size;
   session_options.thread_pool = thread_pool();
   session_options.shard_dispatcher = session->shard_dispatcher_.get();
-  session_options.video_store = session->store_.get();
   // Pipelined decode: all sessions share the engine's I/O pool(s), so
   // concurrent queries' prefetchers draw from one set of decode workers just
   // as their detect stages share the detect pool.
@@ -379,7 +353,7 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
     session_options.reuse = session->reuse_.get();
   }
   session->execution_ = std::make_unique<query::QueryExecution>(
-      truth_, session->detector_.get(), session->discriminator_.get(),
+      truth_, /*detector=*/nullptr, session->discriminator_.get(),
       session->strategy_.get(), session_options);
   return session;
 }

@@ -90,7 +90,7 @@ std::optional<TransportKind> ParseTransportKind(const std::string& name);
 struct PlacementConfig {
   /// Detect-pool workers — engine-wide and per-shard pools alike.
   std::vector<int> worker_cpus;
-  /// I/O (decode-prefetch) pool workers, engine-wide and per-shard.
+  /// I/O (decode-prefetch) pool workers.
   std::vector<int> io_cpus;
   /// Loopback shard-runner threads (runner of shard s -> cpus[s % size]).
   std::vector<int> runner_cpus;
@@ -145,10 +145,6 @@ struct EngineConfig {
   /// (decode work runs there, detect fan-out stays on `num_threads`). 0 (the
   /// default) shares the engine-wide detect pool instead.
   size_t io_threads = 0;
-  /// Threads in each shard's private I/O pool ("the disk next to that shard's
-  /// video"); decode work for a shard's frames then runs beside its detector.
-  /// 0 (the default) shares the engine-wide I/O pool across shards.
-  size_t io_threads_per_shard = 0;
 
   /// Read nowhere: every engine shares one detect service across its
   /// sessions. Kept only because the repository benchmark (`perfbench/`)
@@ -166,9 +162,9 @@ struct EngineConfig {
   /// in parallel), or over TCP (`kSocket`). Traces are identical either way.
   TransportKind transport = TransportKind::kLocal;
   /// When > 0 (seconds, wall clock), the service flushes latency-aware
-  /// (`query::FlushPolicy::kLatencyAware`): a shard's queue ships the moment
-  /// a full wire batch accumulates or its oldest ticket has waited this
-  /// long, instead of only at round barriers. Bounds ticket latency at the
+  /// (`query::DetectorServiceOptions::flush_deadline_seconds`): a shard's
+  /// queue ships the moment a full wire batch accumulates or its oldest
+  /// ticket has waited this long, instead of only at round barriers. Bounds ticket latency at the
   /// cost of device-batch fill; never changes a trace. 0 (the default)
   /// keeps barrier-only flushing.
   double flush_deadline_seconds = 0.0;
@@ -227,11 +223,11 @@ struct EngineConfig {
   /// Shard the repository into this many contiguous, clip-aligned shards,
   /// each serving its frames with its own detector context (the in-process
   /// stand-in for "one query spans machines"). Picked batches are routed per
-  /// shard and the per-shard partial traces merge into a global trace
-  /// identical to the single-repository run — shard count never changes a
-  /// trace (proven by the shard equivalence suite). 1 (the default) executes
-  /// unsharded. Ignored when the engine is constructed over an explicit
-  /// `ShardedRepository`, whose own shard count wins.
+  /// shard, and the trace is identical to the single-repository run — shard
+  /// count never changes a trace (proven by the shard equivalence suite). 1
+  /// (the default) runs every session over one shard context. Ignored when
+  /// the engine is constructed over an explicit `ShardedRepository`, whose
+  /// own shard count wins.
   size_t num_shards = 1;
   /// Threads in each shard's private detect pool ("one GPU's worth" per
   /// shard); a shard's device batches fan out over it. Shards detect
@@ -408,10 +404,6 @@ class SearchEngine {
   /// when `config.threads_per_shard > 0` (created lazily, shared by all
   /// sessions), else the engine-wide pool.
   common::ThreadPool* shard_pool(uint32_t shard);
-  /// The pool a shard's decode prefetch runs on: the shard's private I/O pool
-  /// when `config.io_threads_per_shard > 0` (created lazily, shared by all
-  /// sessions), else null (the prefetcher falls back to the engine I/O pool).
-  common::ThreadPool* shard_io_pool(uint32_t shard);
   common::Result<std::unique_ptr<QuerySession>> MakeSession(
       int32_t class_id, const query::RunnerOptions& runner_options,
       const QueryOptions& options);
@@ -454,8 +446,6 @@ class SearchEngine {
   stats::StageTimer stage_timer_;
   // Per-shard private pools (config.threads_per_shard > 0), lazily created.
   std::vector<std::unique_ptr<common::ThreadPool>> shard_pools_;
-  // Per-shard private I/O pools (config.io_threads_per_shard > 0), lazy.
-  std::vector<std::unique_ptr<common::ThreadPool>> shard_io_pools_;
 };
 
 }  // namespace engine

@@ -66,10 +66,9 @@ void DetectorService::Release(PendingRequest* request) {
 
 DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   common::Check(!request.frames.empty(), "empty detect request");
-  common::Check(request.shards.empty() || request.shards.size() == request.frames.size(),
+  common::Check(request.shards.size() == request.frames.size(),
                 "per-frame shard owners must cover the whole request");
-  common::Check(request.dispatcher != nullptr || request.detector != nullptr,
-                "detect request needs a detector or a dispatcher");
+  common::Check(request.dispatcher != nullptr, "detect request needs a dispatcher");
 
   // First submit of a session: deploy its detector state to the runners
   // before any wire batch can reference it. Two halves — publish the
@@ -78,18 +77,9 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   // `RegisterSessionMsg` through the transport's control plane (what a
   // remote runner materializes an equivalent detector from).
   if (registered_sessions_.insert(request.session_id).second) {
-    if (request.dispatcher != nullptr) {
-      for (uint32_t s = 0; s < request.dispatcher->NumShards(); ++s) {
-        detect::ObjectDetector* detector = request.dispatcher->Context(s).detector;
-        if (detector != nullptr) directory_.Register(request.session_id, s, detector);
-      }
-    } else {
-      // A dispatcher-less session serves every one of its frames with the
-      // one detector, whatever shard owns them — register it under every
-      // shard id a wire slot could name.
-      for (uint32_t s = 0; s < queues_.size(); ++s) {
-        directory_.Register(request.session_id, s, request.detector);
-      }
+    for (uint32_t s = 0; s < request.dispatcher->NumShards(); ++s) {
+      detect::ObjectDetector* detector = request.dispatcher->Context(s).detector;
+      if (detector != nullptr) directory_.Register(request.session_id, s, detector);
     }
     RegisterSessionMsg reg;
     reg.session_id = request.session_id;
@@ -127,7 +117,7 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   pr.submit_seconds = NowSeconds();
 
   for (size_t i = 0; i < request.frames.size(); ++i) {
-    const uint32_t shard = request.shards.empty() ? 0 : request.shards[i];
+    const uint32_t shard = request.shards[i];
     common::Check(shard < queues_.size(), "frame routed past the shard queues");
     queues_[shard].push_back(QueueEntry{ticket, i});
   }
@@ -144,14 +134,11 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   // batch ships it immediately — the batch cannot get any fuller, so
   // waiting for the round barrier would only add latency. Partial tails
   // keep waiting (for the deadline or the barrier).
-  if (options_.flush_policy == FlushPolicy::kLatencyAware) {
-    FlushShards(FlushReason::kFill);
-  }
+  if (options_.flush_deadline_seconds > 0.0) FlushShards(FlushReason::kFill);
   return ticket;
 }
 
 void DetectorService::Poll() {
-  if (options_.flush_policy != FlushPolicy::kLatencyAware) return;
   if (options_.flush_deadline_seconds <= 0.0 || pending_frames_ == 0) return;
   FlushShards(FlushReason::kDeadline);
 }
@@ -278,9 +265,7 @@ void DetectorService::BookSlices(const ShardWork& work) {
       ++frames_on_shard;
       ++i;
     }
-    if (pr.request.dispatcher != nullptr) {
-      pr.request.dispatcher->RecordServiceDetect(work.shard, frames_on_shard);
-    }
+    pr.request.dispatcher->RecordServiceDetect(work.shard, frames_on_shard);
   }
 }
 

@@ -46,25 +46,6 @@ struct ServiceStatsBinding {
                                   stats::StageTimer* timer);
 };
 
-/// \brief When a shard's submission queue is executed.
-enum class FlushPolicy {
-  /// Only at the driver's round barrier (`Flush`) — every session of the
-  /// round submits before anything runs. Maximizes device-batch fill; a
-  /// ticket's latency is bounded by the whole round. The default, and
-  /// bit-compatible with the pre-policy service.
-  kRoundBarrier,
-  /// Latency-aware: additionally flush a shard's queue the moment a full
-  /// wire batch accumulates (`Submit`), and flush whatever a shard has
-  /// queued once its oldest ticket has waited `flush_deadline_seconds`
-  /// (checked by `Poll`). Trades fill for bounded ticket latency — the
-  /// policy a distributed deployment wants, since a remote shard's device
-  /// batch should leave as soon as it is full or stale, not when the
-  /// coordinator's round happens to end. Never changes a trace: flush
-  /// timing re-packs device batches but detection stays per-frame
-  /// deterministic in fixed ticket slots.
-  kLatencyAware,
-};
-
 /// \brief Coalescing configuration of a `DetectorService`.
 struct DetectorServiceOptions {
   /// Target frames per coalesced device batch: a flush slices each shard's
@@ -73,10 +54,18 @@ struct DetectorServiceOptions {
   /// batches we paid for"), and it is the granularity decode overlaps
   /// detection at. Must be >= 1.
   size_t device_batch = 32;
-  /// When a shard's queue is executed (see `FlushPolicy`).
-  FlushPolicy flush_policy = FlushPolicy::kRoundBarrier;
-  /// Age bound of `FlushPolicy::kLatencyAware`'s deadline trigger, in
-  /// wall-clock seconds; 0 leaves only the batch-fill trigger.
+  /// When a shard's queue is executed. 0 (the default) flushes only at the
+  /// driver's round barrier (`Flush`): every session of the round submits
+  /// before anything runs, which maximizes device-batch fill and bounds a
+  /// ticket's latency by the whole round. A positive value (wall-clock
+  /// seconds) makes the service latency-aware: a shard's queue additionally
+  /// ships the moment a full wire batch accumulates (`Submit`), and whatever
+  /// a shard has queued ships once its oldest ticket has waited this long
+  /// (checked by `Poll`). That trades fill for bounded ticket latency — what
+  /// a distributed deployment wants, since a remote shard's device batch
+  /// should leave as soon as it is full or stale. Never changes a trace:
+  /// flush timing re-packs device batches, but detection stays per-frame
+  /// deterministic in fixed ticket slots.
   double flush_deadline_seconds = 0.0;
   /// Executes the sliced device batches: every slice crosses this transport
   /// as a wire batch and its response is scattered back by ticket. Null
@@ -206,23 +195,20 @@ class DetectorService {
     uint64_t session_id = 0;
     /// Frames to detect, in the session's batch order.
     common::Span<const video::FrameId> frames;
-    /// Owning shard per frame (parallel to `frames`); empty means every
-    /// frame belongs to shard 0 (unsharded execution).
+    /// Owning shard per frame (parallel to `frames`), as the dispatcher's
+    /// `ShardOfFrame` reports it.
     common::Span<const uint32_t> shards;
-    /// The session's detector (unsharded sessions). Ignored when
-    /// `dispatcher` is set.
-    detect::ObjectDetector* detector = nullptr;
+    /// The session's shard contexts: each frame is detected by
+    /// `dispatcher->Context(shard).detector`, and the flush books the frames
+    /// into the dispatcher's per-shard stats (`RecordServiceDetect`).
+    /// Required.
+    ShardDispatcher* dispatcher = nullptr;
     /// The configuration the session's detectors were built from. Shipped in
     /// the session's `RegisterSessionMsg` on first submit: a remote runner
     /// materializes an equivalent detector from it (`SimulatedDetector` is a
     /// pure function of ground truth + options), where the in-process
-    /// transports resolve the pointers above.
+    /// transports resolve the dispatcher's detector pointers.
     detect::DetectorOptions detector_options;
-    /// The session's shard dispatcher: per-shard detectors + stats. When
-    /// set, each frame is detected by `dispatcher->Context(shard).detector`
-    /// and the flush books the frames into the dispatcher's per-shard stats
-    /// (`RecordServiceDetect`).
-    ShardDispatcher* dispatcher = nullptr;
     /// The session's decode prefetcher, whose current batch is `frames`.
     /// Before a slice holding frame `i` of this request is first sent, the
     /// service waits for frames `0..i` to finish decoding (`WaitThrough`).
@@ -243,15 +229,15 @@ class DetectorService {
                   common::ThreadPool* default_pool = nullptr);
 
   /// \brief Enqueues a session's batch and returns its ticket. Non-blocking
-  /// under the barrier policy; the latency-aware policy may execute shard
-  /// queues that reached a full wire batch before returning. A service whose
-  /// transport already failed queues nothing: the ticket never becomes ready.
+  /// under barrier flushing; a latency-aware service (positive
+  /// `flush_deadline_seconds`) may execute shard queues that reached a full
+  /// wire batch before returning. A service whose transport already failed
+  /// queues nothing: the ticket never becomes ready.
   Ticket Submit(const DetectRequest& request);
 
   /// \brief Latency-aware housekeeping: executes any shard queue whose
-  /// oldest ticket has waited past `flush_deadline_seconds`. No-op under
-  /// the barrier policy (or with no deadline configured) — drivers can call
-  /// it unconditionally between steps.
+  /// oldest ticket has waited past `flush_deadline_seconds`. No-op without a
+  /// deadline — drivers can call it unconditionally between steps.
   void Poll();
 
   /// \brief Executes everything pending as coalesced per-shard device

@@ -6,20 +6,11 @@
 namespace exsample {
 namespace query {
 
-DecodePrefetcher::DecodePrefetcher(video::SimulatedVideoStore* store,
-                                   common::ThreadPool* pool, PrefetchOptions options)
-    : store_(store), pool_(pool), options_(options) {
-  common::Check(store_ != nullptr, "DecodePrefetcher needs a store");
-  completions_ =
-      std::make_unique<common::MpscRingBuffer<size_t>>(options_.depth + 1);
-}
-
 DecodePrefetcher::DecodePrefetcher(ShardDispatcher* dispatcher,
                                    common::ThreadPool* pool, PrefetchOptions options)
     : dispatcher_(dispatcher), pool_(pool), options_(options) {
   common::Check(dispatcher_ != nullptr, "DecodePrefetcher needs a dispatcher");
-  common::Check(dispatcher_->HasStores(),
-                "sharded prefetching needs per-shard decode stores");
+  common::Check(dispatcher_->HasStores(), "prefetching needs decode stores");
   completions_ =
       std::make_unique<common::MpscRingBuffer<size_t>>(options_.depth + 1);
 }
@@ -37,8 +28,8 @@ DecodePrefetcher::~DecodePrefetcher() {
 const std::vector<double>& DecodePrefetcher::SubmitBatch(
     common::Span<video::FrameId> frames, common::Span<const uint32_t> shards) {
   Drain();  // A slot vector reused under in-flight tasks would race.
-  common::Check(dispatcher_ == nullptr || shards.size() == frames.size(),
-                "sharded prefetch needs the owner of every frame");
+  common::Check(shards.size() == frames.size(),
+                "prefetch needs the owner of every frame");
 
   // Everything below runs under mu_: no decode tasks are in flight (Drain
   // just completed, and enqueueing happens at the end of this scope), but a
@@ -57,20 +48,8 @@ const std::vector<double>& DecodePrefetcher::SubmitBatch(
   for (size_t i = 0; i < frames.size(); ++i) {
     Slot& slot = slots_[i];
     slot.frame = frames[i];
-    if (dispatcher_ != nullptr) {
-      const uint32_t shard = shards[i];
-      slot.plan = dispatcher_->PlanDecode(frames[i], shard);
-      slot.store = dispatcher_->Context(shard).store;
-      slot.pool = dispatcher_->Context(shard).io_pool != nullptr
-                      ? dispatcher_->Context(shard).io_pool
-                      : pool_;
-    } else {
-      auto plan = store_->PlanRead(frames[i]);
-      common::CheckOk(plan.status(), "prefetch decode failed");
-      slot.plan = plan.value();
-      slot.store = store_;
-      slot.pool = pool_;
-    }
+    slot.plan = dispatcher_->PlanDecode(frames[i], shards[i]);
+    slot.store = dispatcher_->Context(shards[i]).store;
     charges_[i] = slot.plan.seconds;
     cache_.emplace(frames[i], i);
   }
@@ -100,7 +79,7 @@ void DecodePrefetcher::EnqueueAheadLocked() {
   while (enqueued_ < limit) {
     const size_t i = enqueued_++;
     Slot& slot = slots_[i];
-    if (slot.pool == nullptr || slot.pool->NumThreads() <= 1) {
+    if (pool_ == nullptr || pool_->NumThreads() <= 1) {
       // No pool (or a workerless one, whose Submit would run the task inline
       // on this thread — under our own mutex): perform the read here. Still
       // correct, just the synchronous schedule.
@@ -111,7 +90,7 @@ void DecodePrefetcher::EnqueueAheadLocked() {
     }
     stats_.async_reads += 1;
     inflight_tasks_.fetch_add(1, std::memory_order_relaxed);
-    slot.pool->Submit([this, i] {
+    pool_->Submit([this, i] {
       // The slot vector is stable for the whole batch (SubmitBatch drains
       // before resizing), and plan/store are immutable once enqueued; this
       // task shares nothing mutable with the coordinator — completion is

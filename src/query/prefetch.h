@@ -56,9 +56,9 @@ struct PrefetchStats {
 ///    attribution) are bit-identical to the synchronous decode loop, whatever
 ///    the pool does afterwards.
 ///  - **Work is asynchronous.** The planned reads are performed on the pool
-///    (or each shard's private I/O pool) with at most `depth` frames in
-///    flight beyond the detect stage's consumption cursor; decoded frames
-///    land in a cache keyed by `FrameId` until the batch completes.
+///    with at most `depth` frames in flight beyond the detect stage's
+///    consumption cursor; decoded frames land in a cache keyed by `FrameId`
+///    until the batch completes.
 ///
 /// Consumption is strictly in batch order: `WaitFrame(i)` blocks until frame
 /// `i` is decoded, advancing the window so later frames start decoding while
@@ -83,16 +83,10 @@ struct PrefetchStats {
 /// inference unchanged.
 class DecodePrefetcher {
  public:
-  /// Unsharded: all reads are planned on and performed by `store`; decode
-  /// tasks run on `pool`. A null `pool` (or `depth == 0`) degrades to
-  /// synchronous inline decode — same charges, no overlap.
-  DecodePrefetcher(video::SimulatedVideoStore* store, common::ThreadPool* pool,
-                   PrefetchOptions options);
-
-  /// Sharded with per-shard stores (`dispatcher->HasStores()`): each frame is
-  /// planned on its owning shard's store (per-shard sequential position, as
-  /// the synchronous path prices it) and performed on the shard's `io_pool`,
-  /// falling back to `pool`.
+  /// Each frame is planned on its owning shard's store (`dispatcher` must
+  /// have `HasStores()`) and performed on `pool`. A null `pool` (or
+  /// `depth == 0`) degrades to synchronous inline decode — same charges, no
+  /// overlap.
   DecodePrefetcher(ShardDispatcher* dispatcher, common::ThreadPool* pool,
                    PrefetchOptions options);
 
@@ -105,11 +99,10 @@ class DecodePrefetcher {
   /// \brief Plans the whole batch (deterministic, batch-order accounting) and
   /// starts decoding up to `depth` frames ahead. Returns the per-frame
   /// charged seconds, parallel to `frames` — exactly what the synchronous
-  /// loop would have charged, in the same order. For the sharded
-  /// constructor, `shards` must hold each frame's owner. Any previous batch
-  /// is drained first.
+  /// loop would have charged, in the same order. `shards` holds each frame's
+  /// owner. Any previous batch is drained first.
   const std::vector<double>& SubmitBatch(common::Span<video::FrameId> frames,
-                                         common::Span<const uint32_t> shards = {});
+                                         common::Span<const uint32_t> shards);
 
   /// \brief Blocks until frame `index` of the current batch is decoded and
   /// opens the window one frame further. Frames must be waited on in batch
@@ -136,7 +129,6 @@ class DecodePrefetcher {
   struct Slot {
     video::FrameId frame = 0;
     const video::SimulatedVideoStore* store = nullptr;  // Performs the read.
-    common::ThreadPool* pool = nullptr;                 // Runs the read.
     video::ReadPlan plan;
     bool ready = false;  // Written under mu_ (inline decode or ring drain).
   };
@@ -155,9 +147,8 @@ class DecodePrefetcher {
   /// a sleeping coordinator.
   void WaitReadyLocked(std::unique_lock<std::mutex>& lock, size_t index);
 
-  video::SimulatedVideoStore* store_ = nullptr;  // Unsharded constructor.
-  ShardDispatcher* dispatcher_ = nullptr;        // Sharded constructor.
-  common::ThreadPool* pool_ = nullptr;
+  ShardDispatcher* dispatcher_;
+  common::ThreadPool* pool_;
   PrefetchOptions options_;
   PrefetchStats stats_;
 

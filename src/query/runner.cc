@@ -7,9 +7,7 @@ namespace query {
 
 namespace {
 
-/// Applies one frame's d0 detections to the recall counters. Shared between
-/// the batch pipeline and the single-frame reference loop so their
-/// bookkeeping cannot drift apart.
+/// Applies one frame's d0 detections to the recall counters.
 bool CountNewDistinct(const track::MatchResult& result, const RunnerOptions& options,
                       std::unordered_set<scene::InstanceId>* found,
                       DiscoveryPoint* current) {
@@ -54,26 +52,31 @@ QueryExecution::QueryExecution(const scene::GroundTruth* truth,
                                track::Discriminator* discriminator,
                                SearchStrategy* strategy, RunnerOptions options)
     : truth_(truth),
-      detector_(detector),
       discriminator_(discriminator),
       strategy_(strategy),
-      options_(options) {
-  common::Check(detector_ != nullptr || options_.shard_dispatcher != nullptr,
-                "query execution needs a detector or a shard dispatcher");
+      options_(options),
+      dispatcher_(options_.shard_dispatcher) {
+  if (dispatcher_ == nullptr) {
+    common::Check(detector != nullptr,
+                  "query execution needs a detector or a shard dispatcher");
+    owned_dispatcher_ = std::make_unique<ShardDispatcher>(
+        nullptr, std::vector<ShardContext>{{detector, options_.video_store}});
+    dispatcher_ = owned_dispatcher_.get();
+  } else {
+    common::Check(options_.video_store == nullptr,
+                  "a caller's shard dispatcher holds the decode stores");
+  }
   // Every decode call site routes through the prefetcher. Depth 0 keeps the
   // synchronous schedule (plan + perform inline, in batch order); depth >= 1
   // overlaps the decode work with the detect stage. Either way the charges
   // are planned in batch order, so the trace cannot depend on the depth.
-  PrefetchOptions prefetch_options;
-  prefetch_options.depth = options_.prefetch_depth;
-  common::ThreadPool* decode_pool =
-      options_.decode_pool != nullptr ? options_.decode_pool : options_.thread_pool;
-  if (options_.shard_dispatcher != nullptr && options_.shard_dispatcher->HasStores()) {
-    prefetcher_ = std::make_unique<DecodePrefetcher>(options_.shard_dispatcher,
-                                                     decode_pool, prefetch_options);
-  } else if (options_.video_store != nullptr) {
-    prefetcher_ = std::make_unique<DecodePrefetcher>(options_.video_store,
-                                                     decode_pool, prefetch_options);
+  if (dispatcher_->HasStores()) {
+    PrefetchOptions prefetch_options;
+    prefetch_options.depth = options_.prefetch_depth;
+    prefetcher_ = std::make_unique<DecodePrefetcher>(
+        dispatcher_,
+        options_.decode_pool != nullptr ? options_.decode_pool : options_.thread_pool,
+        prefetch_options);
   }
   // Without a shared service, steps go through a private one whose device
   // batch is the detect window: the whole batch without decode overlap, else
@@ -81,56 +84,22 @@ QueryExecution::QueryExecution(const scene::GroundTruth* truth,
   // latency-bound detect calls the full batch fans out.
   service_ = options_.detector_service;
   if (service_ == nullptr) {
-    ShardDispatcher* dispatcher = options_.shard_dispatcher;
-    std::vector<common::ThreadPool*> pools;
-    size_t parallelism =
+    const size_t parallelism =
         options_.thread_pool != nullptr ? options_.thread_pool->NumThreads() : 1;
-    if (dispatcher != nullptr) {
-      for (uint32_t s = 0; s < dispatcher->NumShards(); ++s) {
-        common::ThreadPool* pool = dispatcher->Context(s).pool;
-        pools.push_back(pool);
-        if (pool != nullptr) parallelism = std::max(parallelism, pool->NumThreads());
-      }
-    }
     DetectorServiceOptions service_options;
     service_options.device_batch =
         prefetcher_ == nullptr || prefetcher_->depth() == 0
             ? std::max<size_t>(1, options_.batch_size)
             : std::max(prefetcher_->depth(), parallelism);
     owned_service_ = std::make_unique<DetectorService>(
-        service_options, dispatcher != nullptr ? dispatcher->NumShards() : 1,
-        std::move(pools), dispatcher != nullptr ? nullptr : options_.thread_pool);
+        service_options, dispatcher_->NumShards(),
+        std::vector<common::ThreadPool*>{}, options_.thread_pool);
     service_ = owned_service_.get();
   }
   trace_.strategy_name = strategy_->name();
   trace_.total_instances = truth_->NumInstances(options_.recall_class);
   current_.seconds = strategy_->UpfrontCostSeconds();
   trace_.points.push_back(current_);
-  if (options_.shard_dispatcher != nullptr) {
-    // Partial traces: part 0 is the coordinator, part 1 + s is shard s. The
-    // upfront cost belongs to the coordinator (a proxy scan happens before
-    // any frame is routed anywhere) and opens the trace, mirroring the
-    // initial point pushed above.
-    parts_.resize(1 + options_.shard_dispatcher->NumShards());
-    parts_[0].shard_id = kCoordinatorShard;
-    for (size_t s = 0; s < options_.shard_dispatcher->NumShards(); ++s) {
-      parts_[1 + s].shard_id = static_cast<int32_t>(s);
-    }
-    RecordEvent(0, current_.seconds, 0, 0, 0, /*emit_point=*/true);
-  }
-}
-
-void QueryExecution::RecordEvent(size_t part, double seconds, uint32_t samples,
-                                 uint32_t reported, uint32_t distinct,
-                                 bool emit_point) {
-  ShardTraceEvent event;
-  event.seq = next_seq_++;
-  event.seconds = seconds;
-  event.samples = samples;
-  event.reported = reported;
-  event.distinct = distinct;
-  event.emit_point = emit_point;
-  parts_[part].events.push_back(event);
 }
 
 bool QueryExecution::StopConditionHit() const {
@@ -165,25 +134,17 @@ bool QueryExecution::BeginStep() {
   stats::SlabAdd(options_.stats.slab, options_.stats.frames_picked,
                  pending_frames_.size());
 
-  ShardDispatcher* dispatcher = options_.shard_dispatcher;
-
-  // Resolve each frame's owning shard once per batch; decode attribution,
-  // detect dispatch, and per-frame accounting below all reuse it.
-  if (dispatcher != nullptr) {
-    frame_shards_.clear();
-    for (const video::FrameId frame : pending_frames_) {
-      frame_shards_.push_back(dispatcher->ShardOfFrame(frame));
-    }
+  // Resolve each frame's owning shard once per batch; decode, detect
+  // dispatch, and per-frame accounting below all reuse it.
+  frame_shards_.clear();
+  for (const video::FrameId frame : pending_frames_) {
+    frame_shards_.push_back(dispatcher_->ShardOfFrame(frame));
   }
 
   // Charge any incremental strategy overhead (e.g. lazy proxy scoring)
-  // accrued while choosing this batch. Overhead is the coordinator's: it is
-  // paid choosing frames, before any shard is involved.
+  // accrued while choosing this batch.
   const double overhead = strategy_->CumulativeOverheadSeconds();
   current_.seconds += overhead - charged_overhead_;
-  if (dispatcher != nullptr) {
-    RecordEvent(0, overhead - charged_overhead_, 0, 0, 0, false);
-  }
   charged_overhead_ = overhead;
 
   // Cross-query reuse: classify the picked batch before anything is paid
@@ -206,7 +167,7 @@ bool QueryExecution::BeginStep() {
       reuse_outcomes_.push_back(outcome);
       if (outcome == reuse::SessionReuse::Outcome::kMiss) {
         miss_frames_.push_back(pending_frames_[i]);
-        if (dispatcher != nullptr) miss_shards_.push_back(frame_shards_[i]);
+        miss_shards_.push_back(frame_shards_[i]);
       }
     }
     stats::SlabAdd(options_.stats.slab, options_.stats.frames_reused,
@@ -218,27 +179,16 @@ bool QueryExecution::BeginStep() {
 
   // Decode stage, behind the prefetcher. Charged up front for the batch's
   // detect set (reused frames never decode: their outcome is already known):
-  // the prefetcher plans every read now, in batch order — per-shard stores
-  // plan on the owning shard (each shard keeps its own position state),
-  // otherwise the query-global store is used and the cost is still
-  // attributed to the owning shard's partial trace. The decode *work* runs
-  // asynchronously until the service flush waits for each slice's frames,
-  // so the decode-ahead window spans the whole coalesce window.
+  // the prefetcher plans every read now, in batch order, on the owning
+  // shard's store. The decode *work* runs asynchronously until the service
+  // flush waits for each slice's frames, so the decode-ahead window spans
+  // the whole coalesce window.
   if (prefetcher_ != nullptr && !detect_frames.empty()) {
     stats::StageTimer::Scoped decode_timer(options_.stats.timer,
                                            stats::Stage::kDecode);
-    const bool sharded_stores = dispatcher != nullptr && dispatcher->HasStores();
-    const std::vector<double>& charges = prefetcher_->SubmitBatch(
-        detect_frames, sharded_stores
-                           ? common::Span<const uint32_t>(detect_shards.data(),
-                                                          detect_shards.size())
-                           : common::Span<const uint32_t>());
-    for (size_t i = 0; i < detect_frames.size(); ++i) {
-      current_.seconds += charges[i];
-      if (dispatcher != nullptr) {
-        RecordEvent(1 + detect_shards[i], charges[i], 0, 0, 0, false);
-      }
-    }
+    const std::vector<double>& charges =
+        prefetcher_->SubmitBatch(detect_frames, detect_shards);
+    for (const double charge : charges) current_.seconds += charge;
   }
 
   // Submit the detect work: the batch's detect set is merged with whatever
@@ -249,15 +199,9 @@ bool QueryExecution::BeginStep() {
   if (!detect_frames.empty()) {
     DetectorService::DetectRequest request;
     request.session_id = options_.service_session_id;
-    request.frames = common::Span<const video::FrameId>(detect_frames.data(),
-                                                        detect_frames.size());
-    if (dispatcher != nullptr) {
-      request.shards =
-          common::Span<const uint32_t>(detect_shards.data(), detect_shards.size());
-      request.dispatcher = dispatcher;
-    } else {
-      request.detector = detector_;
-    }
+    request.frames = detect_frames;
+    request.shards = detect_shards;
+    request.dispatcher = dispatcher_;
     request.prefetcher = prefetcher_.get();
     request.session_stats = options_.session_stats;
     request.detector_options = options_.detector_options;
@@ -290,7 +234,6 @@ bool QueryExecution::CompleteStep(bool flush) {
     if (pending_ticket_ != 0) miss_detections = service_->Take(pending_ticket_);
     pending_ticket_ = 0;
   }
-  ShardDispatcher* dispatcher = options_.shard_dispatcher;
   const bool reusing = options_.reuse != nullptr;
   const std::vector<video::FrameId>& detect_frames =
       reusing ? miss_frames_ : pending_frames_;
@@ -312,10 +255,7 @@ bool QueryExecution::CompleteStep(bool flush) {
   }
   size_t miss_pos = 0;
   for (size_t i = 0; i < pending_frames_.size(); ++i) {
-    const uint32_t shard = dispatcher != nullptr ? frame_shards_[i] : 0;
-    const double seconds_per_frame = dispatcher != nullptr
-                                         ? dispatcher->SecondsPerFrame(shard)
-                                         : detector_->SecondsPerFrame();
+    const double seconds_per_frame = dispatcher_->SecondsPerFrame(frame_shards_[i]);
     const bool reused =
         reusing && reuse_outcomes_[i] != reuse::SessionReuse::Outcome::kMiss;
     // Reused frames charge zero detector seconds — that cost was paid by
@@ -340,17 +280,9 @@ bool QueryExecution::CompleteStep(bool flush) {
         FrameFeedback{pending_frames_[i], result.d0.size(), result.d1.size()});
     ++current_.samples;
     current_.reported_results += result.d0.size();
-    const uint64_t distinct_before = current_.true_distinct;
     const bool changed = CountNewDistinct(result, options_, &found_, &current_);
-    const bool emit = changed || !result.d0.empty();
-    if (emit) {
+    if (changed || !result.d0.empty()) {
       trace_.points.push_back(current_);
-    }
-    if (dispatcher != nullptr) {
-      RecordEvent(1 + shard, detect_seconds, 1,
-                  static_cast<uint32_t>(result.d0.size()),
-                  static_cast<uint32_t>(current_.true_distinct - distinct_before),
-                  emit);
     }
   }
 
@@ -425,21 +357,6 @@ QueryTrace QueryExecution::Finish() {
     if (trace_.points.empty() || trace_.points.back().samples != current_.samples) {
       trace_.points.push_back(current_);
     }
-    if (options_.shard_dispatcher != nullptr) {
-      // A sharded run's trace is *assembled from the shards' partial traces*:
-      // the merge replays the per-shard events in global sequence order. It
-      // must reproduce the directly-accumulated trace bit for bit — a merge
-      // that drifts means shard accounting lost information, which would
-      // silently corrupt every cross-shard comparison, so it is fatal rather
-      // than best-effort.
-      auto merged = MergeShardTraces(
-          trace_.strategy_name, trace_.total_instances,
-          common::Span<const ShardTracePart>(parts_.data(), parts_.size()));
-      common::CheckOk(merged.status(), "shard trace merge failed");
-      common::Check(TracesBitIdentical(merged.value(), trace_),
-                    "merged shard trace diverged from direct accumulation");
-      trace_ = std::move(merged).value();
-    }
     finalized_ = true;
     // The query is over: withdraw its wire registrations (the directory
     // holds raw pointers to detectors that die with this session). Done
@@ -471,63 +388,6 @@ QueryRunner::QueryRunner(const scene::GroundTruth* truth,
 QueryTrace QueryRunner::Run(SearchStrategy* strategy) {
   QueryExecution execution(truth_, detector_, discriminator_, strategy, options_);
   return execution.Finish();
-}
-
-QueryTrace QueryRunner::RunSingleFrame(SearchStrategy* strategy) {
-  QueryTrace trace;
-  trace.strategy_name = strategy->name();
-  trace.total_instances = truth_->NumInstances(options_.recall_class);
-
-  std::unordered_set<scene::InstanceId> found;
-  DiscoveryPoint current;
-  current.seconds = strategy->UpfrontCostSeconds();
-  trace.points.push_back(current);
-  double charged_overhead = 0.0;
-
-  while (current.samples < options_.max_samples &&
-         current.reported_results < options_.result_limit &&
-         current.true_distinct < options_.true_distinct_target) {
-    const std::optional<video::FrameId> frame = strategy->NextFrame();
-    if (!frame.has_value()) break;
-
-    // Charge any incremental strategy overhead (e.g. lazy proxy scoring)
-    // accrued while choosing this frame.
-    const double overhead = strategy->CumulativeOverheadSeconds();
-    current.seconds += overhead - charged_overhead;
-    charged_overhead = overhead;
-
-    if (options_.video_store != nullptr) {
-      // PlanRead returns this read's charge directly. The old form diffed
-      // the store's cumulative `Stats().total_seconds` around the call,
-      // which reads shared mutable state — racy when the store is shared
-      // with concurrent sessions, and wrong (double-counted) even
-      // single-threaded if anything else touches the store in between.
-      const common::Result<video::ReadPlan> plan =
-          options_.video_store->PlanRead(*frame);
-      if (plan.ok()) {
-        options_.video_store->PerformRead(plan.value());
-        current.seconds += plan.value().seconds;
-      }
-    }
-    current.seconds += detector_->SecondsPerFrame();
-
-    const detect::Detections dets = detector_->Detect(*frame);
-    const track::MatchResult result = discriminator_->Observe(*frame, dets);
-    strategy->Observe(*frame, result.d0.size(), result.d1.size());
-
-    ++current.samples;
-    current.reported_results += result.d0.size();
-
-    const bool changed = CountNewDistinct(result, options_, &found, &current);
-    if (changed || !result.d0.empty()) {
-      trace.points.push_back(current);
-    }
-  }
-  trace.final = current;
-  if (trace.points.empty() || trace.points.back().samples != current.samples) {
-    trace.points.push_back(current);
-  }
-  return trace;
 }
 
 }  // namespace query

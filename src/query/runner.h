@@ -70,58 +70,58 @@ struct RunnerOptions {
   uint64_t max_samples = std::numeric_limits<uint64_t>::max();
   /// Class whose instances define recall (kAllClasses = every instance).
   int32_t recall_class = scene::GroundTruth::kAllClasses;
-  /// When non-null, frame reads are routed through this store and its decode
-  /// cost is added to the trace's seconds.
+  /// Without a `shard_dispatcher`: when non-null, frame reads are routed
+  /// through this store and its decode cost is added to the trace's seconds.
+  /// It becomes the store of the execution's one-shard dispatcher; with a
+  /// caller's dispatcher, stores live in its contexts and this must be null.
   video::SimulatedVideoStore* video_store = nullptr;
   /// Frames pulled from the strategy (and pushed through the detector) per
   /// pipeline iteration (Sec. III-F). 1 reproduces the single-frame loop of
   /// Algorithm 1 exactly — including bit-identical cost accounting.
   size_t batch_size = 1;
   /// When non-null (and no `detector_service` is set), the execution's
-  /// private detect service fans each device batch across this pool. Thread
-  /// count affects wall-clock only, never the trace: simulated cost
-  /// accounting stays per-frame and detection is per-frame deterministic.
+  /// private detect service fans every shard's device batches across this
+  /// pool. Thread count affects wall-clock only, never the trace: simulated
+  /// cost accounting stays per-frame and detection is per-frame
+  /// deterministic.
   common::ThreadPool* thread_pool = nullptr;
-  /// When non-null, the repository is sharded: the decode and detect stages
-  /// route every picked frame to its owning shard's context (detector, store,
-  /// pool) instead of the query-global `detector`/`video_store`/`thread_pool`
-  /// above — the detect service queues each frame on its owning shard — and
-  /// the execution records per-shard partial traces that `Finish`
-  /// merges into the returned global trace. Detect routing never changes a
-  /// trace (shard detectors are per-frame deterministic and discrimination
-  /// stays sequential in batch order) — the shard equivalence suite enforces
-  /// bit-identity against the unsharded run for the configurations
-  /// `SearchEngine` wires up (no stores, or one shared `video_store`). The
-  /// exception is *per-shard* stores (`ShardDispatcher::HasStores()`): each
-  /// shard then keeps its own decode position state, which by design prices
-  /// sequential-read locality per shard and so can change `seconds` relative
-  /// to a single global store. The query-global `detector` may be null when a
-  /// dispatcher is set.
+  /// The shard contexts every stage routes through: each picked frame is
+  /// decoded on its owning shard's store and detected by its detector (the
+  /// detect service queues it on that shard), and the dispatcher tallies
+  /// per-shard stats. Null makes the execution own a one-shard dispatcher
+  /// over the query's `detector` and `video_store`. Detect routing never
+  /// changes a trace (shard detectors are per-frame deterministic and
+  /// discrimination stays sequential in batch order) — the shard equivalence
+  /// suite enforces bit-identity against the one-shard run when every
+  /// context shares one store or none has a store. *Per-shard* stores are
+  /// the exception: each shard then keeps its own decode position state,
+  /// which by design prices sequential-read locality per shard and so can
+  /// change `seconds` relative to a single global store. The query-global
+  /// `detector` may be null when a dispatcher is set.
   ShardDispatcher* shard_dispatcher = nullptr;
   /// Decode-ahead window of the pipelined decode stage (the pick → prefetch →
-  /// detect → discriminate loop). Whenever a decode store is configured
-  /// (`video_store`, or per-shard stores on the dispatcher), the execution
-  /// routes every read through a `DecodePrefetcher`; with depth 0 (the
-  /// default) the prefetcher runs synchronously — plan + perform inline
-  /// before the detect stage, the legacy schedule. Depth d >= 1 performs the
-  /// decode work on `decode_pool` while the detect service consumes the
-  /// batch slice by slice, keeping at most d frames decoded ahead — decode
-  /// of slice w+1 overlaps detection of slice w. Like thread count, depth
-  /// changes wall-clock only, never a trace: charges are planned in batch
-  /// order on the coordinator (enforced bit-identical by the decode suite).
+  /// detect → discriminate loop). Whenever the shard contexts have decode
+  /// stores, the execution routes every read through a `DecodePrefetcher`;
+  /// with depth 0 (the default) the prefetcher runs synchronously — plan +
+  /// perform inline before the detect stage, the legacy schedule. Depth
+  /// d >= 1 performs the decode work on `decode_pool` while the detect
+  /// service consumes the batch slice by slice, keeping at most d frames
+  /// decoded ahead — decode of slice w+1 overlaps detection of slice w. Like
+  /// thread count, depth changes wall-clock only, never a trace: charges are
+  /// planned in batch order on the coordinator (enforced bit-identical by
+  /// the decode suite).
   size_t prefetch_depth = 0;
   /// Pool the prefetcher's decode work runs on. Null shares `thread_pool`.
-  /// Sharded executions prefer each shard's `ShardContext::io_pool`.
   common::ThreadPool* decode_pool = nullptr;
   /// The detect service every step submits its picked batch to: `BeginStep`
   /// enqueues the batch and `FinishStep` collects the detections after a
   /// `Flush` coalesced every pending session's frames into device batches.
-  /// Null builds a private service over `thread_pool` (or the dispatcher's
-  /// `ShardContext::pool`s) whose device batch is the whole batch, or
-  /// max(`prefetch_depth`, pool threads) under decode overlap. Coalescing
-  /// never changes a trace — detection is per-frame deterministic per
-  /// session and every order-sensitive stage stays on the coordinator in
-  /// batch order (the `sched` suite enforces bit-identity against solo runs).
+  /// Null builds a private service over `thread_pool` whose device batch is
+  /// the whole batch, or max(`prefetch_depth`, pool threads) under decode
+  /// overlap. Coalescing never changes a trace — detection is per-frame
+  /// deterministic per session and every order-sensitive stage stays on the
+  /// coordinator in batch order (the `sched` suite enforces bit-identity
+  /// against solo runs).
   DetectorService* detector_service = nullptr;
   /// Stable identity of this execution's session for the service's
   /// stats attribution (which device batches were shared across sessions).
@@ -177,7 +177,8 @@ class QueryExecution {
  public:
   /// All pointees must outlive the execution. `detector` may be null only
   /// when `options.shard_dispatcher` is set (detection is then routed to the
-  /// owning shards' detectors).
+  /// owning shards' detectors); otherwise the execution runs over its own
+  /// one-shard dispatcher holding `detector` and `options.video_store`.
   QueryExecution(const scene::GroundTruth* truth, detect::ObjectDetector* detector,
                  track::Discriminator* discriminator, SearchStrategy* strategy,
                  RunnerOptions options);
@@ -246,12 +247,6 @@ class QueryExecution {
   /// batch; `Finish` appends the closing point.
   const QueryTrace& trace() const { return trace_; }
 
-  /// \brief The per-shard partial traces of a sharded execution (empty when
-  /// `options.shard_dispatcher` is null). Part 0 is the coordinator
-  /// (`kCoordinatorShard`: upfront cost, strategy overhead); part 1 + s is
-  /// shard s. `Finish` merges these into the returned trace.
-  const std::vector<ShardTracePart>& ShardParts() const { return parts_; }
-
   /// \brief The execution's decode prefetcher, or null when no decode store
   /// is configured. Exposes decode-ahead stats for observability.
   const DecodePrefetcher* prefetcher() const { return prefetcher_.get(); }
@@ -262,8 +257,6 @@ class QueryExecution {
   /// totals and the slab is freed, so an engine holds slabs for live queries
   /// only. Unhooked first — nothing may tick it afterwards. Idempotent.
   void RetireStatsSlab();
-  void RecordEvent(size_t part, double seconds, uint32_t samples, uint32_t reported,
-                   uint32_t distinct, bool emit_point);
   /// Second half of a step, after an optional inline service flush:
   /// collects the detections, discriminates in batch order, feeds the
   /// strategy back. Returns false when the transport failed and the step
@@ -271,10 +264,14 @@ class QueryExecution {
   bool CompleteStep(bool flush);
 
   const scene::GroundTruth* truth_;
-  detect::ObjectDetector* detector_;
   track::Discriminator* discriminator_;
   SearchStrategy* strategy_;
   RunnerOptions options_;
+  // The shard contexts every stage routes through: `options_.shard_dispatcher`,
+  // or `owned_dispatcher_` (one shard over the query's detector and store)
+  // when the options named none.
+  ShardDispatcher* dispatcher_ = nullptr;
+  std::unique_ptr<ShardDispatcher> owned_dispatcher_;
   // The detect service every step submits to: `options_.detector_service`,
   // or `owned_service_` when the options named none.
   DetectorService* service_ = nullptr;
@@ -287,8 +284,7 @@ class QueryExecution {
   std::unique_ptr<DecodePrefetcher> prefetcher_;
   std::unordered_set<scene::InstanceId> found_;
   std::vector<FrameFeedback> feedback_;  // Reused per batch.
-  std::vector<uint32_t> frame_shards_;   // Owner per batch frame; sharded only.
-  std::vector<ShardTracePart> parts_;    // Sharded runs only.
+  std::vector<uint32_t> frame_shards_;   // Owner per batch frame.
   // The in-flight batch between BeginStep and FinishStep. `pending_frames_`
   // must stay stable while pending: the service (and the prefetcher) hold
   // spans into it.
@@ -304,7 +300,6 @@ class QueryExecution {
   std::vector<uint32_t> miss_shards_;
   DetectorService::Ticket pending_ticket_ = 0;  // 0: nothing submitted.
   bool pending_detect_ = false;
-  uint64_t next_seq_ = 0;
   double charged_overhead_ = 0.0;
   bool finished_ = false;
   bool finalized_ = false;
@@ -326,12 +321,6 @@ class QueryRunner {
   /// discovery trace. Uses the batch pipeline with `options.batch_size` /
   /// `options.thread_pool`.
   QueryTrace Run(SearchStrategy* strategy);
-
-  /// \brief The pre-batching reference implementation: a strictly
-  /// single-frame pull loop over `NextFrame`/`Observe`, ignoring
-  /// `batch_size`/`thread_pool`. Kept as the equivalence baseline the batch
-  /// pipeline is tested against (batch_size=1 must be bit-identical).
-  QueryTrace RunSingleFrame(SearchStrategy* strategy);
 
  private:
   const scene::GroundTruth* truth_;

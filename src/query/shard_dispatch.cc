@@ -8,12 +8,11 @@ namespace query {
 ShardDispatcher::ShardDispatcher(const video::ShardedRepository* repo,
                                  std::vector<ShardContext> contexts)
     : repo_(repo), contexts_(std::move(contexts)) {
-  common::Check(repo_ != nullptr, "ShardDispatcher needs a sharded repository");
-  common::Check(contexts_.size() == repo_->NumShards(),
+  common::Check(contexts_.size() == (repo_ != nullptr ? repo_->NumShards() : 1),
                 "ShardDispatcher needs one context per shard");
   has_stores_ = true;
   for (uint32_t s = 0; s < contexts_.size(); ++s) {
-    if (repo_->Shard(s).TotalFrames() == 0) continue;  // Empty shards idle.
+    if (repo_ != nullptr && repo_->Shard(s).TotalFrames() == 0) continue;  // Idle.
     common::Check(contexts_[s].detector != nullptr,
                   "non-empty shard needs a detector context");
     if (contexts_[s].store == nullptr) has_stores_ = false;
@@ -22,6 +21,7 @@ ShardDispatcher::ShardDispatcher(const video::ShardedRepository* repo,
 }
 
 uint32_t ShardDispatcher::ShardOfFrame(video::FrameId frame) const {
+  if (repo_ == nullptr) return 0;
   auto shard = repo_->ShardOfFrame(frame);
   common::CheckOk(shard.status(), "picked frame outside the sharded repository");
   return shard.value();
@@ -47,16 +47,10 @@ video::ReadPlan ShardDispatcher::PlanDecode(video::FrameId frame, uint32_t shard
   video::SimulatedVideoStore* store = contexts_[shard].store;
   common::Check(store != nullptr, "shard has no decode store");
   auto plan = store->PlanRead(frame);
-  common::CheckOk(plan.status(), "sharded decode failed");
+  common::CheckOk(plan.status(), "decode planning failed");
   stats_[shard].frames_decoded += 1;
   stats_[shard].decode_seconds += plan.value().seconds;
   return plan.value();
-}
-
-double ShardDispatcher::ChargeDecode(video::FrameId frame, uint32_t shard) {
-  const video::ReadPlan plan = PlanDecode(frame, shard);
-  contexts_[shard].store->PerformRead(plan);
-  return plan.seconds;
 }
 
 }  // namespace query

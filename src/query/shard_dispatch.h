@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "video/decode.h"
 #include "video/sharded_repository.h"
@@ -12,13 +11,15 @@
 namespace exsample {
 namespace query {
 
-/// \brief One shard's execution resources: the detector that serves its
-/// frames, an optional decode store, and an optional private worker pool.
+/// \brief One shard's execution context: the detector that serves its frames
+/// and an optional decode store.
 ///
 /// In a real deployment this is "one machine's worth" of a query: the shard's
 /// video lives next to its decoder and detector, and only frame ids and
 /// detections cross the network. In this reproduction the members are
-/// in-process objects; the seam is what matters.
+/// in-process objects; the seam is what matters. Pools are not part of a
+/// context: detect fan-out belongs to the service's transport, decode work to
+/// the prefetcher's pool.
 struct ShardContext {
   /// Serves `Detect` for the shard's frames. Required for non-empty shards.
   /// Frames are addressed by *global* id (the shard's detector shares the
@@ -26,19 +27,11 @@ struct ShardContext {
   /// unsharded detector produces identical detections — the first half of the
   /// sharded-equals-unsharded equivalence contract.
   detect::ObjectDetector* detector = nullptr;
-  /// Optional per-shard decode accounting. A shard's store keeps its own
-  /// position state (each shard decodes independently), so sequential-read
-  /// locality is per shard. Must be built over the *global* repository view.
+  /// Optional decode accounting, built over the *global* repository view. A
+  /// store keeps its own position state, so per-shard stores price
+  /// sequential-read locality per shard; one store shared by every context
+  /// prices it globally, exactly as an unsharded run does.
   video::SimulatedVideoStore* store = nullptr;
-  /// Optional private pool the shard's device batches fan out over ("one
-  /// GPU's worth of workers") when a solo execution runs its own detector
-  /// service. Null runs them on the thread executing the batch.
-  common::ThreadPool* pool = nullptr;
-  /// Optional private I/O pool the shard's *decode prefetch* work runs on
-  /// (the disk+decoder next to the shard's video, kept separate from the
-  /// detect pool so decode and inference overlap instead of contending).
-  /// Null falls back to the prefetcher's own pool.
-  common::ThreadPool* io_pool = nullptr;
 };
 
 /// \brief Per-shard execution tallies.
@@ -50,32 +43,35 @@ struct ShardStats {
   double decode_seconds = 0.0;  ///< Simulated decode seconds charged.
 };
 
-/// \brief A sharded session's per-shard execution contexts: which shard
-/// owns a frame, which detector serves it, where its decode is charged, and
-/// the per-shard tallies.
+/// \brief A query execution's per-shard contexts: which shard owns a frame,
+/// which detector serves it, where its decode is charged, and the per-shard
+/// tallies. Every execution runs over one; an unsharded query's has a single
+/// shard that owns every frame.
 ///
-/// The dispatcher does not detect. A sharded session submits its picked
-/// batch to a `DetectorService` with each frame's owning shard
-/// (`ShardOfFrame`); the service queues the frames per shard, sends each
-/// shard's device batches through its transport, and the runner serving
-/// shard s resolves the session's `Context(s).detector`. Results land in
-/// fixed slots and detectors are per-frame deterministic, so shard count —
-/// like thread count everywhere else in the pipeline — changes wall-clock
-/// only, never the trace. The service books what it detected back here
+/// The dispatcher does not detect. An execution submits its picked batch to
+/// a `DetectorService` with each frame's owning shard (`ShardOfFrame`); the
+/// service queues the frames per shard, sends each shard's device batches
+/// through its transport, and the runner serving shard s resolves the
+/// session's `Context(s).detector`. Results land in fixed slots and
+/// detectors are per-frame deterministic, so shard count — like thread
+/// count everywhere else in the pipeline — changes wall-clock only, never the
+/// trace. The service books what it detected back here
 /// (`RecordServiceDetect`), and the decode prefetcher plans each frame's
 /// read on its shard's store (`PlanDecode`).
 class ShardDispatcher {
  public:
-  /// `repo` and every context member must outlive the dispatcher. `contexts`
-  /// must have one entry per shard; non-empty shards require a detector.
+  /// `repo`, when non-null, and every context member must outlive the
+  /// dispatcher. `contexts` must have one entry per shard of `repo`; a null
+  /// `repo` means one shard owning every frame, with exactly one context.
+  /// Non-empty shards require a detector.
   ShardDispatcher(const video::ShardedRepository* repo,
                   std::vector<ShardContext> contexts);
 
   size_t NumShards() const { return contexts_.size(); }
-  const video::ShardedRepository& repo() const { return *repo_; }
 
-  /// \brief The shard owning a global frame. Frames past the repository are a
-  /// fatal error (the strategy layer never emits them).
+  /// \brief The shard owning a global frame (0 without a repository). Frames
+  /// past the repository are a fatal error (the strategy layer never emits
+  /// them).
   uint32_t ShardOfFrame(video::FrameId frame) const;
 
   /// \brief Simulated per-frame detector cost of one shard.
@@ -85,21 +81,15 @@ class ShardDispatcher {
   /// `DetectorService` into `Stats()`, counted as one batch.
   void RecordServiceDetect(uint32_t shard, size_t frames);
 
-  /// \brief True when every non-empty shard has a decode store (decode is
-  /// then routed per shard instead of through the query-global store).
+  /// \brief True when every non-empty shard has a decode store (the
+  /// execution then decodes every frame on its owner's store).
   bool HasStores() const { return has_stores_; }
 
-  /// \brief Charges the decode of `frame` to `shard`'s store (which must be
-  /// the frame's owner, as `ShardOfFrame` reports) and returns the seconds
-  /// charged. Requires `HasStores()`. Synchronous: plans *and* performs the
-  /// read (`PlanDecode` + `PerformRead` on the shard's store).
-  double ChargeDecode(video::FrameId frame, uint32_t shard);
-
-  /// \brief Accounting half of `ChargeDecode`: plans the read on `shard`'s
-  /// store (advancing that shard's sequential position) and books the charge
-  /// into `Stats()`, without performing the decode work. The prefetcher calls
-  /// this in batch order — charges are bit-identical to `ChargeDecode` — and
-  /// later performs the plan on the shard's I/O pool. Requires `HasStores()`.
+  /// \brief Plans the decode of `frame` on `shard`'s store (advancing that
+  /// store's sequential position) and books the charge into `Stats()`,
+  /// without performing the decode work. `shard` must be the frame's owner,
+  /// as `ShardOfFrame` reports. The prefetcher calls this in batch order and
+  /// later performs the plan on its pool. Requires `HasStores()`.
   video::ReadPlan PlanDecode(video::FrameId frame, uint32_t shard);
 
   const ShardContext& Context(uint32_t shard) const { return contexts_[shard]; }

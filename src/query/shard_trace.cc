@@ -1,58 +1,7 @@
 #include "query/shard_trace.h"
 
-#include <limits>
-
 namespace exsample {
 namespace query {
-
-common::Result<QueryTrace> MergeShardTraces(std::string strategy_name,
-                                            uint64_t total_instances,
-                                            common::Span<const ShardTracePart> parts) {
-  QueryTrace trace;
-  trace.strategy_name = std::move(strategy_name);
-  trace.total_instances = total_instances;
-
-  // K-way merge by sequence number. Parts are few (one per shard plus the
-  // coordinator), so a linear scan per event beats heap bookkeeping.
-  std::vector<size_t> cursor(parts.size(), 0);
-  uint64_t last_seq = 0;
-  bool first = true;
-  DiscoveryPoint current;
-  for (;;) {
-    size_t best = parts.size();
-    uint64_t best_seq = std::numeric_limits<uint64_t>::max();
-    for (size_t p = 0; p < parts.size(); ++p) {
-      if (cursor[p] >= parts[p].events.size()) continue;
-      const uint64_t seq = parts[p].events[cursor[p]].seq;
-      if (seq < best_seq) {
-        best_seq = seq;
-        best = p;
-      }
-    }
-    if (best == parts.size()) break;
-    if (!first && best_seq <= last_seq) {
-      return common::Status::InvalidArgument(
-          "shard trace events must have unique, per-part increasing sequence numbers");
-    }
-    const ShardTraceEvent& event = parts[best].events[cursor[best]++];
-    last_seq = best_seq;
-    first = false;
-
-    // Replay the deltas in global order: the same additions, in the same
-    // order, as the direct single-repository accumulation.
-    current.seconds += event.seconds;
-    current.samples += event.samples;
-    current.reported_results += event.reported;
-    current.true_distinct += event.distinct;
-    if (event.emit_point) trace.points.push_back(current);
-  }
-
-  trace.final = current;
-  if (trace.points.empty() || trace.points.back().samples != current.samples) {
-    trace.points.push_back(current);
-  }
-  return trace;
-}
 
 bool TracesBitIdentical(const QueryTrace& a, const QueryTrace& b) {
   if (a.strategy_name != b.strategy_name) return false;

@@ -1,67 +1,14 @@
 #ifndef EXSAMPLE_QUERY_SHARD_TRACE_H_
 #define EXSAMPLE_QUERY_SHARD_TRACE_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/span.h"
-#include "common/status.h"
 #include "query/trace.h"
 
 namespace exsample {
 namespace query {
 
-/// \brief Shard id of the coordinator's partial trace: costs not attributable
-/// to any one shard (upfront scan, strategy overhead).
-inline constexpr int32_t kCoordinatorShard = -1;
-
-/// \brief One accounting event of a sharded query execution.
-///
-/// Events are the atoms a query trace is built from: each records the deltas
-/// one accounting step applied to the discovery counters, plus the global
-/// sequence number of that step. Sequence numbers are assigned by the
-/// coordinator in execution order and are unique across all shards, so the
-/// merged replay performs the exact same floating-point additions in the
-/// exact same order as a single-repository run — which is what makes merged
-/// traces bit-identical, not just approximately equal.
-struct ShardTraceEvent {
-  /// Global execution order of this event (unique across all parts).
-  uint64_t seq = 0;
-  /// Seconds charged by this event (decode, detect, overhead, upfront).
-  double seconds = 0.0;
-  /// Detector invocations this event accounts for (0 or 1).
-  uint32_t samples = 0;
-  /// Results reported for this frame (|d0|).
-  uint32_t reported = 0;
-  /// Ground-truth distinct instances newly covered by this frame.
-  uint32_t distinct = 0;
-  /// True when the single-repository run would record a discovery point
-  /// after this event (a counter changed or results were returned).
-  bool emit_point = false;
-};
-
-/// \brief The partial trace one shard (or the coordinator) accumulated over a
-/// query: its events, in that shard's local execution order.
-struct ShardTracePart {
-  int32_t shard_id = kCoordinatorShard;
-  std::vector<ShardTraceEvent> events;
-};
-
-/// \brief Merges per-shard partial traces into the global discovery trace.
-///
-/// Parts are k-way merged by sequence number (each part's events must be
-/// strictly increasing; sequence numbers must be unique across parts) and the
-/// counter deltas replayed in that global order. The result is bit-identical
-/// to the trace a single-repository execution accumulates directly — the
-/// deterministic-merge contract the shard equivalence suite enforces.
-common::Result<QueryTrace> MergeShardTraces(std::string strategy_name,
-                                            uint64_t total_instances,
-                                            common::Span<const ShardTracePart> parts);
-
 /// \brief True when two traces are exactly equal: same metadata, same points,
-/// and bit-identical seconds (no tolerance — the merge and equivalence
-/// contracts are exact, not approximate).
+/// and bit-identical seconds (no tolerance — the equivalence contracts are
+/// exact, not approximate).
 bool TracesBitIdentical(const QueryTrace& a, const QueryTrace& b);
 
 }  // namespace query

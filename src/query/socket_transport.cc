@@ -93,23 +93,38 @@ common::Status ReadAll(int fd, uint8_t* data, size_t size) {
   return common::Status::OK();
 }
 
-/// Numeric-IPv4 (or "localhost") connect with a poll-bounded handshake.
-/// Returns the connected fd, left non-blocking, or -1.
-int ConnectWithTimeout(const std::string& endpoint, double timeout_seconds) {
+/// Parses a "host:port" shard endpoint. The host is a numeric IPv4 address
+/// or "localhost" (empty means localhost too); the port is decimal, 1..65535.
+/// A malformed entry is a deployment error, reported by name.
+common::Result<sockaddr_in> ParseEndpoint(const std::string& endpoint) {
   const size_t colon = endpoint.rfind(':');
-  common::Check(colon != std::string::npos && colon + 1 < endpoint.size(),
-                "shard host must be host:port");
+  const std::string digits =
+      colon == std::string::npos ? std::string() : endpoint.substr(colon + 1);
+  const bool numeric =
+      !digits.empty() && digits.size() <= 5 &&
+      std::all_of(digits.begin(), digits.end(),
+                  [](char c) { return c >= '0' && c <= '9'; });
+  const long port = numeric ? std::strtol(digits.c_str(), nullptr, 10) : 0;
+  if (port < 1 || port > 65535) {
+    return common::Status::FailedPrecondition(
+        "shard host '" + endpoint + "' must be host:port with a port in 1..65535");
+  }
   std::string host = endpoint.substr(0, colon);
-  const long port = std::strtol(endpoint.c_str() + colon + 1, nullptr, 10);
-  common::Check(port > 0 && port <= 65535, "shard host has an invalid port");
   if (host.empty() || host == "localhost") host = "127.0.0.1";
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
-  common::Check(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                "shard host must be a numeric IPv4 address or localhost");
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return common::Status::FailedPrecondition(
+        "shard host '" + endpoint +
+        "' must be a numeric IPv4 address or localhost");
+  }
+  return addr;
+}
 
+/// Connect with a poll-bounded handshake. Returns the connected fd, left
+/// non-blocking, or -1.
+int ConnectWithTimeout(const sockaddr_in& addr, double timeout_seconds) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -208,10 +223,17 @@ SocketTransport::SocketTransport(size_t num_shards,
   common::Check(options_.hosts.size() == num_shards,
                 "socket transport needs one shard host per shard");
   // Connections are opened lazily (first RegisterSession/Send), so the
-  // transport can be constructed before the fleet is up.
+  // transport can be constructed before the fleet is up. Endpoints are
+  // parsed now: the first malformed one fails every registration.
   conns_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     conns_.push_back(std::make_unique<Conn>());
+    common::Result<sockaddr_in> addr = ParseEndpoint(options_.hosts[s]);
+    if (addr.ok()) {
+      conns_.back()->addr = addr.value();
+    } else if (hosts_status_.ok()) {
+      hosts_status_ = addr.status();
+    }
   }
 }
 
@@ -225,9 +247,9 @@ bool SocketTransport::EnsureConnectedLocked(uint32_t shard,
                                             Clock::time_point now, Lock& lock) {
   Conn& conn = *conns_[shard];
   if (conn.fd >= 0) return true;
+  if (!hosts_status_.ok()) return false;  // A malformed fleet never connects.
   if (now < conn.next_attempt) return false;  // Backoff window: fail fast.
-  const int fd =
-      ConnectWithTimeout(options_.hosts[shard], options_.connect_timeout_seconds);
+  const int fd = ConnectWithTimeout(conn.addr, options_.connect_timeout_seconds);
   if (fd < 0) {
     conn.backoff_seconds =
         conn.backoff_seconds <= 0.0
@@ -409,6 +431,7 @@ void SocketTransport::ReadLocked(uint32_t shard) {
 }
 
 common::Status SocketTransport::RegisterSession(const RegisterSessionMsg& msg) {
+  if (!hosts_status_.ok()) return hosts_status_;
   Lock lock(mu_);
   std::vector<uint8_t> bytes = SerializeRegisterSession(msg);
   const common::Span<const uint8_t> frame(bytes.data(), bytes.size());

@@ -1,6 +1,8 @@
 #ifndef EXSAMPLE_QUERY_SOCKET_TRANSPORT_H_
 #define EXSAMPLE_QUERY_SOCKET_TRANSPORT_H_
 
+#include <netinet/in.h>
+
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -107,14 +109,15 @@ struct SocketTransportOptions {
 ///
 /// ## Session deployment
 ///
-/// `RegisterSession` ships the session's detector configuration to every
-/// shard, then waits briefly for all their acks at once (`kRepoMismatch`
-/// acks fail the registration with `FailedPrecondition` — a
-/// mis-deployment, never retryable). Every live session's registration
-/// frame is kept and *replayed* on each (re)connect before any detect frame
-/// crosses, so a restarted server is re-deployed transparently — TCP's
-/// in-order delivery guarantees the runner materializes the session before
-/// any batch that references it.
+/// `RegisterSession` fails with `FailedPrecondition` when an entry of
+/// `hosts` is malformed (parsed once, at construction). Otherwise it ships
+/// the session's detector configuration to every shard, then waits briefly
+/// for all their acks at once (`kRepoMismatch` acks fail the registration
+/// with `FailedPrecondition` — a mis-deployment, never retryable). Every
+/// live session's registration frame is kept and *replayed* on each
+/// (re)connect before any detect frame crosses, so a restarted server is
+/// re-deployed transparently — TCP's in-order delivery guarantees the runner
+/// materializes the session before any batch that references it.
 ///
 /// `Stats()` and `InFlight()` may be called from any thread: the state they
 /// read sits under one mutex, which the coordinator releases while it
@@ -144,6 +147,8 @@ class SocketTransport : public ShardTransport {
   using Lock = std::unique_lock<std::mutex>;
 
   struct Conn {
+    /// The shard's endpoint, parsed once at construction.
+    sockaddr_in addr{};
     /// The connected non-blocking socket, or -1 while disconnected.
     int fd = -1;
     bool ever_connected = false;
@@ -206,6 +211,9 @@ class SocketTransport : public ShardTransport {
   bool DispatchFrameLocked(uint32_t shard, common::Span<const uint8_t> frame);
 
   SocketTransportOptions options_;
+  /// OK, or `FailedPrecondition` naming the first malformed entry of
+  /// `options_.hosts`; `RegisterSession` returns it.
+  common::Status hosts_status_;
 
   /// Guards what `Stats()`/`InFlight()` read from other threads; the
   /// coordinator holds it except while it waits in `poll()`.

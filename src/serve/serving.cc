@@ -366,10 +366,10 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
   common::Check(live.empty(), "admitted session left unresolved");
 
   if (options_.verify_solo_traces) {
-    // The determinism contract, enforced the MergeShardTraces way: every
-    // completed query re-runs solo on the same engine and must reproduce its
-    // served trace bit for bit — admission, tenancy, and scheduling may
-    // reorder work but never change what any query computes.
+    // The determinism contract, enforced fatally: every completed query
+    // re-runs solo on the same engine and must reproduce its served trace
+    // bit for bit — admission, tenancy, and scheduling may reorder work but
+    // never change what any query computes.
     for (size_t i = 0; i < queries.size(); ++i) {
       if (outcomes[i].kind != OutcomeKind::kCompleted) continue;
       const engine::QuerySpec& spec = queries[i].spec;

@@ -59,9 +59,9 @@ struct ServeOptions {
   /// engine's configured `EngineConfig::scheduler` (seed and starvation
   /// bound always mirror the engine's).
   std::optional<query::SchedulerKind> inner_scheduler;
-  /// Determinism contract, enforced fatally like `MergeShardTraces`: after
-  /// serving, every completed query is re-run solo on the same engine and
-  /// its trace `Check`ed bit-identical to the served one. Requires
+  /// Determinism contract, enforced fatally: after serving, every completed
+  /// query is re-run solo on the same engine and its trace `Check`ed
+  /// bit-identical (`query::TracesBitIdentical`) to the served one. Requires
   /// cross-query reuse to be off (reuse is the one engine feature that
   /// deliberately couples queries). Test/bench use — it doubles the work.
   bool verify_solo_traces = false;

@@ -2,8 +2,8 @@
 //
 // The refactor's contract, proven here:
 //  (a) batch_size=1 with no thread pool yields a trace *bit-identical* to the
-//      legacy single-frame pull loop (`QueryRunner::RunSingleFrame`) for
-//      every `engine::Method` — batching is a pure generalization;
+//      legacy single-frame pull loop (`RunSingleFrame` below) for every
+//      `engine::Method` — batching is a pure generalization;
 //  (b) traces are invariant to thread-pool size for fixed seeds (threads buy
 //      wall-clock, never different answers);
 //  (c) `NextBatch` never returns a frame twice and drains the repository
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "engine/search_engine.h"
@@ -46,6 +47,77 @@ struct Fixture {
     return fx;
   }
 };
+
+// The pre-batching reference implementation: a strictly single-frame pull
+// loop over `NextFrame`/`Observe` (Algorithm 1 verbatim), ignoring
+// `batch_size`/`thread_pool`. The batch pipeline is tested against it:
+// batch_size=1 must be bit-identical.
+query::QueryTrace RunSingleFrame(const scene::GroundTruth& truth,
+                                 detect::ObjectDetector* detector,
+                                 track::Discriminator* discriminator,
+                                 const query::RunnerOptions& options,
+                                 query::SearchStrategy* strategy) {
+  query::QueryTrace trace;
+  trace.strategy_name = strategy->name();
+  trace.total_instances = truth.NumInstances(options.recall_class);
+
+  std::unordered_set<scene::InstanceId> found;
+  query::DiscoveryPoint current;
+  current.seconds = strategy->UpfrontCostSeconds();
+  trace.points.push_back(current);
+  double charged_overhead = 0.0;
+
+  while (current.samples < options.max_samples &&
+         current.reported_results < options.result_limit &&
+         current.true_distinct < options.true_distinct_target) {
+    const std::optional<video::FrameId> frame = strategy->NextFrame();
+    if (!frame.has_value()) break;
+
+    // Charge any incremental strategy overhead (e.g. lazy proxy scoring)
+    // accrued while choosing this frame.
+    const double overhead = strategy->CumulativeOverheadSeconds();
+    current.seconds += overhead - charged_overhead;
+    charged_overhead = overhead;
+
+    if (options.video_store != nullptr) {
+      const common::Result<video::ReadPlan> plan =
+          options.video_store->PlanRead(*frame);
+      if (plan.ok()) {
+        options.video_store->PerformRead(plan.value());
+        current.seconds += plan.value().seconds;
+      }
+    }
+    current.seconds += detector->SecondsPerFrame();
+
+    const detect::Detections dets = detector->Detect(*frame);
+    const track::MatchResult result = discriminator->Observe(*frame, dets);
+    strategy->Observe(*frame, result.d0.size(), result.d1.size());
+
+    ++current.samples;
+    current.reported_results += result.d0.size();
+
+    bool changed = false;
+    for (const detect::Detection& det : result.d0) {
+      if (!det.IsTruePositive()) continue;
+      if (options.recall_class != scene::GroundTruth::kAllClasses &&
+          det.class_id != options.recall_class) {
+        continue;
+      }
+      if (found.insert(det.source_instance).second) {
+        ++current.true_distinct;
+        changed = true;
+      }
+    }
+    if (changed || !result.d0.empty()) {
+      trace.points.push_back(current);
+    }
+  }
+  trace.final = current;
+  if (trace.points.empty() || trace.points.back().samples != current.samples) {
+    trace.points.push_back(current);
+  }
+  return trace;
+}
 
 const engine::Method kAllMethods[] = {
     engine::Method::kExSample,   engine::Method::kExSampleAdaptive,
@@ -84,9 +156,12 @@ query::QueryTrace RunOnce(Fixture& fx, engine::Method method, bool batched,
   options.max_samples = 3000;
   options.batch_size = batch_size;
   options.thread_pool = pool;
+  if (!batched) {
+    return RunSingleFrame(fx.truth, &detector, &discriminator, options,
+                          strategy.value().get());
+  }
   query::QueryRunner runner(&fx.truth, &detector, &discriminator, options);
-  return batched ? runner.Run(strategy.value().get())
-                 : runner.RunSingleFrame(strategy.value().get());
+  return runner.Run(strategy.value().get());
 }
 
 void ExpectTracesIdentical(const query::QueryTrace& a, const query::QueryTrace& b,
@@ -161,8 +236,8 @@ TEST(BatchPipelineTest, RunnerBatchEqualsStrategyInternalBatch) {
   query::RunnerOptions ro;
   ro.recall_class = 0;
   ro.max_samples = 3000;  // Deliberately not a multiple of kBatch.
-  query::QueryRunner runner_a(&fx->truth, &det_a, &disc_a, ro);
-  const query::QueryTrace legacy = runner_a.RunSingleFrame(&legacy_strategy);
+  const query::QueryTrace legacy =
+      RunSingleFrame(fx->truth, &det_a, &disc_a, ro, &legacy_strategy);
 
   // Batch-first: the runner owns the batch, the strategy stays plain.
   core::ExSampleOptions plain_opts;

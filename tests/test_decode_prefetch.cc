@@ -9,7 +9,7 @@
 //      any thread/I-O pool configuration) produces a trace bit-identical to
 //      the synchronous decode path (depth 0) — overlap buys wall-clock only;
 //  (d) the same holds composed with sharding (prefetch × shards {1, 2, 5},
-//      per-shard stores and I/O pools), and under concurrent sessions
+//      per-shard stores and detect pools), and under concurrent sessions
 //      sharing the engine's prefetch pools.
 
 #include <gtest/gtest.h>
@@ -101,6 +101,22 @@ void ExpectTracesIdentical(const query::QueryTrace& a, const query::QueryTrace& 
   }
 }
 
+// The one-shard dispatcher an unsharded execution builds over its detector
+// and store. The prefetcher only plans and performs reads through it.
+struct OneShard {
+  scene::GroundTruth truth;
+  detect::SimulatedDetector detector{&truth, {}};
+  query::ShardDispatcher dispatcher;
+
+  OneShard(video::SimulatedVideoStore* store, uint64_t frames)
+      : truth({}, frames), dispatcher(nullptr, {query::ShardContext{&detector, store}}) {}
+};
+
+// Every frame of a one-shard batch is owned by shard 0.
+std::vector<uint32_t> ShardZero(size_t frames) {
+  return std::vector<uint32_t>(frames, 0);
+}
+
 // (a) PlanRead + PerformRead is ReadAndDecode, split: charges, read
 // classification, and position state advance identically, read for read.
 TEST(DecodePlanTest, PlanPerformSplitMatchesSynchronousReads) {
@@ -163,10 +179,12 @@ TEST(DecodePrefetcherTest, ChargesMatchSynchronousOrderAndWindowIsBounded) {
 
   query::PrefetchOptions options;
   options.depth = 2;
-  query::DecodePrefetcher prefetcher(&store, &pool, options);
+  OneShard shard(&store, repo.TotalFrames());
+  query::DecodePrefetcher prefetcher(&shard.dispatcher, &pool, options);
 
   const std::vector<video::FrameId> frames = {10, 11, 900, 12, 1500, 13, 901, 14};
-  const std::vector<double>& charges = prefetcher.SubmitBatch(frames);
+  const std::vector<double>& charges =
+      prefetcher.SubmitBatch(frames, ShardZero(frames.size()));
   ASSERT_EQ(charges.size(), frames.size());
   for (size_t i = 0; i < frames.size(); ++i) {
     const double before = reference.Stats().total_seconds;
@@ -195,9 +213,10 @@ TEST(DecodePrefetcherTest, DepthZeroDecodesInlineAtSubmit) {
   common::ThreadPool pool(3);
   query::PrefetchOptions options;
   options.depth = 0;
-  query::DecodePrefetcher prefetcher(&store, &pool, options);
+  OneShard shard(&store, repo.TotalFrames());
+  query::DecodePrefetcher prefetcher(&shard.dispatcher, &pool, options);
   const std::vector<video::FrameId> frames = {5, 6, 7, 300};
-  prefetcher.SubmitBatch(frames);
+  prefetcher.SubmitBatch(frames, ShardZero(frames.size()));
   // Everything decoded synchronously: cached before any wait.
   for (const video::FrameId frame : frames) {
     EXPECT_TRUE(prefetcher.Cached(frame));
@@ -207,7 +226,7 @@ TEST(DecodePrefetcherTest, DepthZeroDecodesInlineAtSubmit) {
   // Submitting another batch drains the first; synchronous mode must never
   // report read-ahead (the whole batch decodes at submit, not ahead of it).
   const std::vector<video::FrameId> next = {400, 401};
-  prefetcher.SubmitBatch(next);
+  prefetcher.SubmitBatch(next, ShardZero(next.size()));
   prefetcher.Drain();
   EXPECT_EQ(prefetcher.stats().max_ahead, 0u);
 }
@@ -218,67 +237,16 @@ TEST(DecodePrefetcherTest, SubmitDrainsThePreviousBatch) {
   common::ThreadPool pool(2);
   query::PrefetchOptions options;
   options.depth = 4;
-  query::DecodePrefetcher prefetcher(&store, &pool, options);
+  OneShard shard(&store, repo.TotalFrames());
+  query::DecodePrefetcher prefetcher(&shard.dispatcher, &pool, options);
   const std::vector<video::FrameId> first = {1, 2, 3, 4, 5, 6};
-  prefetcher.SubmitBatch(first);  // Never waited on.
+  prefetcher.SubmitBatch(first, ShardZero(first.size()));  // Never waited on.
   const std::vector<video::FrameId> second = {100, 101};
-  prefetcher.SubmitBatch(second);
+  prefetcher.SubmitBatch(second, ShardZero(second.size()));
   EXPECT_FALSE(prefetcher.Cached(1));  // Previous batch evicted...
   EXPECT_GE(store.Stats().frames_decoded, 8u);  // ...but fully decoded.
   prefetcher.Drain();
   EXPECT_TRUE(prefetcher.Cached(100));
-}
-
-// ChargeDecode (the synchronous shard-decode wrapper custom runners can
-// still call) is PlanDecode + PerformRead: identical charges, stats, and
-// per-shard position state, frame for frame.
-TEST(DecodePrefetcherTest, ShardChargeDecodeMatchesPlanDecode) {
-  const video::VideoRepository repo = video::VideoRepository::UniformClips(4, 500);
-  auto sharded = video::ShardedRepository::ShardByClips(repo, 2);
-  ASSERT_TRUE(sharded.ok());
-
-  scene::SceneSpec spec;
-  spec.total_frames = repo.TotalFrames();
-  common::Rng rng(3);
-  auto truth = scene::GenerateScene(spec, nullptr, rng).value();
-
-  auto make_dispatcher = [&](std::vector<std::unique_ptr<detect::SimulatedDetector>>*
-                                 detectors,
-                             std::vector<std::unique_ptr<video::SimulatedVideoStore>>*
-                                 stores) {
-    std::vector<query::ShardContext> contexts(2);
-    for (uint32_t s = 0; s < 2; ++s) {
-      detectors->push_back(std::make_unique<detect::SimulatedDetector>(
-          &truth, detect::DetectorOptions::Perfect(0)));
-      stores->push_back(std::make_unique<video::SimulatedVideoStore>(
-          &sharded.value().Global(), video::DecodeCostModel{}));
-      contexts[s].detector = detectors->back().get();
-      contexts[s].store = stores->back().get();
-    }
-    return std::make_unique<query::ShardDispatcher>(&sharded.value(),
-                                                    std::move(contexts));
-  };
-
-  std::vector<std::unique_ptr<detect::SimulatedDetector>> det_a, det_b;
-  std::vector<std::unique_ptr<video::SimulatedVideoStore>> stores_a, stores_b;
-  auto charged = make_dispatcher(&det_a, &stores_a);
-  auto planned = make_dispatcher(&det_b, &stores_b);
-
-  const video::FrameId frames[] = {0, 1, 700, 701, 2, 1300, 1301, 702};
-  for (const video::FrameId frame : frames) {
-    const uint32_t shard = charged->ShardOfFrame(frame);
-    const double seconds = charged->ChargeDecode(frame, shard);
-    const video::ReadPlan plan = planned->PlanDecode(frame, shard);
-    EXPECT_EQ(seconds, plan.seconds) << "frame " << frame;
-    stores_b[shard]->PerformRead(plan);
-  }
-  for (uint32_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(stores_a[s]->Stats().total_seconds, stores_b[s]->Stats().total_seconds);
-    EXPECT_EQ(stores_a[s]->Stats().sequential_reads,
-              stores_b[s]->Stats().sequential_reads);
-    EXPECT_EQ(charged->Stats()[s].decode_seconds, planned->Stats()[s].decode_seconds);
-    EXPECT_EQ(charged->Stats()[s].frames_decoded, planned->Stats()[s].frames_decoded);
-  }
 }
 
 // (c) For every method, prefetching decode (any depth, any pool layout)
@@ -350,14 +318,16 @@ TEST(DecodePrefetchEquivalenceTest, SessionPrefetcherStatsBalance) {
   EXPECT_EQ(stats.frames, trace.final.samples);
   EXPECT_LE(stats.max_ahead, 4u);
   EXPECT_GT(stats.async_reads, 0u);
-  ASSERT_NE(session.value()->video_store(), nullptr);
-  const video::DecodeStats& decode = session.value()->video_store()->Stats();
+  const video::SimulatedVideoStore* store =
+      session.value()->shard_dispatcher()->Context(0).store;
+  ASSERT_NE(store, nullptr);
+  const video::DecodeStats& decode = store->Stats();
   EXPECT_EQ(decode.random_reads + decode.sequential_reads, trace.final.samples);
 }
 
 // (d) Composed with sharding: at every shard count, the prefetching path
 // reproduces that shard count's synchronous trace bit for bit (per-shard
-// stores and position state, per-shard I/O pools and all).
+// stores and position state, per-shard detect pools and all).
 TEST(DecodePrefetchShardingTest, AllMethodsBitIdenticalAtEveryShardCount) {
   auto fx = DecodeFixture::Make();
   for (const size_t shards : {1u, 2u, 5u}) {
@@ -371,7 +341,6 @@ TEST(DecodePrefetchShardingTest, AllMethodsBitIdenticalAtEveryShardCount) {
       for (const size_t depth : {1u, 4u}) {
         engine::EngineConfig config = DecodeConfig(depth, /*num_threads=*/4);
         config.threads_per_shard = 2;
-        config.io_threads_per_shard = 1;
         engine::SearchEngine engine(&sharded_repo.value(), &fx->chunking, &fx->truth,
                                     config);
         auto trace = engine.FindDistinct(0, 30, MakeQueryOptions(method));

@@ -395,13 +395,19 @@ struct ServiceFixture {
   std::unique_ptr<DistFixture> fx = DistFixture::Make(1);
   detect::SimulatedDetector detector{&fx->truth,
                                      detect::DetectorOptions::Perfect(0)};
+  // The one-shard dispatcher an unsharded session runs over.
+  query::ShardDispatcher dispatcher{nullptr, {query::ShardContext{&detector, nullptr}}};
+  // Owner of every frame of a one-shard request (prefix-viewed per request).
+  std::vector<uint32_t> shard_zero = std::vector<uint32_t>(64, 0);
 
   query::DetectorService::DetectRequest Request(
       const std::vector<video::FrameId>& frames, uint64_t session_id = 1) {
+    common::Check(frames.size() <= shard_zero.size(), "fixture request too large");
     query::DetectorService::DetectRequest request;
     request.session_id = session_id;
     request.frames = common::Span<const video::FrameId>(frames.data(), frames.size());
-    request.detector = &detector;
+    request.shards = common::Span<const uint32_t>(shard_zero.data(), frames.size());
+    request.dispatcher = &dispatcher;
     return request;
   }
 
@@ -423,7 +429,9 @@ TEST(FlushPolicyTest, FillTriggerShipsFullWireBatches) {
   ServiceFixture fixture;
   query::DetectorServiceOptions options;
   options.device_batch = 4;
-  options.flush_policy = query::FlushPolicy::kLatencyAware;
+  // Latency-aware, with a deadline far past the test's runtime: only the
+  // fill trigger can fire.
+  options.flush_deadline_seconds = 3600.0;
   query::DetectorService service(options, 1);
 
   // A full wire batch ships at submit, without any barrier flush.
@@ -449,7 +457,7 @@ TEST(FlushPolicyTest, FillTriggerLeavesThePartialTailQueued) {
   ServiceFixture fixture;
   query::DetectorServiceOptions options;
   options.device_batch = 4;
-  options.flush_policy = query::FlushPolicy::kLatencyAware;
+  options.flush_deadline_seconds = 3600.0;  // Only the fill trigger fires.
   query::DetectorService service(options, 1);
 
   // Six frames: one full slice ships, two frames stay queued — the ticket
@@ -468,7 +476,6 @@ TEST(FlushPolicyTest, DeadlineTriggerShipsStaleQueues) {
   ServiceFixture fixture;
   query::DetectorServiceOptions options;
   options.device_batch = 64;  // Never fills.
-  options.flush_policy = query::FlushPolicy::kLatencyAware;
   options.flush_deadline_seconds = 0.0002;
   query::DetectorService service(options, 1);
 
@@ -615,10 +622,17 @@ TEST(DistTransportTest, RetryBudgetResetsPerRunnerDeterministic) {
   options.transport = &transport;
   query::DetectorService service(options, 2);
 
+  // Two shards over the fixture repository, one detector serving both.
+  auto sharded = video::ShardedRepository::ShardByClips(fixture.fx->repo, 2);
+  ASSERT_TRUE(sharded.ok());
+  query::ShardDispatcher dispatcher(
+      &sharded.value(), {query::ShardContext{&fixture.detector, nullptr},
+                         query::ShardContext{&fixture.detector, nullptr}});
   const std::vector<video::FrameId> frames = {10, 20, 30};
   const std::vector<uint32_t> shards = {0, 0, 1};  // Slices for both runners.
   query::DetectorService::DetectRequest request = fixture.Request(frames);
-  request.shards = common::Span<const uint32_t>(shards.data(), shards.size());
+  request.shards = shards;
+  request.dispatcher = &dispatcher;
   const auto ticket = service.Submit(request);
   service.Flush();
 
@@ -848,6 +862,36 @@ TEST(SocketTransportTest, RepositoryMismatchAckFailsRegistrationByName) {
   EXPECT_EQ(result.status().code(), common::StatusCode::kFailedPrecondition);
   EXPECT_NE(result.status().message().find("fingerprint"), std::string::npos)
       << result.status().ToString();
+}
+
+TEST(SocketTransportTest, MalformedShardHostFailsRegistrationByName) {
+  // An endpoint the transport cannot parse is a deployment error: every
+  // registration fails with FailedPrecondition naming the entry, and nothing
+  // aborts.
+  for (const char* host :
+       {"not-a-host:1", "127.0.0.1", "127.0.0.1:", "127.0.0.1:0",
+        "127.0.0.1:65536", "127.0.0.1:7001x", "localhost:-1"}) {
+    query::SocketTransportOptions options;
+    options.hosts = {host};
+    query::SocketTransport transport(1, options);
+    query::RegisterSessionMsg msg;
+    msg.session_id = 1;
+    const common::Status status = transport.RegisterSession(msg);
+    EXPECT_EQ(status.code(), common::StatusCode::kFailedPrecondition) << host;
+    EXPECT_NE(status.message().find(std::string("'") + host + "'"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(transport.Stats().connects, 0u) << host;
+  }
+}
+
+TEST(SocketTransportTest, MalformedShardHostFailsQueriesWithAStatus) {
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  SearchEngine engine = MakeEngine(*fx, 1, SocketConfig({"not-a-host:1"}));
+  auto found = engine.FindDistinct(/*class_id=*/0, /*limit=*/5);
+  ASSERT_FALSE(found.ok()) << "a malformed fleet must not return a trace";
+  EXPECT_EQ(found.status().code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(found.status().message().find("not-a-host:1"), std::string::npos)
+      << found.status().ToString();
 }
 
 // --- Socket transport I/O model: scripted peers ------------------------------

@@ -82,6 +82,22 @@ std::vector<ConfigRow> Configs() {
   engine::EngineConfig reuse;
   reuse.reuse = reuse::ReuseOptions::All();
   rows.push_back({"reuse-all-twice", reuse, 1, 2});
+
+  // Unsharded simulated decode under full reuse, two consecutive queries:
+  // the engine shape of the repository benchmark's analyst workload.
+  engine::EngineConfig decode_reuse;
+  decode_reuse.simulate_decode = true;
+  decode_reuse.reuse = reuse::ReuseOptions::All();
+  rows.push_back({"decode-reuse", decode_reuse, 1, 2});
+
+  // Unsharded simulated decode with prefetch depth 4 on a 2-thread I/O pool
+  // beside a 2-thread detect pool, batch 8.
+  engine::EngineConfig decode_prefetch;
+  decode_prefetch.simulate_decode = true;
+  decode_prefetch.prefetch_depth = 4;
+  decode_prefetch.num_threads = 2;
+  decode_prefetch.io_threads = 2;
+  rows.push_back({"decode-prefetch", decode_prefetch, 8, 1});
   return rows;
 }
 
@@ -93,7 +109,9 @@ struct Golden {
 };
 
 // Computed on the commit that introduced this suite, before the detect
-// paths were merged into one. Re-pin only for an intended trace change.
+// paths were merged into one; the decode-* rows on the last commit before
+// unsharded sessions ran over one-shard contexts. Re-pin only for an
+// intended trace change.
 const Golden kGolden[] = {
     // clang-format off
     {"default", "exsample", 1, 0x4722b3aaf8cfd798ULL},
@@ -152,6 +170,34 @@ const Golden kGolden[] = {
     {"reuse-all-twice", "proxy", 2, 0xf1c909c2eb7d743dULL},
     {"reuse-all-twice", "hybrid", 1, 0x14e2bbd233c4c363ULL},
     {"reuse-all-twice", "hybrid", 2, 0x7ac78c435c1d93acULL},
+    {"decode-reuse", "exsample", 1, 0x41750a3054d3ad10ULL},
+    {"decode-reuse", "exsample", 2, 0xfdabbb4c90a30231ULL},
+    {"decode-reuse", "exsample-adaptive", 1, 0xf624cb51f2226077ULL},
+    {"decode-reuse", "exsample-adaptive", 2, 0x3f4930766b38da33ULL},
+    {"decode-reuse", "random", 1, 0xf5a9ce427b274ae4ULL},
+    {"decode-reuse", "random", 2, 0x7056a42964f84860ULL},
+    {"decode-reuse", "random+", 1, 0x2e23a5393dea7a51ULL},
+    {"decode-reuse", "random+", 2, 0x1bd57d77e92a548bULL},
+    {"decode-reuse", "sequential", 1, 0xf409638008fdbbd6ULL},
+    {"decode-reuse", "sequential", 2, 0xf409638008fdbbd6ULL},
+    {"decode-reuse", "proxy", 1, 0x6bd07014ff0ce511ULL},
+    {"decode-reuse", "proxy", 2, 0x5637693823395f7aULL},
+    {"decode-reuse", "hybrid", 1, 0x24034ab297fecaf5ULL},
+    {"decode-reuse", "hybrid", 2, 0x4e38739d24c7592eULL},
+    {"decode-prefetch", "exsample", 1, 0x07001151ed2419f8ULL},
+    {"decode-prefetch", "exsample", 2, 0x602308c9d0971498ULL},
+    {"decode-prefetch", "exsample-adaptive", 1, 0xf787592e1170e7b4ULL},
+    {"decode-prefetch", "exsample-adaptive", 2, 0xc4180a03f950c718ULL},
+    {"decode-prefetch", "random", 1, 0x1763026bc7b7b319ULL},
+    {"decode-prefetch", "random", 2, 0xa0e371cae621194cULL},
+    {"decode-prefetch", "random+", 1, 0x1682a736abacba7aULL},
+    {"decode-prefetch", "random+", 2, 0x8b97a83eb38e0b09ULL},
+    {"decode-prefetch", "sequential", 1, 0xa6531ea0d9e85da3ULL},
+    {"decode-prefetch", "sequential", 2, 0xa6531ea0d9e85da3ULL},
+    {"decode-prefetch", "proxy", 1, 0xa201fe3ca3af39a6ULL},
+    {"decode-prefetch", "proxy", 2, 0xb5169906672c8c35ULL},
+    {"decode-prefetch", "hybrid", 1, 0x3290a2125cafb7bcULL},
+    {"decode-prefetch", "hybrid", 2, 0x36603baa1c657da6ULL},
     // clang-format on
 };
 

@@ -7,8 +7,9 @@
 // reorders and refuses work but never changes what an admitted query
 // computes — admitted sessions' traces are bit-identical to solo runs for a
 // fixed tenant spec and seed (TenantServer's verify_solo_traces enforces it
-// fatally, the MergeShardTraces way). The suite carries the `tenant` label
-// (plus `concurrency`: the threaded-engine serving test is a TSan target).
+// fatally, through query::TracesBitIdentical). The suite carries the
+// `tenant` label (plus `concurrency`: the threaded-engine serving test is a
+// TSan target).
 
 #include <gtest/gtest.h>
 

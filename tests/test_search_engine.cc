@@ -284,11 +284,21 @@ TEST(SearchEngineShardTest, SessionExposesShardObservability) {
     detected += stats.frames_detected;
   }
   EXPECT_EQ(detected, trace.final.samples);
-  // Unsharded engines have no dispatcher.
+  // Unsharded engines run every session over one shard context, with the
+  // same attribution.
   engine::SearchEngine plain(&fx->repo, &fx->chunking, &fx->truth, OracleConfig());
   auto plain_session = plain.CreateSession(0, 10);
   ASSERT_TRUE(plain_session.ok());
-  EXPECT_EQ(plain_session.value()->shard_dispatcher(), nullptr);
+  const query::ShardDispatcher* one_shard = plain_session.value()->shard_dispatcher();
+  ASSERT_NE(one_shard, nullptr);
+  EXPECT_EQ(one_shard->NumShards(), 1u);
+  const query::QueryTrace plain_trace = plain_session.value()->Finish();
+  uint64_t plain_detected = 0;
+  for (const query::ShardStats& stats : one_shard->Stats()) {
+    plain_detected += stats.frames_detected;
+  }
+  EXPECT_EQ(plain_detected, plain_trace.final.samples);
+  EXPECT_GT(plain_detected, 0u);
 }
 
 TEST(MethodNameTest, AllNamed) {

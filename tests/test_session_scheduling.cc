@@ -349,23 +349,31 @@ TEST(DetectorServiceTest, SlicesQueueAndRoutesResultsPerRequest) {
   detect::SimulatedDetector det_a(&fx->truth, detect::DetectorOptions::Perfect(0));
   detect::SimulatedDetector det_b(&fx->truth, detect::DetectorOptions::Perfect(0));
 
+  // Each session runs over its own one-shard dispatcher.
+  query::ShardDispatcher dispatcher_a(nullptr, {query::ShardContext{&det_a, nullptr}});
+  query::ShardDispatcher dispatcher_b(nullptr, {query::ShardContext{&det_b, nullptr}});
+
   query::DetectorServiceOptions options;
   options.device_batch = 4;
   query::DetectorService service(options);
 
   const std::vector<video::FrameId> frames_a = {10, 2000, 30000};
   const std::vector<video::FrameId> frames_b = {11, 2001, 30001, 40001, 50001};
+  const std::vector<uint32_t> shards_a(frames_a.size(), 0);
+  const std::vector<uint32_t> shards_b(frames_b.size(), 0);
   query::SessionSchedulerStats stats_a, stats_b;
 
   query::DetectorService::DetectRequest request_a;
   request_a.session_id = 1;
   request_a.frames = common::Span<const video::FrameId>(frames_a.data(), frames_a.size());
-  request_a.detector = &det_a;
+  request_a.shards = shards_a;
+  request_a.dispatcher = &dispatcher_a;
   request_a.session_stats = &stats_a;
   query::DetectorService::DetectRequest request_b = request_a;
   request_b.session_id = 2;
   request_b.frames = common::Span<const video::FrameId>(frames_b.data(), frames_b.size());
-  request_b.detector = &det_b;
+  request_b.shards = shards_b;
+  request_b.dispatcher = &dispatcher_b;
   request_b.session_stats = &stats_b;
 
   const auto ticket_a = service.Submit(request_a);

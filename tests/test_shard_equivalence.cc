@@ -6,9 +6,8 @@
 //      run at the same seed — shard count never changes an answer;
 //  (b) traces are additionally invariant to thread count, per-shard pools,
 //      and internal-vs-explicit sharding — those knobs buy wall-clock only;
-//  (c) the merged global trace really is assembled from the shards' partial
-//      traces: replaying `ShardParts` through `MergeShardTraces` reproduces
-//      the execution's own trace, and the per-shard attribution adds up;
+//  (c) per-shard attribution adds up: every shard that owns frames detects
+//      some, and the dispatcher's per-shard tallies sum to the trace;
 //  (d) decode accounting follows the same rules under shard routing.
 
 #include <gtest/gtest.h>
@@ -180,10 +179,9 @@ TEST(ShardEquivalenceTest, EngineInternalShardingMatchesExplicit) {
   ExpectTracesIdentical(a.value(), b.value(), "internal vs explicit");
 }
 
-// (c) The merged trace is genuinely assembled from per-shard partial traces:
-// replaying the parts reproduces the finished trace, every shard that owns
-// frames contributed, and the per-shard sample attribution sums to the total.
-TEST(ShardEquivalenceTest, MergedTraceReplaysFromShardParts) {
+// (c) Per-shard attribution: every shard that owns frames detected some, and
+// the dispatcher's per-shard tallies sum to the trace's sample count.
+TEST(ShardEquivalenceTest, PerShardStatsAttributeEverySample) {
   auto fx = ShardFixture::Make();
   auto sharded_repo = video::ShardedRepository::ShardByClips(fx->repo, 2);
   ASSERT_TRUE(sharded_repo.ok());
@@ -195,42 +193,21 @@ TEST(ShardEquivalenceTest, MergedTraceReplaysFromShardParts) {
   }
   const query::QueryTrace finished = session.value()->Finish();
 
-  const std::vector<query::ShardTracePart>& parts = session.value()->ShardParts();
-  ASSERT_EQ(parts.size(), 3u);  // Coordinator + 2 shards.
-  EXPECT_EQ(parts[0].shard_id, query::kCoordinatorShard);
-  ASSERT_FALSE(parts[0].events.empty());
-  EXPECT_EQ(parts[0].events[0].seq, 0u);  // Upfront cost opens the trace.
-  EXPECT_TRUE(parts[0].events[0].emit_point);
-
-  uint64_t samples = 0;
-  for (size_t p = 1; p < parts.size(); ++p) {
-    EXPECT_EQ(parts[p].shard_id, static_cast<int32_t>(p - 1));
-    EXPECT_FALSE(parts[p].events.empty())
-        << "shard " << (p - 1) << " never executed a frame";
-    for (const query::ShardTraceEvent& event : parts[p].events) {
-      samples += event.samples;
-    }
-  }
-  EXPECT_EQ(samples, finished.final.samples);
-
-  auto merged = query::MergeShardTraces(
-      finished.strategy_name, finished.total_instances,
-      common::Span<const query::ShardTracePart>(parts.data(), parts.size()));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectTracesIdentical(finished, merged.value(), "replayed merge");
-
-  // Dispatcher stats agree with the trace's sample count.
-  ASSERT_NE(session.value()->shard_dispatcher(), nullptr);
+  const query::ShardDispatcher* dispatcher = session.value()->shard_dispatcher();
+  ASSERT_NE(dispatcher, nullptr);
+  ASSERT_EQ(dispatcher->NumShards(), 2u);
   uint64_t detected = 0;
-  for (const query::ShardStats& stats : session.value()->shard_dispatcher()->Stats()) {
-    detected += stats.frames_detected;
+  for (uint32_t s = 0; s < dispatcher->NumShards(); ++s) {
+    EXPECT_GT(dispatcher->Stats()[s].frames_detected, 0u)
+        << "shard " << s << " never executed a frame";
+    detected += dispatcher->Stats()[s].frames_detected;
   }
   EXPECT_EQ(detected, finished.final.samples);
 }
 
-// The proxy method's upfront scan cost lands on the coordinator's partial
-// trace (it is paid before any shard sees a frame).
-TEST(ShardEquivalenceTest, ProxyUpfrontCostBelongsToCoordinator) {
+// The proxy method's upfront scan cost opens the trace: it is paid before
+// any shard sees a frame.
+TEST(ShardEquivalenceTest, ProxyUpfrontCostOpensTheTrace) {
   auto fx = ShardFixture::Make();
   auto sharded_repo = video::ShardedRepository::ShardByClips(fx->repo, 2);
   ASSERT_TRUE(sharded_repo.ok());
@@ -239,26 +216,10 @@ TEST(ShardEquivalenceTest, ProxyUpfrontCostBelongsToCoordinator) {
       engine.CreateSession(0, 10, MakeQueryOptions(engine::Method::kProxyGuided));
   ASSERT_TRUE(session.ok());
   const query::QueryTrace trace = session.value()->Finish();
-  const std::vector<query::ShardTracePart>& parts = session.value()->ShardParts();
-  ASSERT_FALSE(parts.empty());
-  ASSERT_FALSE(parts[0].events.empty());
-  // 20000 frames at the 100 fps proxy scan rate = 200 s, on the coordinator.
-  EXPECT_DOUBLE_EQ(parts[0].events[0].seconds, 200.0);
-  EXPECT_EQ(trace.points[0].seconds, parts[0].events[0].seconds);
-}
-
-// MergeShardTraces rejects malformed event streams instead of guessing.
-TEST(ShardEquivalenceTest, MergeRejectsDuplicateSequenceNumbers) {
-  query::ShardTracePart a;
-  a.shard_id = 0;
-  a.events.push_back(query::ShardTraceEvent{0, 1.0, 1, 0, 0, false});
-  query::ShardTracePart b;
-  b.shard_id = 1;
-  b.events.push_back(query::ShardTraceEvent{0, 1.0, 1, 0, 0, false});
-  const std::vector<query::ShardTracePart> parts = {a, b};
-  auto merged = query::MergeShardTraces(
-      "x", 1, common::Span<const query::ShardTracePart>(parts.data(), parts.size()));
-  EXPECT_FALSE(merged.ok());
+  ASSERT_FALSE(trace.points.empty());
+  // 20000 frames at the 100 fps proxy scan rate = 200 s, before any sample.
+  EXPECT_DOUBLE_EQ(trace.points[0].seconds, 200.0);
+  EXPECT_EQ(trace.points[0].samples, 0u);
 }
 
 // (d) Decode routed through the shared store under shard dispatch charges
@@ -292,21 +253,22 @@ TEST(ShardEquivalenceTest, DecodeAccountingUnderShardRouting) {
     EXPECT_GT(store.Stats().random_reads + store.Stats().sequential_reads, 0u);
   }
 
-  // Sharded execution, same global store semantics (no per-shard stores):
-  // decode cost is attributed to the owning shard but charged identically.
+  // Sharded execution, same global store semantics (one store shared by
+  // every shard context): decode cost is attributed to the owning shard but
+  // charged identically.
   {
     samplers::UniformRandomStrategy strategy(&fx->repo, /*seed=*/5);
     std::vector<std::unique_ptr<detect::SimulatedDetector>> detectors;
+    video::SimulatedVideoStore store(&fx->repo, {});
     std::vector<query::ShardContext> contexts(sharded_repo.value().NumShards());
     for (uint32_t s = 0; s < sharded_repo.value().NumShards(); ++s) {
       detectors.push_back(std::make_unique<detect::SimulatedDetector>(&fx->truth, det_opts));
       contexts[s].detector = detectors.back().get();
+      contexts[s].store = &store;
     }
     query::ShardDispatcher dispatcher(&sharded_repo.value(), std::move(contexts));
     track::IouTrackerDiscriminator discriminator(&fx->truth, {});
-    video::SimulatedVideoStore store(&fx->repo, {});
     query::RunnerOptions options = base_options;
-    options.video_store = &store;
     options.shard_dispatcher = &dispatcher;
     query::QueryExecution execution(&fx->truth, /*detector=*/nullptr, &discriminator,
                                     &strategy, options);
