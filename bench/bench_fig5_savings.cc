@@ -10,6 +10,13 @@
 //
 // Default: 2 runs at 1/10 linear scale (--full: 5 runs at 1/4 scale). Sample
 // counts are approximately scale-invariant (see datasets/presets.h).
+//
+// --json=PATH writes the summary (geometric mean, p10, p90, best, worst) and
+// every per-query ratio. The binary exits non-zero when the geometric mean
+// falls below kGeomeanFloor: ExSample must keep a clear lead over random.
+
+#include <cstring>
+#include <fstream>
 
 #include "bench_common.h"
 
@@ -17,8 +24,23 @@ namespace exsample {
 namespace bench {
 namespace {
 
+// Today's reduced run reads 1.7x (the paper: 1.9x); below 1.5x the adaptive
+// sampler has lost much of its edge.
+constexpr double kGeomeanFloor = 1.5;
+
+struct QueryRatio {
+  std::string dataset;
+  std::string class_name;
+  double recall;
+  double ratio;
+};
+
 int Main(int argc, char** argv) {
   const BenchConfig config = BenchConfig::Parse(argc, argv);
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+  }
   const int runs = config.Runs(2, 5);
   const double scale = config.full ? 0.25 : 0.1;
   const std::vector<double> recalls{0.1, 0.5, 0.9};
@@ -30,6 +52,7 @@ int Main(int argc, char** argv) {
   table.SetHeader({"dataset", "class", "N", "savings@.1", "savings@.5",
                    "savings@.9"});
   std::vector<double> all_ratios;
+  std::vector<QueryRatio> query_ratios;
   double worst = 1e9, best = 0.0;
   std::string worst_name, best_name;
 
@@ -63,6 +86,7 @@ int Main(int argc, char** argv) {
         row.push_back(ratio ? common::FormatRatio(*ratio) : "-");
         if (ratio) {
           all_ratios.push_back(*ratio);
+          query_ratios.push_back({spec.name, q.class_name, recall, *ratio});
           const std::string name = spec.name + "/" + q.class_name;
           if (*ratio < worst) {
             worst = *ratio;
@@ -80,17 +104,50 @@ int Main(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
 
+  const double geomean = common::GeometricMean(all_ratios);
+  const double p10 = common::Quantile(all_ratios, 0.1);
+  const double p90 = common::Quantile(all_ratios, 0.9);
+  const bool pass = geomean >= kGeomeanFloor;
   std::printf("\nsummary over %zu (query, recall) ratios:\n", all_ratios.size());
-  std::printf("  geometric mean: %s   (paper: 1.9x)\n",
-              common::FormatRatio(common::GeometricMean(all_ratios)).c_str());
+  std::printf("  geometric mean: %s   (paper: 1.9x; floor %s): %s\n",
+              common::FormatRatio(geomean).c_str(),
+              common::FormatRatio(kGeomeanFloor).c_str(), pass ? "PASS" : "FAIL");
   std::printf("  best:  %s (%s)      (paper: ~6x)\n",
               common::FormatRatio(best).c_str(), best_name.c_str());
   std::printf("  worst: %s (%s)   (paper: 0.75x, amsterdam/boat)\n",
               common::FormatRatio(worst).c_str(), worst_name.c_str());
   std::printf("  p10: %s  p90: %s      (paper: 1.2x / 3.7x)\n",
-              common::FormatRatio(common::Quantile(all_ratios, 0.1)).c_str(),
-              common::FormatRatio(common::Quantile(all_ratios, 0.9)).c_str());
-  return 0;
+              common::FormatRatio(p10).c_str(), common::FormatRatio(p90).c_str());
+
+  if (!json_path.empty()) {
+    std::ofstream json(json_path);
+    if (!json) {
+      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+      return 1;
+    }
+    json << "{\n  \"bench\": \"fig5_savings\",\n";
+    json << "  \"runs\": " << runs << ",\n";
+    json << "  \"scale\": " << scale << ",\n";
+    json << "  \"seed\": " << config.seed << ",\n";
+    json << "  \"geomean\": " << geomean << ",\n";
+    json << "  \"geomean_floor\": " << kGeomeanFloor << ",\n";
+    json << "  \"p10\": " << p10 << ",\n";
+    json << "  \"p90\": " << p90 << ",\n";
+    json << "  \"best\": {\"query\": \"" << best_name << "\", \"ratio\": " << best
+         << "},\n";
+    json << "  \"worst\": {\"query\": \"" << worst_name << "\", \"ratio\": " << worst
+         << "},\n";
+    json << "  \"ratios\": [\n";
+    for (size_t i = 0; i < query_ratios.size(); ++i) {
+      const QueryRatio& r = query_ratios[i];
+      json << "    {\"dataset\": \"" << r.dataset << "\", \"class\": \"" << r.class_name
+           << "\", \"recall\": " << r.recall << ", \"ratio\": " << r.ratio << "}"
+           << (i + 1 < query_ratios.size() ? "," : "") << "\n";
+    }
+    json << "  ]\n}\n";
+    std::printf("json written to %s\n", json_path.c_str());
+  }
+  return pass ? 0 : 1;
 }
 
 }  // namespace

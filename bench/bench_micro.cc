@@ -7,6 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "exsample/exsample.h"
 
 namespace exsample {
@@ -50,9 +54,8 @@ void BM_ThompsonPick(benchmark::State& state) {
     }
   }
   core::ThompsonPolicy policy;
-  std::vector<bool> eligible(chunks, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.PickChunk(stats, eligible, rng));
+    benchmark::DoNotOptimize(policy.PickChunk(stats, rng));
   }
   state.SetItemsProcessed(state.iterations() * chunks);
 }
@@ -64,12 +67,101 @@ void BM_BayesUcbPick(benchmark::State& state) {
   common::Rng rng(4);
   for (size_t j = 0; j < chunks; ++j) stats.Update(j, 1, 0);
   core::BayesUcbPolicy policy;
-  std::vector<bool> eligible(chunks, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.PickChunk(stats, eligible, rng));
+    benchmark::DoNotOptimize(policy.PickChunk(stats, rng));
   }
 }
 BENCHMARK(BM_BayesUcbPick)->Arg(128);
+
+// The largest of m iid Gamma(shape, 1) draws by inversion, as Thompson draws
+// a belief group above its direct-draw limit: one uniform, lgamma and the
+// tail inverse. Compare with m direct `BM_GammaSample`s.
+void BM_GammaGroupMax(benchmark::State& state) {
+  common::Rng rng(14);
+  const double shape = static_cast<double>(state.range(0)) / 10.0;
+  const double m = static_cast<double>(state.range(1));
+  for (auto _ : state) {
+    const double t = -std::expm1(std::log(rng.NextDouble()) / m);
+    benchmark::DoNotOptimize(
+        stats::InverseRegularizedGammaQ(shape, t, std::lgamma(shape)));
+  }
+}
+BENCHMARK(BM_GammaGroupMax)
+    ->Args({1, 17})
+    ->Args({11, 17})
+    ->Args({51, 17})
+    ->Args({1, 900})
+    ->Args({11, 900});
+
+// An analyst-like table: 1,600 chunks (a BDD dataset) in 10 belief states,
+// with 900 chunks still unsampled — the mix a pick sees mid-query.
+core::ChunkStatsTable AnalystLikeTable() {
+  struct Mix {
+    size_t chunks;
+    uint64_t n;
+    uint64_t n1;
+  };
+  const Mix mix[] = {{900, 0, 0}, {520, 1, 0}, {100, 2, 0}, {30, 3, 0}, {20, 1, 1},
+                     {12, 2, 1},  {8, 4, 0},   {5, 3, 2},   {3, 5, 1},  {2, 6, 3}};
+  size_t total = 0;
+  for (const Mix& m : mix) total += m.chunks;
+  core::ChunkStatsTable stats(total);
+  size_t chunk = 0;
+  for (const Mix& m : mix) {
+    for (size_t c = 0; c < m.chunks; ++c, ++chunk) {
+      for (uint64_t i = 0; i < m.n; ++i) stats.Update(chunk, i < m.n1 ? 1 : 0, 0);
+    }
+  }
+  return stats;
+}
+
+void BM_ThompsonPickAnalyst(benchmark::State& state) {
+  const core::ChunkStatsTable stats = AnalystLikeTable();
+  core::ThompsonPolicy policy;
+  common::Rng rng(15);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.PickChunk(stats, rng));
+  }
+}
+BENCHMARK(BM_ThompsonPickAnalyst);
+
+void BM_BayesUcbPickAnalyst(benchmark::State& state) {
+  const core::ChunkStatsTable stats = AnalystLikeTable();
+  core::BayesUcbPolicy policy;
+  common::Rng rng(16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.PickChunk(stats, rng));
+  }
+}
+BENCHMARK(BM_BayesUcbPickAnalyst);
+
+// `ChunkStatsTable::Update` with its belief-group index: replays the updates
+// of 1,600 Thompson picks on the analyst-like table (one hit in ten), so
+// chunks move between groups the way they do in a query.
+void BM_ChunkStatsUpdate(benchmark::State& state) {
+  std::vector<std::pair<size_t, size_t>> updates;
+  {
+    core::ChunkStatsTable sim = AnalystLikeTable();
+    core::ThompsonPolicy policy;
+    common::Rng rng(17);
+    for (int i = 0; i < 1600; ++i) {
+      const size_t chunk = policy.PickChunk(sim, rng);
+      const size_t hit = rng.Bernoulli(0.1) ? 1 : 0;
+      sim.Update(chunk, hit, 0);
+      updates.emplace_back(chunk, hit);
+    }
+  }
+  core::ChunkStatsTable stats(0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    stats = AnalystLikeTable();
+    state.ResumeTiming();
+    for (const auto& [chunk, hit] : updates) stats.Update(chunk, hit, 0);
+    benchmark::DoNotOptimize(stats.TotalSamples());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(updates.size()));
+}
+BENCHMARK(BM_ChunkStatsUpdate);
 
 void BM_PermutationLookup(benchmark::State& state) {
   common::RandomPermutation perm(1'000'003, 5);

@@ -1,82 +1,97 @@
 #include "core/belief_policy.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/status.h"
+#include "stats/special_functions.h"
 
 namespace exsample {
 namespace core {
 
 namespace {
 
-// Shared scan: returns the eligible index with the highest score; random
-// tie-breaking via reservoir sampling over exact ties.
+// Thompson draws the maximum of a group of up to this many members as that
+// many direct Gamma draws, and inverts the maximum's distribution above it:
+// no group then costs more than its m direct draws. bench_micro on a 4-vCPU
+// KVM guest: one draw (BM_GammaSample) costs 50 ns at shape 0.1 and 30 ns at
+// shape 1; one inversion with its lgamma (BM_GammaGroupMax) 0.9-1.2 us at
+// shape 0.1, 0.54-0.75 us at shape 1.1 and 0.48 us at shape 5.1, so at most
+// the price of 25 direct draws.
+constexpr size_t kMaxDirectDraws = 24;
+
+// Shared scan: the belief group with the highest score wins, then one of its
+// members uniformly. Exact ties between groups resolve by a reservoir weighted
+// by group size, so tied chunks stay uniform. `score(group, best)` sees the
+// best score so far and may return -inf for a group that cannot beat it.
 template <typename ScoreFn>
-size_t ArgmaxEligible(size_t num_chunks, const std::vector<bool>& eligible,
-                      common::Rng& rng, ScoreFn&& score) {
+size_t ArgmaxGroups(const ChunkStatsTable& stats, common::Rng& rng, ScoreFn&& score) {
   double best = -std::numeric_limits<double>::infinity();
-  size_t best_idx = num_chunks;  // Sentinel: no eligible chunk seen yet.
-  uint64_t ties = 0;
-  for (size_t j = 0; j < num_chunks; ++j) {
-    if (!eligible[j]) continue;
-    const double s = score(j);
+  const BeliefGroup* winner = nullptr;
+  uint64_t tied = 0;  // Chunks in the groups tied at `best`.
+  for (const BeliefGroup& group : stats.Groups()) {
+    const size_t m = group.members.size();
+    if (m == 0) continue;  // A free slot.
+    const double s = score(group, best);
     if (s > best) {
       best = s;
-      best_idx = j;
-      ties = 1;
+      winner = &group;
+      tied = m;
     } else if (s == best) {
-      // Reservoir: replace with probability 1/ties so exact ties are uniform.
-      ++ties;
-      if (rng.NextBounded(ties) == 0) best_idx = j;
+      tied += m;
+      if (rng.NextBounded(tied) < m) winner = &group;
     }
   }
-  assert(best_idx < num_chunks && "PickChunk requires at least one eligible chunk");
-  return best_idx;
+  common::Check(winner != nullptr, "PickChunk requires at least one eligible chunk");
+  return winner->members[rng.NextBounded(winner->members.size())];
 }
 
 }  // namespace
 
-void BeliefChunkPolicy::CheckPriors(const ChunkStatsTable& stats) const {
-  common::Check(chunk_priors_.empty() || chunk_priors_.size() == stats.NumChunks(),
-                "BeliefChunkPolicy: per-chunk priors disagree with chunk count");
-}
-
-size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats,
-                                 const std::vector<bool>& eligible, common::Rng& rng) {
-  CheckPriors(stats);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
-    return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j)).Sample(rng);
+size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
+  return ArgmaxGroups(stats, rng, [&rng](const BeliefGroup& group, double best) {
+    const size_t m = group.members.size();
+    if (m <= kMaxDirectDraws) {
+      double max = rng.Gamma(group.alpha, group.beta);
+      for (size_t i = 1; i < m; ++i) {
+        max = std::max(max, rng.Gamma(group.alpha, group.beta));
+      }
+      return max;
+    }
+    // The maximum of m iid draws has CDF F^m, so it is F^-1(U^(1/m)). Its
+    // upper tail t = 1 - U^(1/m) goes through expm1: U^(1/m) rounds to 1 for
+    // large m.
+    const double t = -std::expm1(std::log(rng.NextDouble()) / static_cast<double>(m));
+    const double log_gamma_alpha = std::lgamma(group.alpha);
+    // The maximum beats `best` only if t < Q(alpha, beta * best): one
+    // evaluation of Q instead of the several the inversion takes.
+    if (best > 0.0 &&
+        t >= stats::RegularizedGammaQ(group.alpha, group.beta * best, log_gamma_alpha)) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    return stats::InverseRegularizedGammaQ(group.alpha, t, log_gamma_alpha) / group.beta;
   });
 }
 
-size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats,
-                                 const std::vector<bool>& eligible, common::Rng& rng) {
-  CheckPriors(stats);
+size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
   // Quantile level 1 - 1/t grows toward 1 as evidence accumulates, shrinking
   // the exploration bonus (Kaufmann's Bayes-UCB index).
   const double t = static_cast<double>(stats.TotalSamples()) + 1.0;
   const double level = std::min(1.0 - 1.0 / t, 1.0 - 1e-12);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
-    return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j))
-        .Quantile(level);
+  return ArgmaxGroups(stats, rng, [level](const BeliefGroup& group, double) {
+    return stats::GammaBelief(group.alpha, group.beta).Quantile(level);
   });
 }
 
-size_t GreedyPolicy::PickChunk(const ChunkStatsTable& stats,
-                               const std::vector<bool>& eligible, common::Rng& rng) {
-  CheckPriors(stats);
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng, [&](size_t j) {
-    return MakeBelief(stats.N1NonNegative(j), stats.State(j).n, PriorFor(j)).Mean();
+size_t GreedyPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
+  return ArgmaxGroups(stats, rng, [](const BeliefGroup& group, double) {
+    return stats::GammaBelief(group.alpha, group.beta).Mean();
   });
 }
 
-size_t UniformChunkPolicy::PickChunk(const ChunkStatsTable& stats,
-                                     const std::vector<bool>& eligible,
-                                     common::Rng& rng) {
-  return ArgmaxEligible(stats.NumChunks(), eligible, rng,
-                        [](size_t) { return 0.0; });
+size_t UniformChunkPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
+  return ArgmaxGroups(stats, rng, [](const BeliefGroup&, double) { return 0.0; });
 }
 
 }  // namespace core

@@ -1,13 +1,10 @@
 #ifndef EXSAMPLE_CORE_BELIEF_POLICY_H_
 #define EXSAMPLE_CORE_BELIEF_POLICY_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "core/chunk_stats.h"
-#include "core/estimator.h"
 
 namespace exsample {
 namespace core {
@@ -15,77 +12,41 @@ namespace core {
 /// \brief Chooses which chunk to sample next from the per-chunk statistics
 /// (Algorithm 1, lines 3–6 abstracted).
 ///
-/// `eligible[j]` marks chunks that still have unsampled frames; policies must
-/// never return an ineligible chunk (at least one must be eligible).
+/// A policy picks among the table's eligible chunks (at least one must be
+/// eligible). It scores each belief group of `ChunkStatsTable::Groups()` once,
+/// not each chunk, and picks a member of the winning group uniformly: members
+/// hold iid beliefs, so the pick distribution is the per-chunk argmax's at a
+/// cost of O(belief states). Exact ties between groups are broken with
+/// probability proportional to group size, so tied chunks stay uniform.
 class ChunkPolicy {
  public:
   virtual ~ChunkPolicy() = default;
 
   /// \brief Picks the next chunk index.
-  virtual size_t PickChunk(const ChunkStatsTable& stats,
-                           const std::vector<bool>& eligible, common::Rng& rng) = 0;
+  virtual size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) = 0;
 
   /// \brief Policy name for reports.
   virtual std::string name() const = 0;
 };
 
-/// \brief Shared base of the Gamma-belief policies: holds the flat prior and
-/// optional *per-chunk* prior overrides.
-///
-/// Per-chunk priors are the cross-query warm-start seam
-/// (`reuse::BeliefBank`): a later query for the same class seeds chunk j's
-/// belief from earlier queries' accumulated posterior counts instead of the
-/// flat (alpha0, beta0). This is a pure prior substitution — the update math
-/// (Algorithm 1 lines 11–12, Eq. III.4) and the policy's scoring rule are
-/// untouched, and with no overrides set behavior is bit-identical to before
-/// the seam existed.
-class BeliefChunkPolicy : public ChunkPolicy {
- public:
-  explicit BeliefChunkPolicy(BeliefParams params) : params_(params) {}
-
-  /// \brief Installs per-chunk prior overrides. `priors[j]` replaces the flat
-  /// prior for chunk j; the vector's size must match the stats table the
-  /// policy is used with (checked at pick time). Empty reverts to the flat
-  /// prior.
-  void SetChunkPriors(std::vector<BeliefParams> priors) {
-    chunk_priors_ = std::move(priors);
-  }
-
-  /// \brief True when per-chunk priors are installed.
-  bool HasChunkPriors() const { return !chunk_priors_.empty(); }
-
- protected:
-  /// The prior belief of chunk `j`.
-  const BeliefParams& PriorFor(size_t j) const {
-    return chunk_priors_.empty() ? params_ : chunk_priors_[j];
-  }
-  /// Fatal when installed priors disagree with the table's chunk count.
-  void CheckPriors(const ChunkStatsTable& stats) const;
-
-  BeliefParams params_;
-  std::vector<BeliefParams> chunk_priors_;
-};
-
 /// \brief Thompson sampling over Gamma beliefs (the paper's method,
 /// Sec. III-C): draw R_j ~ Gamma(N1_j + alpha0, n_j + beta0) for every chunk
-/// and take the argmax. Ties are broken by the randomness of the draws; on
+/// and take the argmax. A group of m identical beliefs draws its maximum once:
+/// m direct draws for small m, otherwise one inversion of the maximum's
+/// distribution through the upper tail, `stats::InverseRegularizedGammaQ`. On
 /// the first iteration all beliefs are identical, so the pick is uniform.
-class ThompsonPolicy : public BeliefChunkPolicy {
+class ThompsonPolicy : public ChunkPolicy {
  public:
-  explicit ThompsonPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
-  size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
-                   common::Rng& rng) override;
+  size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) override;
   std::string name() const override { return "thompson"; }
 };
 
 /// \brief Bayes-UCB (Kaufmann): use the upper 1 - 1/t quantile of the same
 /// Gamma belief instead of a random draw. The paper reports results
 /// indistinguishable from Thompson sampling (Sec. III-C).
-class BayesUcbPolicy : public BeliefChunkPolicy {
+class BayesUcbPolicy : public ChunkPolicy {
  public:
-  explicit BayesUcbPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
-  size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
-                   common::Rng& rng) override;
+  size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) override;
   std::string name() const override { return "bayes-ucb"; }
 };
 
@@ -93,11 +54,9 @@ class BayesUcbPolicy : public BeliefChunkPolicy {
 /// random tie-breaking. Included as the ablation the paper warns about: a raw
 /// point estimate "could get stuck sampling chunks with an early lucky result
 /// and ignore better chunks with unlucky early results" (Sec. III-B).
-class GreedyPolicy : public BeliefChunkPolicy {
+class GreedyPolicy : public ChunkPolicy {
  public:
-  explicit GreedyPolicy(BeliefParams params = {}) : BeliefChunkPolicy(params) {}
-  size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
-                   common::Rng& rng) override;
+  size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) override;
   std::string name() const override { return "greedy"; }
 };
 
@@ -105,8 +64,7 @@ class GreedyPolicy : public BeliefChunkPolicy {
 /// random sampling; with one chunk it is exactly random sampling).
 class UniformChunkPolicy : public ChunkPolicy {
  public:
-  size_t PickChunk(const ChunkStatsTable& stats, const std::vector<bool>& eligible,
-                   common::Rng& rng) override;
+  size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) override;
   std::string name() const override { return "uniform-chunk"; }
 };
 

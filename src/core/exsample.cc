@@ -5,15 +5,14 @@
 namespace exsample {
 namespace core {
 
-std::unique_ptr<ChunkPolicy> MakeChunkPolicy(ExSampleOptions::Policy policy,
-                                             BeliefParams params) {
+std::unique_ptr<ChunkPolicy> MakeChunkPolicy(ExSampleOptions::Policy policy) {
   switch (policy) {
     case ExSampleOptions::Policy::kThompson:
-      return std::make_unique<ThompsonPolicy>(params);
+      return std::make_unique<ThompsonPolicy>();
     case ExSampleOptions::Policy::kBayesUcb:
-      return std::make_unique<BayesUcbPolicy>(params);
+      return std::make_unique<BayesUcbPolicy>();
     case ExSampleOptions::Policy::kGreedy:
-      return std::make_unique<GreedyPolicy>(params);
+      return std::make_unique<GreedyPolicy>();
     case ExSampleOptions::Policy::kUniform:
       return std::make_unique<UniformChunkPolicy>();
   }
@@ -27,21 +26,10 @@ ExSampleStrategy::ExSampleStrategy(const video::Chunking* chunking,
     : chunking_(chunking),
       options_(options),
       rng_(options.seed),
-      stats_(chunking->NumChunks()),
-      policy_(MakeChunkPolicy(options.policy, options.belief)),
-      samplers_(chunking->NumChunks()),
-      eligible_(chunking->NumChunks(), true),
-      eligible_count_(chunking->NumChunks()) {
+      stats_(chunking->NumChunks(), options.belief, options.chunk_priors),
+      policy_(MakeChunkPolicy(options.policy)),
+      samplers_(chunking->NumChunks()) {
   common::Check(options_.batch_size >= 1, "ExSampleOptions: batch_size must be >= 1");
-  if (!options_.chunk_priors.empty()) {
-    common::Check(options_.chunk_priors.size() == chunking->NumChunks(),
-                  "ExSampleOptions: chunk_priors must match the chunk count");
-    // Warm start: the belief-based policies accept per-chunk priors; the
-    // uniform policy holds no beliefs, so overrides are meaningless there.
-    if (auto* belief_policy = dynamic_cast<BeliefChunkPolicy*>(policy_.get())) {
-      belief_policy->SetChunkPriors(options_.chunk_priors);
-    }
-  }
 }
 
 FrameSampler* ExSampleStrategy::SamplerFor(size_t chunk) {
@@ -54,16 +42,13 @@ FrameSampler* ExSampleStrategy::SamplerFor(size_t chunk) {
 }
 
 std::optional<video::FrameId> ExSampleStrategy::DrawOne() {
-  if (eligible_count_ == 0) return std::nullopt;
-  const size_t chunk = policy_->PickChunk(stats_, eligible_, rng_);
+  if (stats_.EligibleChunks() == 0) return std::nullopt;
+  const size_t chunk = policy_->PickChunk(stats_, rng_);
   FrameSampler* sampler = SamplerFor(chunk);
   const std::optional<video::FrameId> frame = sampler->Next(rng_);
   common::Check(frame.has_value(),
                 "ExSampleStrategy: eligible chunk returned no frame");
-  if (sampler->Remaining() == 0) {
-    eligible_[chunk] = false;
-    --eligible_count_;
-  }
+  if (sampler->Remaining() == 0) stats_.Retire(chunk);
   return frame;
 }
 

@@ -47,9 +47,9 @@ struct ExSampleOptions {
   /// Optional per-chunk prior overrides (cross-query warm start,
   /// `reuse::BeliefBank`): `chunk_priors[j]` replaces `belief` as chunk j's
   /// prior pseudo-counts. Must be empty or sized to the chunking's chunk
-  /// count. A pure prior change — the update math is untouched, and empty
-  /// (the default) is bit-identical to the pre-warm-start strategy. Ignored
-  /// by the kUniform policy, which holds no beliefs.
+  /// count. A pure prior change — the update math is untouched, and a vector
+  /// of flat priors is bit-identical to none. Ignored by the kUniform policy,
+  /// which reads no beliefs.
   std::vector<BeliefParams> chunk_priors;
 };
 
@@ -92,7 +92,7 @@ class ExSampleStrategy : public query::SearchStrategy {
   const ChunkStatsTable* ChunkStatistics() const override { return &stats_; }
 
   /// \brief Number of chunks still holding unsampled frames.
-  size_t EligibleChunks() const { return eligible_count_; }
+  size_t EligibleChunks() const { return stats_.EligibleChunks(); }
 
  private:
   FrameSampler* SamplerFor(size_t chunk);
@@ -107,15 +107,12 @@ class ExSampleStrategy : public query::SearchStrategy {
   ChunkStatsTable stats_;
   std::unique_ptr<ChunkPolicy> policy_;
   std::vector<std::unique_ptr<FrameSampler>> samplers_;
-  std::vector<bool> eligible_;
-  size_t eligible_count_;
   std::deque<video::FrameId> pending_;
 };
 
 /// \brief Constructs the chunk policy object for an options value (exposed so
 /// benches can reuse policy construction).
-std::unique_ptr<ChunkPolicy> MakeChunkPolicy(ExSampleOptions::Policy policy,
-                                             BeliefParams params);
+std::unique_ptr<ChunkPolicy> MakeChunkPolicy(ExSampleOptions::Policy policy);
 
 }  // namespace core
 }  // namespace exsample

@@ -183,8 +183,6 @@ query::DetectorService* SearchEngine::detector_service() {
       // Sessions deploy over the RegisterSessionMsg control plane, and the
       // fingerprint pins which repository the fleet must serve.
       options.repo_fingerprint = repo_->Fingerprint();
-      common::Check(config_.socket.hosts.size() == num_shards,
-                    "socket transport needs one shard host per shard");
       transport_ =
           std::make_unique<query::SocketTransport>(num_shards, config_.socket);
       options.transport = transport_.get();

@@ -220,14 +220,19 @@ common::Result<std::vector<uint8_t>> ReadFrame(int fd, size_t max_frame_bytes) {
 SocketTransport::SocketTransport(size_t num_shards,
                                  SocketTransportOptions options)
     : options_(std::move(options)) {
-  common::Check(options_.hosts.size() == num_shards,
-                "socket transport needs one shard host per shard");
   // Connections are opened lazily (first RegisterSession/Send), so the
   // transport can be constructed before the fleet is up. Endpoints are
-  // parsed now: the first malformed one fails every registration.
+  // parsed now: a fleet of the wrong size, or the first malformed endpoint,
+  // fails every registration.
+  if (options_.hosts.size() != num_shards) {
+    hosts_status_ = common::Status::FailedPrecondition(
+        std::to_string(options_.hosts.size()) + " shard hosts for " +
+        std::to_string(num_shards) + " shards");
+  }
   conns_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     conns_.push_back(std::make_unique<Conn>());
+    if (s >= options_.hosts.size()) continue;
     common::Result<sockaddr_in> addr = ParseEndpoint(options_.hosts[s]);
     if (addr.ok()) {
       conns_.back()->addr = addr.value();

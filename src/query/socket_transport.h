@@ -109,8 +109,9 @@ struct SocketTransportOptions {
 ///
 /// ## Session deployment
 ///
-/// `RegisterSession` fails with `FailedPrecondition` when an entry of
-/// `hosts` is malformed (parsed once, at construction). Otherwise it ships
+/// `RegisterSession` fails with `FailedPrecondition` when `hosts` does not
+/// hold one entry per shard or an entry is malformed (both checked once, at
+/// construction); such a fleet is never connected to. Otherwise it ships
 /// the session's detector configuration to every shard, then waits briefly
 /// for all their acks at once (`kRepoMismatch` acks fail the registration
 /// with `FailedPrecondition` — a mis-deployment, never retryable). Every
@@ -211,8 +212,9 @@ class SocketTransport : public ShardTransport {
   bool DispatchFrameLocked(uint32_t shard, common::Span<const uint8_t> frame);
 
   SocketTransportOptions options_;
-  /// OK, or `FailedPrecondition` naming the first malformed entry of
-  /// `options_.hosts`; `RegisterSession` returns it.
+  /// OK, or `FailedPrecondition` for a host count other than the shard
+  /// count or naming the first malformed entry of `options_.hosts`;
+  /// `RegisterSession` returns it.
   common::Status hosts_status_;
 
   /// Guards what `Stats()`/`InFlight()` read from other threads; the

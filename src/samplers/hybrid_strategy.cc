@@ -12,18 +12,10 @@ HybridProxyExSampleStrategy::HybridProxyExSampleStrategy(
       scorer_(scorer),
       options_(options),
       rng_(options.seed),
-      stats_(chunking->NumChunks()),
-      policy_(options.belief),
-      samplers_(chunking->NumChunks()),
-      eligible_(chunking->NumChunks(), true),
-      eligible_count_(chunking->NumChunks()) {
+      stats_(chunking->NumChunks(), options.belief, options.chunk_priors),
+      samplers_(chunking->NumChunks()) {
   common::Check(options_.candidates_per_pick >= 1,
                 "HybridOptions: candidates_per_pick must be >= 1");
-  if (!options_.chunk_priors.empty()) {
-    common::Check(options_.chunk_priors.size() == chunking->NumChunks(),
-                  "HybridOptions: chunk_priors must match the chunk count");
-    policy_.SetChunkPriors(options_.chunk_priors);
-  }
 }
 
 core::FrameSampler* HybridProxyExSampleStrategy::SamplerFor(size_t chunk) {
@@ -38,8 +30,8 @@ core::FrameSampler* HybridProxyExSampleStrategy::SamplerFor(size_t chunk) {
 }
 
 std::optional<video::FrameId> HybridProxyExSampleStrategy::NextFrame() {
-  if (eligible_count_ == 0) return std::nullopt;
-  const size_t chunk = policy_.PickChunk(stats_, eligible_, rng_);
+  if (stats_.EligibleChunks() == 0) return std::nullopt;
+  const size_t chunk = policy_.PickChunk(stats_, rng_);
   core::FrameSampler* sampler = SamplerFor(chunk);
 
   // Draw up to `candidates_per_pick` frames from the chunk and keep the one
@@ -64,10 +56,7 @@ std::optional<video::FrameId> HybridProxyExSampleStrategy::NextFrame() {
       best = frame;
     }
   }
-  if (sampler->Remaining() == 0) {
-    eligible_[chunk] = false;
-    --eligible_count_;
-  }
+  if (sampler->Remaining() == 0) stats_.Retire(chunk);
   return best;
 }
 

@@ -78,8 +78,6 @@ class HybridProxyExSampleStrategy : public query::SearchStrategy {
   core::ChunkStatsTable stats_;
   core::ThompsonPolicy policy_;
   std::vector<std::unique_ptr<core::FrameSampler>> samplers_;
-  std::vector<bool> eligible_;
-  size_t eligible_count_;
   uint64_t frames_scored_ = 0;
   double scoring_seconds_ = 0.0;
 };

@@ -10,8 +10,6 @@ namespace exsample {
 namespace core {
 namespace {
 
-std::vector<bool> AllEligible(size_t n) { return std::vector<bool>(n, true); }
-
 TEST(ThompsonPolicyTest, ColdStartPicksUniformly) {
   // With identical beliefs everywhere, Thompson sampling breaks ties at
   // random (paper: "during the first execution ... Thompson sampling
@@ -21,7 +19,7 @@ TEST(ThompsonPolicyTest, ColdStartPicksUniformly) {
   common::Rng rng(1);
   std::map<size_t, int> counts;
   for (int i = 0; i < 8000; ++i) {
-    ++counts[policy.PickChunk(stats, AllEligible(4), rng)];
+    ++counts[policy.PickChunk(stats, rng)];
   }
   for (size_t j = 0; j < 4; ++j) {
     EXPECT_GT(counts[j], 1500) << "chunk " << j;
@@ -37,7 +35,7 @@ TEST(ThompsonPolicyTest, PrefersProductiveChunk) {
   common::Rng rng(2);
   int chunk1 = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (policy.PickChunk(stats, AllEligible(2), rng) == 1) ++chunk1;
+    if (policy.PickChunk(stats, rng) == 1) ++chunk1;
   }
   EXPECT_GT(chunk1, 1900);
 }
@@ -54,7 +52,7 @@ TEST(ThompsonPolicyTest, StillExploresEmptyChunks) {
   common::Rng rng(3);
   int explored = 0;
   for (int i = 0; i < 20000; ++i) {
-    if (policy.PickChunk(stats, AllEligible(2), rng) == 0) ++explored;
+    if (policy.PickChunk(stats, rng) == 0) ++explored;
   }
   EXPECT_GT(explored, 500);
   EXPECT_LT(explored, 10000);  // ...but the productive chunk clearly leads.
@@ -63,11 +61,11 @@ TEST(ThompsonPolicyTest, StillExploresEmptyChunks) {
 TEST(ThompsonPolicyTest, RespectsEligibility) {
   ChunkStatsTable stats(3);
   for (int i = 0; i < 100; ++i) stats.Update(1, 5, 0);  // Chunk 1 is by far best...
-  std::vector<bool> eligible{true, false, true};         // ...but exhausted.
+  stats.Retire(1);                                       // ...but exhausted.
   ThompsonPolicy policy;
   common::Rng rng(4);
   for (int i = 0; i < 500; ++i) {
-    const size_t pick = policy.PickChunk(stats, eligible, rng);
+    const size_t pick = policy.PickChunk(stats, rng);
     EXPECT_NE(pick, 1u);
   }
 }
@@ -81,7 +79,7 @@ TEST(BayesUcbPolicyTest, FavorsUnsampledChunksEarly) {
   common::Rng rng(5);
   int unexplored_picks = 0;
   for (int i = 0; i < 100; ++i) {
-    if (policy.PickChunk(stats, AllEligible(2), rng) == 1) ++unexplored_picks;
+    if (policy.PickChunk(stats, rng) == 1) ++unexplored_picks;
   }
   EXPECT_GT(unexplored_picks, 90);
 }
@@ -93,7 +91,7 @@ TEST(BayesUcbPolicyTest, ConvergesToBestChunk) {
   BayesUcbPolicy policy;
   common::Rng rng(6);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(policy.PickChunk(stats, AllEligible(2), rng), 1u);
+    EXPECT_EQ(policy.PickChunk(stats, rng), 1u);
   }
 }
 
@@ -104,7 +102,7 @@ TEST(GreedyPolicyTest, PicksHighestPointEstimate) {
   for (int i = 0; i < 10; ++i) stats.Update(2, i < 5 ? 1 : 0, 0);
   GreedyPolicy policy;
   common::Rng rng(7);
-  EXPECT_EQ(policy.PickChunk(stats, AllEligible(3), rng), 1u);
+  EXPECT_EQ(policy.PickChunk(stats, rng), 1u);
 }
 
 TEST(GreedyPolicyTest, BreaksTiesRandomly) {
@@ -113,7 +111,7 @@ TEST(GreedyPolicyTest, BreaksTiesRandomly) {
   common::Rng rng(8);
   std::map<size_t, int> counts;
   for (int i = 0; i < 6000; ++i) {
-    ++counts[policy.PickChunk(stats, AllEligible(3), rng)];
+    ++counts[policy.PickChunk(stats, rng)];
   }
   for (size_t j = 0; j < 3; ++j) EXPECT_GT(counts[j], 1500);
 }
@@ -129,7 +127,7 @@ TEST(GreedyPolicyTest, CanGetStuckOnLuckyChunk) {
   GreedyPolicy policy;
   common::Rng rng(9);
   for (int round = 0; round < 9; ++round) {
-    const size_t pick = policy.PickChunk(stats, AllEligible(2), rng);
+    const size_t pick = policy.PickChunk(stats, rng);
     EXPECT_EQ(pick, 0u) << "round " << round;
     stats.Update(0, 0, 0);  // The lucky chunk never pays off again.
   }
@@ -138,7 +136,7 @@ TEST(GreedyPolicyTest, CanGetStuckOnLuckyChunk) {
   ThompsonPolicy thompson;
   int thompson_explores = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (thompson.PickChunk(stats, AllEligible(2), rng) == 1) ++thompson_explores;
+    if (thompson.PickChunk(stats, rng) == 1) ++thompson_explores;
   }
   EXPECT_GT(thompson_explores, 100);
 }
@@ -146,12 +144,12 @@ TEST(GreedyPolicyTest, CanGetStuckOnLuckyChunk) {
 TEST(UniformChunkPolicyTest, UniformOverEligible) {
   ChunkStatsTable stats(4);
   for (int i = 0; i < 100; ++i) stats.Update(2, 10, 0);  // Stats are ignored.
+  stats.Retire(2);
   UniformChunkPolicy policy;
   common::Rng rng(10);
-  std::vector<bool> eligible{true, true, false, true};
   std::map<size_t, int> counts;
   for (int i = 0; i < 9000; ++i) {
-    ++counts[policy.PickChunk(stats, eligible, rng)];
+    ++counts[policy.PickChunk(stats, rng)];
   }
   EXPECT_EQ(counts[2], 0);
   for (size_t j : {size_t{0}, size_t{1}, size_t{3}}) EXPECT_GT(counts[j], 2500);

@@ -894,6 +894,22 @@ TEST(SocketTransportTest, MalformedShardHostFailsQueriesWithAStatus) {
       << found.status().ToString();
 }
 
+TEST(SocketTransportTest, WrongShardHostCountFailsQueriesWithAStatus) {
+  // Two hosts for an unsharded engine: a deployment error the query reports,
+  // before any connection is attempted.
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  SearchEngine engine =
+      MakeEngine(*fx, 1, SocketConfig({"127.0.0.1:1", "127.0.0.1:2"}));
+  auto found = engine.FindDistinct(/*class_id=*/0, /*limit=*/5);
+  ASSERT_FALSE(found.ok()) << "a fleet of the wrong size must not return a trace";
+  EXPECT_EQ(found.status().code(), common::StatusCode::kFailedPrecondition);
+  EXPECT_NE(found.status().message().find("2 shard hosts for 1 shards"),
+            std::string::npos)
+      << found.status().ToString();
+  ASSERT_NE(engine.shard_transport(), nullptr);
+  EXPECT_EQ(engine.shard_transport()->Stats().connects, 0u);
+}
+
 // --- Socket transport I/O model: scripted peers ------------------------------
 //
 // The transport does all socket I/O on the coordinator thread. These peers

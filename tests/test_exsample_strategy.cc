@@ -173,11 +173,10 @@ TEST(ExSampleStrategyTest, NamesReflectConfiguration) {
 }
 
 TEST(MakeChunkPolicyTest, ConstructsEveryKind) {
-  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kThompson, {})->name(), "thompson");
-  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kBayesUcb, {})->name(), "bayes-ucb");
-  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kGreedy, {})->name(), "greedy");
-  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kUniform, {})->name(),
-            "uniform-chunk");
+  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kThompson)->name(), "thompson");
+  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kBayesUcb)->name(), "bayes-ucb");
+  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kGreedy)->name(), "greedy");
+  EXPECT_EQ(MakeChunkPolicy(ExSampleOptions::Policy::kUniform)->name(), "uniform-chunk");
 }
 
 TEST(ExSampleStrategyTest, SingleChunkBehavesLikeRandom) {

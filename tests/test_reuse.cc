@@ -310,18 +310,16 @@ TEST(BeliefBankTest, ChunkingSignatureSeparatesLayouts) {
 // no priors at all — the warm-start seam is a pure prior substitution.
 TEST(BeliefPolicyTest, UniformChunkPriorsMatchFlatPrior) {
   core::BeliefParams params;
-  core::ThompsonPolicy flat(params);
-  core::ThompsonPolicy warmed(params);
-  warmed.SetChunkPriors(std::vector<core::BeliefParams>(4, params));
-
-  core::ChunkStatsTable stats(4);
-  stats.Update(1, 3, 0);
-  stats.Update(2, 1, 1);
-  const std::vector<bool> eligible(4, true);
+  core::ChunkStatsTable flat(4, params);
+  core::ChunkStatsTable warmed(4, params, std::vector<core::BeliefParams>(4, params));
+  for (core::ChunkStatsTable* stats : {&flat, &warmed}) {
+    stats->Update(1, 3, 0);
+    stats->Update(2, 1, 1);
+  }
+  core::ThompsonPolicy policy;
   common::Rng rng_a(99), rng_b(99);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(flat.PickChunk(stats, eligible, rng_a),
-              warmed.PickChunk(stats, eligible, rng_b));
+    EXPECT_EQ(policy.PickChunk(flat, rng_a), policy.PickChunk(warmed, rng_b));
   }
 }
 
@@ -549,14 +547,14 @@ TEST(ReuseSketchTest, SketchServesEvictedEmptyOutcomes) {
   engine::EngineConfig config;
   config.reuse.cache = true;
   config.reuse.sketch = true;
-  config.reuse.cache_budget_frames = 32;  // Far below the query's footprint.
+  config.reuse.cache_budget_frames = 16;  // Far below the query's footprint.
   engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
   const engine::QueryOptions options = MakeQueryOptions(engine::Method::kExSample);
 
   auto cold = engine.CreateSession(0, 30, options);
   ASSERT_TRUE(cold.ok());
   const query::QueryTrace cold_trace = cold.value()->Finish();
-  ASSERT_GT(cold_trace.final.samples, 64u);
+  ASSERT_GT(cold_trace.final.samples, 2 * config.reuse.cache_budget_frames);
 
   auto warm = engine.CreateSession(0, 30, options);
   ASSERT_TRUE(warm.ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace exsample {
 namespace stats {
@@ -100,6 +101,59 @@ TEST(InverseGammaPTest, MonotoneInP) {
     const double x = InverseRegularizedGammaP(2.5, p);
     EXPECT_GT(x, prev);
     prev = x;
+  }
+}
+
+TEST(InverseGammaQTest, RoundTripsToRelativeErrorDeepInTheTail) {
+  // The P-inverse stops on an absolute |P - p| < 1e-12, useless for a tail of
+  // 1e-6; the Q-inverse must hold Q's *relative* error all the way down.
+  for (double a : {0.1, 1.1, 5.1, 50.1}) {
+    std::vector<double> tails{0.5};
+    for (int k = 1; k <= 300; ++k) tails.push_back(std::pow(10.0, -k));
+    for (double q : tails) {
+      const double x = InverseRegularizedGammaQ(a, q);
+      ASSERT_TRUE(std::isfinite(x)) << "a=" << a << " q=" << q;
+      EXPECT_LE(std::fabs(RegularizedGammaQ(a, x) / q - 1.0), 1e-9)
+          << "a=" << a << " q=" << q << " x=" << x;
+    }
+  }
+}
+
+TEST(InverseGammaQTest, AgreesWithThePInverseInTheBody) {
+  for (double a : {0.1, 1.1, 5.1, 50.1}) {
+    for (double p : {0.01, 0.25, 0.5, 0.75, 0.99}) {
+      EXPECT_NEAR(RegularizedGammaP(a, InverseRegularizedGammaQ(a, 1.0 - p)), p, 1e-9)
+          << "a=" << a << " p=" << p;
+    }
+  }
+}
+
+TEST(InverseGammaQTest, BoundariesAndMonotone) {
+  EXPECT_DOUBLE_EQ(InverseRegularizedGammaQ(2.0, 1.0), 0.0);
+  EXPECT_TRUE(std::isinf(InverseRegularizedGammaQ(2.0, 0.0)));
+  // Gamma(1, 1) is Exponential(1): Q(1, x) = e^-x.
+  EXPECT_NEAR(InverseRegularizedGammaQ(1.0, 1e-6), -std::log(1e-6), 1e-8);
+  double prev = 0.0;
+  for (double q = 0.95; q > 1e-12; q *= 0.5) {
+    const double x = InverseRegularizedGammaQ(0.1, q);
+    EXPECT_GT(x, prev) << q;
+    prev = x;
+  }
+}
+
+TEST(InverseGammaQTest, GroupMaximumStaysFiniteForHugeGroups) {
+  // The largest of m iid Gamma(a, 1) draws is Q^-1(a, 1 - U^(1/m)); the tail
+  // goes through expm1 because U^(1/m) rounds toward 1 as m grows. At
+  // m = 10^6 it must stay finite and above a single draw's median.
+  const double m = 1e6;
+  for (double a : {0.1, 1.1, 5.1, 50.1}) {
+    const double median = InverseRegularizedGammaQ(a, 0.5);
+    for (double u : {1e-300, 1e-12, 0.01, 0.5, 0.99, 1.0 - 1e-12}) {
+      const double tail = -std::expm1(std::log(u) / m);
+      const double x = InverseRegularizedGammaQ(a, tail);
+      EXPECT_TRUE(std::isfinite(x)) << "a=" << a << " u=" << u;
+      EXPECT_GT(x, median) << "a=" << a << " u=" << u;
+    }
   }
 }
 
