@@ -1,14 +1,13 @@
-// Lock-free hot path: what the ring-buffer task queues, spin-then-park
-// wakeups, and placement-aware pools guarantee under contention. Three
-// exit-enforced claims:
+// Lock-free hot path: what the ring-buffer task queues and spin-then-park
+// wakeups guarantee under contention. Three exit-enforced claims:
 //
 //   1. Lock-freedom does not change computation: for all 7 methods and
-//      shard counts {1, 2, 5}, a query on a fully contended engine (8
-//      pool threads, decode prefetch, per-shard pools, coalesced detect
-//      over loopback runner rings) produces a trace bit-identical to a
-//      sequential single-threaded run of the same spec and seed (exit 3
-//      on divergence). Queue mechanics move work between threads; they
-//      must never reorder the computation the trace records.
+//      shard counts {1, 2, 5}, a query on a fully contended engine (an
+//      8-thread pool and coalesced detect over loopback runner rings)
+//      produces a trace bit-identical to a sequential single-threaded run
+//      of the same spec and seed (exit 3 on divergence). Queue mechanics
+//      move work between threads; they must never reorder the computation
+//      the trace records.
 //
 //   2. The submit->grant hot path stays flat as sessions scale: the p95
 //      wall-clock submit->grant latency of a coalesced loopback engine
@@ -83,6 +82,11 @@ std::unique_ptr<Workload> MakeContentionWorkload(uint64_t seed) {
       std::move(scene::GenerateScene(spec, nullptr, rng)).value());
 }
 
+/// Hardware threads visible to the process (1 when unknown).
+int HardwareThreads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 const engine::Method kAllMethods[] = {
     engine::Method::kExSample,   engine::Method::kExSampleAdaptive,
     engine::Method::kRandom,     engine::Method::kRandomPlus,
@@ -103,15 +107,14 @@ engine::QueryOptions MakeQueryOptions(engine::Method method, uint64_t max_sample
   return options;
 }
 
-/// Everything the lock-free paths touch, turned on at once: 8 pool
-/// threads, overlapped decode, per-shard pools, and coalesced detect over
-/// the loopback transport's runner rings.
+/// Everything the lock-free paths touch, turned on at once: an 8-thread
+/// pool and coalesced detect over the loopback transport's runner rings.
+/// `prefetch_depth` builds no prefetcher here: without `simulate_decode`
+/// the sessions have no decode stores.
 engine::EngineConfig ContendedConfig() {
   engine::EngineConfig config;
   config.num_threads = 8;
   config.prefetch_depth = 4;
-  config.io_threads = 2;
-  config.threads_per_shard = 2;
   config.coalesce_detect = true;
   config.device_batch = 16;
   config.transport = engine::TransportKind::kLoopback;
@@ -220,8 +223,8 @@ ScalingResult RunScaling(const Workload& workload, uint64_t max_samples,
   // See the file comment: 1.25x per unit of offered load. With >= 8
   // hardware threads this is the strict 1.25x; below that, time-slicing
   // alone dilates wall-clock latency by ~(sessions / cores).
-  const double oversubscription = std::max(
-      1.0, 8.0 / static_cast<double>(common::affinity::HardwareThreads()));
+  const double oversubscription =
+      std::max(1.0, 8.0 / static_cast<double>(HardwareThreads()));
   result.allowed_ratio = 1.25 * oversubscription;
   result.flat =
       result.ratio <= result.allowed_ratio ||
@@ -237,8 +240,7 @@ ScalingResult RunScaling(const Workload& workload, uint64_t max_samples,
               "(target <= %.2fx at %d hardware threads, or noise floor)\n\n",
               1e6 * result.contended.p95_seconds,
               static_cast<unsigned long long>(result.contended.grants),
-              result.ratio, result.allowed_ratio,
-              common::affinity::HardwareThreads());
+              result.ratio, result.allowed_ratio, HardwareThreads());
   return result;
 }
 

@@ -1,10 +1,10 @@
 // Shard scaling: detect-stage throughput vs shard count.
 //
-// A sharded repository gives every shard its own detector context and worker
-// pool — the in-process stand-in for "one query spans machines". Batches go
-// through a `DetectorService` over a `LoopbackTransport`, whose runner thread
-// per shard drives that shard's pool. Under a latency-bound detector (GPU
-// inference or a remote model server), the runners overlap the shards'
+// A sharded repository gives every shard its own detector context — the
+// in-process stand-in for "one query spans machines". Batches go through a
+// `DetectorService` over a `LoopbackTransport`, whose one runner thread per
+// shard detects that shard's slices inline. Under a latency-bound detector
+// (GPU inference or a remote model server), the runners overlap the shards'
 // device batches, so the detect stage's frames/sec should scale with shard
 // count while calls stay latency-bound.
 //
@@ -26,7 +26,6 @@ void ShardScalingSweep(const BenchConfig& config) {
   // Every Detect call costs ~2 ms of wall-clock regardless of CPU, the
   // regime where dispatch parallelism is visible.
   const double kLatencySeconds = 0.002;
-  const size_t kThreadsPerShard = 2;
   const size_t kBatch = 64;
   const uint64_t kFramesToProcess = config.full ? 2048 : 512;
   const uint64_t kFrames = 96'000;
@@ -37,36 +36,31 @@ void ShardScalingSweep(const BenchConfig& config) {
   const video::VideoRepository repo = video::VideoRepository::UniformClips(16, kFrames / 16);
 
   std::printf("=== Shard scaling: detect-stage frames/sec vs shard count ===\n");
-  std::printf("latency-bound detector (%.1f ms/call); %zu threads per shard;\n"
-              "batch %zu; %llu frames per cell.\n\n",
-              kLatencySeconds * 1e3, kThreadsPerShard, kBatch,
+  std::printf("latency-bound detector (%.1f ms/call); one runner thread per\n"
+              "shard; batch %zu; %llu frames per cell.\n\n",
+              kLatencySeconds * 1e3, kBatch,
               static_cast<unsigned long long>(kFramesToProcess));
 
   common::TextTable table;
-  table.SetHeader({"shards", "threads total", "frames/sec", "speedup vs 1 shard"});
+  table.SetHeader({"shards", "runner threads", "frames/sec", "speedup vs 1 shard"});
   double baseline_fps = 0.0;
   for (const size_t shards : {1, 2, 4, 8}) {
     auto sharded = video::ShardedRepository::ShardByClips(repo, shards).value();
 
     // One detector context per shard: simulated detections wrapped in the
-    // latency decorator, plus a private pool per shard that the shard's
-    // loopback runner drives.
+    // latency decorator, detected by the shard's loopback runner.
     std::vector<std::unique_ptr<detect::SimulatedDetector>> bases;
     std::vector<std::unique_ptr<detect::ThrottledDetector>> throttled;
-    std::vector<std::unique_ptr<common::ThreadPool>> pools;
-    std::vector<common::ThreadPool*> pool_ptrs;
     std::vector<query::ShardContext> contexts(shards);
     for (uint32_t s = 0; s < shards; ++s) {
       bases.push_back(std::make_unique<detect::SimulatedDetector>(
           &workload->truth, detect::DetectorOptions::Perfect(0)));
       throttled.push_back(
           std::make_unique<detect::ThrottledDetector>(bases.back().get(), kLatencySeconds));
-      pools.push_back(std::make_unique<common::ThreadPool>(kThreadsPerShard));
-      pool_ptrs.push_back(pools.back().get());
       contexts[s].detector = throttled.back().get();
     }
     query::ShardDispatcher dispatcher(&sharded, std::move(contexts));
-    query::LoopbackTransport transport(shards, pool_ptrs);
+    query::LoopbackTransport transport(shards);
     query::DetectorServiceOptions service_options;
     service_options.device_batch = kBatch;
     service_options.transport = &transport;
@@ -107,13 +101,13 @@ void ShardScalingSweep(const BenchConfig& config) {
     std::snprintf(fps_buf, sizeof(fps_buf), "%.0f", fps);
     std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx",
                   baseline_fps > 0.0 ? fps / baseline_fps : 0.0);
-    table.AddRow({std::to_string(shards), std::to_string(shards * kThreadsPerShard),
-                  fps_buf, speedup_buf});
+    table.AddRow({std::to_string(shards), std::to_string(shards), fps_buf,
+                  speedup_buf});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf("\nexpected shape: ~linear in shard count while calls stay\n"
-              "latency-bound (each shard adds its own pool), flattening once\n"
-              "the batch no longer fills every shard's workers.\n");
+              "latency-bound (each shard adds one runner detecting beside\n"
+              "the others), less where a batch splits unevenly over shards.\n");
 }
 
 int Main(int argc, char** argv) {

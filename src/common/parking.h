@@ -9,19 +9,24 @@
 /// the producer's fast path. Parker is a waiter-counted eventcount:
 ///
 ///   consumer:  spin a bounded number of times re-checking the queue;
-///              if still empty, PrepareWait() (waiters++, seq_cst),
+///              if still empty, register (waiters++, a seq_cst RMW),
 ///              re-check the queue once more, then Wait() on the CV.
 ///   producer:  publish the element (release store inside the ring),
-///              then a seq_cst fence, then load the waiter count; only
-///              when it is non-zero take the mutex and notify.
+///              then read the waiter count with a seq_cst RMW
+///              (fetch_add(0)); only when it is non-zero take the mutex
+///              and notify.
 ///
-/// The seq_cst increment on the consumer side and the seq_cst fence on
-/// the producer side form a Dekker-style store/load pair: either the
-/// producer sees waiters > 0 and notifies, or the consumer's final
-/// re-check (after the increment) sees the element. A wakeup can never
-/// be lost, and the common uncontended Submit costs zero syscalls and
-/// zero atomics beyond the ring's own release store plus one fence and
-/// one relaxed load.
+/// Every access to the count in this handshake is a read-modify-write,
+/// so the count's modification order alone decides each race between a
+/// producer's read R and a consumer's increment W. If R comes after W,
+/// R reads a count that includes the waiter and the producer notifies.
+/// If R comes before W, W reads R's value (or that of a later RMW, all of
+/// which continue R's release sequence), so W's acquire synchronizes
+/// with R's release: the producer's ring push happens-before the
+/// consumer's re-check, which therefore sees the element. A wakeup can
+/// never be lost, the argument needs no fences (which ThreadSanitizer
+/// cannot model), and the common uncontended Submit costs zero syscalls
+/// and one RMW beyond the ring's own release store.
 ///
 /// Spurious wakeups are the caller's problem by design: Wait() returns
 /// whenever notified or on spurious CV wakeup, and the caller loops on
@@ -51,17 +56,14 @@ class Parker {
   /// the very producer being waited on.
   static constexpr int kSpinIterations = 64;
 
-  /// \brief RAII wait session. Construct to register as a waiter
-  /// (seq_cst, so producers past their fence must see it), then
-  /// re-check the queue, then Wait() if still empty.
+  /// \brief RAII wait session. Construct to register as a waiter (an
+  /// RMW that either a later producer's read sees or that acquires an
+  /// earlier producer's push), then re-check the queue, then Wait() if
+  /// still empty.
   class WaitGuard {
    public:
     explicit WaitGuard(Parker& parker) : parker_(parker), lock_(parker.mu_) {
       parker_.waiters_.fetch_add(1, std::memory_order_seq_cst);
-      // Pair of the producer-side fence in WakeOne/WakeAll: orders the
-      // increment above before the caller's queue re-check, completing
-      // the Dekker store/load square so a wakeup cannot be lost.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
     }
 
     ~WaitGuard() {
@@ -83,12 +85,11 @@ class Parker {
 
   /// \brief Producer side: wake one parked consumer if any are parked.
   ///
-  /// Call *after* publishing work to the queue. The seq_cst fence
-  /// pairs with the waiter-count increment in WaitGuard; see the file
+  /// Call *after* publishing work to the queue. The count is read with
+  /// an RMW so it is ordered against WaitGuard's increment; see the file
   /// comment for the lost-wakeup argument.
   void WakeOne() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    if (waiters_.fetch_add(0, std::memory_order_seq_cst) == 0) return;
     // Taking the mutex before notifying closes the window where the
     // waiter has incremented the count and re-checked the queue but
     // not yet reached cv_.wait(): the notify cannot run inside that
@@ -99,8 +100,7 @@ class Parker {
 
   /// \brief Producer side: wake all parked consumers if any.
   void WakeAll() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    if (waiters_.fetch_add(0, std::memory_order_seq_cst) == 0) return;
     { std::lock_guard<std::mutex> lock(mu_); }
     cv_.notify_all();
   }

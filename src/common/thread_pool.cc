@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/affinity.h"
 #include "common/status.h"
 
 namespace exsample {
@@ -20,11 +19,7 @@ constexpr size_t kInjectionRingCapacity = 512;
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(Options{num_threads, {}}) {}
-
-ThreadPool::ThreadPool(const Options& options) {
-  size_t num_threads = options.num_threads;
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     num_threads = hw > 0 ? hw : 1;
@@ -40,11 +35,6 @@ ThreadPool::ThreadPool(const Options& options) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
-    if (!options.pin_cpus.empty()) {
-      // Best-effort placement; a rejected pin must never take the pool down.
-      (void)affinity::PinThread(workers_.back(),
-                               options.pin_cpus[i % options.pin_cpus.size()]);
-    }
   }
 }
 
@@ -167,9 +157,9 @@ void ThreadPool::WorkerLoop(size_t self) {
     }
     idle_spins = 0;
     Parker::WaitGuard guard(wake_parker_);
-    // Registered as a waiter (seq_cst) — re-check before sleeping. Any
-    // producer that published after this point must see our registration
-    // past its fence and will notify.
+    // Registered as a waiter — re-check before sleeping. A producer whose
+    // waiter-count read follows our registration sees it and notifies; one
+    // whose read came first published work this re-check sees.
     if (HasVisibleWork() || stop_.load(std::memory_order_acquire)) {
       continue;  // ~WaitGuard deregisters.
     }

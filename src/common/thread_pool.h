@@ -52,23 +52,10 @@ namespace common {
 /// overflow spill, and shutdown — exactly the cold paths.
 class ThreadPool {
  public:
-  /// \brief Construction knobs beyond thread count.
-  struct Options {
-    /// 0 = one worker per hardware thread; 1 = no workers (inline).
-    size_t num_threads = 0;
-    /// When non-empty, worker i is pinned to pin_cpus[i % size()]
-    /// (best-effort; failures are ignored — placement is a latency
-    /// optimization, never a correctness requirement).
-    std::vector<int> pin_cpus;
-  };
-
   /// \brief Starts `num_threads` workers. 0 means one worker per hardware
   /// thread; 1 means no workers at all (every ParallelFor runs inline on the
   /// caller, which keeps single-threaded runs free of synchronization).
   explicit ThreadPool(size_t num_threads = 0);
-
-  /// \brief Starts workers per \p options (thread count plus CPU pinning).
-  explicit ThreadPool(const Options& options);
 
   ~ThreadPool();
 

@@ -122,32 +122,9 @@ common::Result<std::unique_ptr<query::SearchStrategy>> SearchEngine::MakeStrateg
 common::ThreadPool* SearchEngine::thread_pool() {
   if (config_.num_threads == 1) return nullptr;
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-        config_.num_threads, config_.placement.worker_cpus});
+    pool_ = std::make_unique<common::ThreadPool>(config_.num_threads);
   }
   return pool_.get();
-}
-
-common::ThreadPool* SearchEngine::io_pool() {
-  if (config_.io_threads == 0) return nullptr;
-  if (io_pool_ == nullptr) {
-    io_pool_ = std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-        config_.io_threads, config_.placement.io_cpus});
-  }
-  return io_pool_.get();
-}
-
-common::ThreadPool* SearchEngine::shard_pool(uint32_t shard) {
-  if (config_.threads_per_shard == 0) return thread_pool();
-  if (shard_pools_.empty()) {
-    shard_pools_.resize(sharded_->NumShards());
-  }
-  if (shard_pools_[shard] == nullptr) {
-    shard_pools_[shard] =
-        std::make_unique<common::ThreadPool>(common::ThreadPool::Options{
-            config_.threads_per_shard, config_.placement.worker_cpus});
-  }
-  return shard_pools_[shard].get();
 }
 
 query::DetectorService* SearchEngine::detector_service() {
@@ -157,26 +134,17 @@ query::DetectorService* SearchEngine::detector_service() {
     options.max_retries = config_.transport_max_retries;
     options.flush_deadline_seconds = config_.flush_deadline_seconds;
     const size_t num_shards = sharded_ != nullptr ? sharded_->NumShards() : 1;
-    std::vector<common::ThreadPool*> pools;
-    if (sharded_ != nullptr && config_.threads_per_shard > 0) {
-      pools.reserve(num_shards);
-      for (uint32_t s = 0; s < num_shards; ++s) pools.push_back(shard_pool(s));
-    }
     if (config_.transport == TransportKind::kLoopback) {
-      // The RPC stand-in: per-shard runner threads fed wire bytes. Each
-      // runner drives its shard's private pool (or detects inline); requests
-      // are stamped with the repository fingerprint so a mis-deployed runner
-      // rejects them.
+      // The RPC stand-in: one runner thread per shard fed wire bytes, each
+      // detecting inline; requests are stamped with the repository
+      // fingerprint so a mis-deployed runner rejects them.
       options.repo_fingerprint = repo_->Fingerprint();
       query::LoopbackTransportOptions loopback = config_.loopback;
       if (loopback.expected_fingerprint == 0) {
         loopback.expected_fingerprint = options.repo_fingerprint;
       }
-      if (loopback.runner_cpus.empty()) {
-        loopback.runner_cpus = config_.placement.runner_cpus;
-      }
-      transport_ = std::make_unique<query::LoopbackTransport>(num_shards, pools,
-                                                              loopback);
+      transport_ =
+          std::make_unique<query::LoopbackTransport>(num_shards, loopback);
       options.transport = transport_.get();
     } else if (config_.transport == TransportKind::kSocket) {
       // The real thing: TCP connections to one `exsample_shardd` per shard.
@@ -188,9 +156,9 @@ query::DetectorService* SearchEngine::detector_service() {
       options.transport = transport_.get();
     }
     // kLocal leaves `options.transport` null: the service then owns a
-    // `LocalTransport` over these pools.
+    // `LocalTransport` over the engine's pool.
     detector_service_ = std::make_unique<query::DetectorService>(
-        options, num_shards, std::move(pools), thread_pool());
+        options, num_shards, thread_pool());
     if (config_.collect_stats) {
       // The service's hot-path ticks and its submit→grant / transport
       // latency records all run on the coordinator thread that drives
@@ -315,11 +283,9 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   session_options.batch_size = batch_size;
   session_options.thread_pool = thread_pool();
   session_options.shard_dispatcher = session->shard_dispatcher_.get();
-  // Pipelined decode: all sessions share the engine's I/O pool(s), so
-  // concurrent queries' prefetchers draw from one set of decode workers just
-  // as their detect stages share the detect pool.
+  // Pipelined decode: every session's prefetcher submits its decode tasks
+  // to the same pool its detect fan-out runs on (`decode_pool` left null).
   session_options.prefetch_depth = config_.prefetch_depth;
-  session_options.decode_pool = io_pool();
   // Every session submits to the engine's one shared service (solo steps
   // flush it inline — bit-identical to coalesced runs, which is the
   // contract the sched suite checks).

@@ -56,12 +56,13 @@ enum class TransportKind {
   /// In process, through the service's own `query::LocalTransport`: no
   /// serialization, shards one after another. The default.
   kLocal,
-  /// Wire-serialized execution on per-shard runner threads
-  /// (`query::LoopbackTransport`): every device batch crosses the versioned
-  /// wire format, completions arrive in any order, and the fault-injection
-  /// knobs (`EngineConfig::loopback`) exercise the retry/requeue story. The
-  /// way an in-process engine detects its shards in parallel. Traces are
-  /// bit-identical to `kLocal` — the `dist` suite enforces it.
+  /// Wire-serialized execution on one runner thread per shard
+  /// (`query::LoopbackTransport`), each detecting its batches inline: every
+  /// device batch crosses the versioned wire format, completions arrive in
+  /// any order, and the fault-injection knobs (`EngineConfig::loopback`)
+  /// exercise the retry/requeue story. The way an in-process engine detects
+  /// its shards in parallel. Traces are bit-identical to `kLocal` — the
+  /// `dist` suite enforces it.
   kLoopback,
   /// Real TCP sockets to `exsample_shardd` shard servers
   /// (`query::SocketTransport`): sessions deploy over the
@@ -77,28 +78,6 @@ const char* TransportKindName(TransportKind kind);
 
 /// \brief Parses a transport name as `TransportKindName` prints it.
 std::optional<TransportKind> ParseTransportKind(const std::string& name);
-
-/// \brief CPU placement of an engine's threads (see common/affinity.h).
-///
-/// Empty lists (the default) leave every thread wherever the OS scheduler
-/// puts it. Non-empty lists pin best-effort: thread `i` of a group goes to
-/// `cpus[i % cpus.size()]`, a failed pin is silently ignored (correctness
-/// never depends on placement, only tail latency does), and non-Linux
-/// builds no-op. `exsample_cli --affinity=SPEC` is the user-facing knob;
-/// it validates the set against the hardware and warns on oversubscription
-/// instead of failing.
-struct PlacementConfig {
-  /// Detect-pool workers — engine-wide and per-shard pools alike.
-  std::vector<int> worker_cpus;
-  /// I/O (decode-prefetch) pool workers.
-  std::vector<int> io_cpus;
-  /// Loopback shard-runner threads (runner of shard s -> cpus[s % size]).
-  std::vector<int> runner_cpus;
-
-  bool Any() const {
-    return !worker_cpus.empty() || !io_cpus.empty() || !runner_cpus.empty();
-  }
-};
 
 /// \brief Per-engine configuration: how frames are detected and how distinct
 /// identity is decided. One config serves many queries.
@@ -117,11 +96,13 @@ struct EngineConfig {
   /// Proxy model config (only used by kProxyGuided / kHybrid queries).
   detect::ProxyOptions proxy;
 
-  /// Threads in the engine-wide pool the detect service's device batches
-  /// fan out over (and the proxy scorers' scans). 0 = one per hardware
-  /// thread; 1 (the default) runs everything on the caller, with no
-  /// synchronization. Thread count never changes a trace — only wall-clock
-  /// time.
+  /// Threads in the engine's one pool, counting the caller: the in-process
+  /// detect fan-out of every device batch, the sessions' decode-ahead tasks,
+  /// and the proxy scorers' scans all share it. The engine builds no other
+  /// pool; the only other threads are `kLoopback`'s runners, one per shard.
+  /// 0 = one per hardware thread; 1 (the default) builds no pool and runs
+  /// everything on the caller, with no synchronization. Thread count never
+  /// changes a trace — only wall-clock time.
   size_t num_threads = 1;
 
   /// Simulate decode cost: when true, every session charges I/O+decode
@@ -137,14 +118,10 @@ struct EngineConfig {
   /// Decode-ahead window of every session's pipelined decode stage
   /// (`RunnerOptions::prefetch_depth`). 0 (the default) decodes synchronously
   /// at submit time; depth d overlaps the decode of the next d frames with
-  /// detection (per `device_batch` slice), on the I/O pool. Never changes a
-  /// trace — only
-  /// wall-clock (the `decode`-labeled suite proves bit-identity).
+  /// detection (per `device_batch` slice), on the engine's pool. Never
+  /// changes a trace — only wall-clock (the `decode`-labeled suite proves
+  /// bit-identity).
   size_t prefetch_depth = 0;
-  /// Threads in the engine-wide I/O pool all sessions' prefetchers share
-  /// (decode work runs there, detect fan-out stays on `num_threads`). 0 (the
-  /// default) shares the engine-wide detect pool instead.
-  size_t io_threads = 0;
 
   /// Read nowhere: every engine shares one detect service across its
   /// sessions. Kept only because the repository benchmark (`perfbench/`)
@@ -157,9 +134,10 @@ struct EngineConfig {
   /// Decode overlaps detection, and fill rate is measured, at this size.
   size_t device_batch = 32;
   /// Which transport executes the service's device batches: in process
-  /// (`kLocal`, the default), wire-serialized onto per-shard runner threads
-  /// (`kLoopback`, the RPC stand-in and the in-process way to detect shards
-  /// in parallel), or over TCP (`kSocket`). Traces are identical either way.
+  /// (`kLocal`, the default), wire-serialized onto one runner thread per
+  /// shard (`kLoopback`, the RPC stand-in and the in-process way to detect
+  /// shards in parallel), or over TCP (`kSocket`). Traces are identical
+  /// either way.
   TransportKind transport = TransportKind::kLocal;
   /// When > 0 (seconds, wall clock), the service flushes latency-aware
   /// (`query::DetectorServiceOptions::flush_deadline_seconds`): a shard's
@@ -227,19 +205,10 @@ struct EngineConfig {
   /// count never changes a trace (proven by the shard equivalence suite). 1
   /// (the default) runs every session over one shard context. Ignored when
   /// the engine is constructed over an explicit `ShardedRepository`, whose
-  /// own shard count wins.
+  /// own shard count wins. Shards detect one after another over `kLocal`
+  /// (fanning each batch over the engine's pool) and concurrently over
+  /// `kLoopback`, whose runner thread per shard detects inline.
   size_t num_shards = 1;
-  /// Threads in each shard's private detect pool ("one GPU's worth" per
-  /// shard); a shard's device batches fan out over it. Shards detect
-  /// concurrently only over `kLoopback`, whose runner thread per shard
-  /// drives that shard's pool. 0 (the default) shares the engine-wide pool
-  /// across shards.
-  size_t threads_per_shard = 0;
-
-  /// CPU placement of the engine's worker / I/O / shard-runner threads.
-  /// Defaults to no pinning. Placement never changes a trace — it moves
-  /// threads, not work.
-  PlacementConfig placement;
 };
 
 /// \brief Per-query method configuration.
@@ -350,15 +319,10 @@ class SearchEngine {
   /// switches into its per-tenant inner schedulers.
   const EngineConfig& config() const { return config_; }
 
-  /// \brief The engine-wide pool, created lazily on first use. Null when
+  /// \brief The engine's one pool, created lazily on first use. Null when
   /// `config.num_threads == 1` (strictly sequential); 0 yields a
   /// hardware-sized pool.
   common::ThreadPool* thread_pool();
-
-  /// \brief The engine-wide I/O pool the sessions' decode prefetchers share,
-  /// created lazily. Null when `config.io_threads == 0` (decode work then
-  /// shares the detect pool).
-  common::ThreadPool* io_pool();
 
   /// \brief The sharded repository queries are dispatched over, or null for a
   /// single-repository engine.
@@ -400,10 +364,6 @@ class SearchEngine {
   std::string StatsJson();
 
  private:
-  /// The pool a shard's detect stage fans out over: the shard's private pool
-  /// when `config.threads_per_shard > 0` (created lazily, shared by all
-  /// sessions), else the engine-wide pool.
-  common::ThreadPool* shard_pool(uint32_t shard);
   common::Result<std::unique_ptr<QuerySession>> MakeSession(
       int32_t class_id, const query::RunnerOptions& runner_options,
       const QueryOptions& options);
@@ -423,10 +383,9 @@ class SearchEngine {
   // Proxy scorers are pure functions of (truth, class, options); cached per
   // class so hybrid/proxy queries do not rebuild them.
   std::map<int32_t, std::unique_ptr<detect::ProxyScorer>> scorers_;
-  // Engine-wide worker pool shared by all sessions' detect stages.
+  // The engine's one pool: every session's detect fan-out, decode-ahead
+  // tasks and proxy scans.
   std::unique_ptr<common::ThreadPool> pool_;
-  // Engine-wide I/O pool shared by all sessions' decode prefetchers.
-  std::unique_ptr<common::ThreadPool> io_pool_;
   // Wire transport behind the detect service (kLoopback, kSocket), created
   // with the service. Declared before the service so the service —
   // whose flush loop leaves the transport empty — is destroyed first, and
@@ -444,8 +403,6 @@ class SearchEngine {
   // engine's lifetime.
   stats::CounterRegistry registry_;
   stats::StageTimer stage_timer_;
-  // Per-shard private pools (config.threads_per_shard > 0), lazily created.
-  std::vector<std::unique_ptr<common::ThreadPool>> shard_pools_;
 };
 
 }  // namespace engine

@@ -37,14 +37,12 @@ ServiceStatsBinding ServiceStatsBinding::Bind(stats::CounterRegistry* registry,
 }
 
 DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shards,
-                                 std::vector<common::ThreadPool*> pools,
-                                 common::ThreadPool* default_pool)
+                                 common::ThreadPool* pool)
     : options_(options) {
   common::Check(options_.device_batch >= 1, "device batch must hold a frame");
   common::Check(num_shards >= 1, "detector service needs at least one shard queue");
   if (options_.transport == nullptr) {
-    owned_transport_ =
-        std::make_unique<LocalTransport>(num_shards, std::move(pools), default_pool);
+    owned_transport_ = std::make_unique<LocalTransport>(num_shards, pool);
     options_.transport = owned_transport_.get();
   }
   queues_.resize(num_shards);

@@ -69,7 +69,7 @@ struct DetectorServiceOptions {
   double flush_deadline_seconds = 0.0;
   /// Executes the sliced device batches: every slice crosses this transport
   /// as a wire batch and its response is scattered back by ticket. Null
-  /// makes the service build and own a `LocalTransport` over the pools its
+  /// makes the service build and own a `LocalTransport` over the pool its
   /// constructor takes — in-process execution, through the same wire path.
   /// A caller's transport must outlive the service; the service binds its
   /// session directory to it on construction.
@@ -157,7 +157,7 @@ struct DetectorServiceStats {
 /// it with `ExecuteWireRequest`.
 ///
 /// The decode-ahead seam moves with the detect stage: a request's prefetcher
-/// keeps decoding on the I/O pools from submit time until the flush that
+/// keeps decoding on the engine's pool from submit time until the flush that
 /// consumes the request — the decode window spans the coalesce window.
 /// Before a slice is first sent, the service waits for that slice's frames
 /// to finish decoding, in each request's batch order; later slices keep
@@ -220,13 +220,11 @@ class DetectorService {
 
   /// `num_shards` fixes the submission-queue fan-out (1 for unsharded
   /// engines). Without `options.transport`, the service's own
-  /// `LocalTransport` runs each shard's device batches over `pools[shard]`
-  /// (when `pools` is non-empty, one entry per shard) or else
-  /// `default_pool`, inline when both are null. With a transport, execution
-  /// happens runner-side and the pools are not used.
+  /// `LocalTransport` fans every shard's device batches over `pool` (inline
+  /// when null). With a transport, execution happens runner-side and `pool`
+  /// is not used.
   DetectorService(DetectorServiceOptions options, size_t num_shards = 1,
-                  std::vector<common::ThreadPool*> pools = {},
-                  common::ThreadPool* default_pool = nullptr);
+                  common::ThreadPool* pool = nullptr);
 
   /// \brief Enqueues a session's batch and returns its ticket. Non-blocking
   /// under barrier flushing; a latency-aware service (positive

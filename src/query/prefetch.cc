@@ -143,8 +143,8 @@ void DecodePrefetcher::WaitReadyLocked(std::unique_lock<std::mutex>& lock,
     {
       common::Parker::WaitGuard guard(ready_parker_);
       // Registered as a waiter — drain once more before sleeping. A task
-      // that pushed after this point sees our registration past its fence
-      // and will notify.
+      // whose waiter-count read follows our registration notifies; one
+      // whose read came first pushed a completion this drain sees.
       lock.lock();
       DrainCompletionsLocked();
       const bool ready = slots_[index].ready;

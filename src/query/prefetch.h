@@ -71,7 +71,8 @@ struct PrefetchStats {
 /// completion ring and wakes the coordinator through a waiter-counted
 /// `Parker` — when nobody is blocked in `WaitFrame`/`Drain` (the common
 /// case while detection is the bottleneck) a completion costs one ring
-/// push and one fence, no mutex and no condition-variable syscall. The
+/// push and one waiter-count RMW, no mutex and no condition-variable
+/// syscall. The
 /// ring can never overflow: in-order consumption bounds unconsumed
 /// completions by the window depth. `mu_` survives only on the
 /// coordinator/observer side (batch rebuild, `Cached`), where it is

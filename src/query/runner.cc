@@ -92,8 +92,7 @@ QueryExecution::QueryExecution(const scene::GroundTruth* truth,
             ? std::max<size_t>(1, options_.batch_size)
             : std::max(prefetcher_->depth(), parallelism);
     owned_service_ = std::make_unique<DetectorService>(
-        service_options, dispatcher_->NumShards(),
-        std::vector<common::ThreadPool*>{}, options_.thread_pool);
+        service_options, dispatcher_->NumShards(), options_.thread_pool);
     service_ = owned_service_.get();
   }
   trace_.strategy_name = strategy_->name();

@@ -111,7 +111,8 @@ struct RunnerOptions {
   /// planned in batch order on the coordinator (enforced bit-identical by
   /// the decode suite).
   size_t prefetch_depth = 0;
-  /// Pool the prefetcher's decode work runs on. Null shares `thread_pool`.
+  /// Pool the prefetcher's decode work runs on. Null shares `thread_pool`,
+  /// which is what `SearchEngine` sessions do.
   common::ThreadPool* decode_pool = nullptr;
   /// The detect service every step submits its picked batch to: `BeginStep`
   /// enqueues the batch and `FinishStep` collects the detections after a

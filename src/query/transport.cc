@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "common/affinity.h"
 #include "common/hash.h"
 
 namespace exsample {
@@ -115,14 +114,9 @@ DetectResponseMsg ExecuteWireRequest(const DetectRequestMsg& request,
 
 // --- LocalTransport ---------------------------------------------------------
 
-LocalTransport::LocalTransport(size_t num_shards,
-                               std::vector<common::ThreadPool*> pools,
-                               common::ThreadPool* default_pool)
-    : pools_(std::move(pools)), default_pool_(default_pool) {
+LocalTransport::LocalTransport(size_t num_shards, common::ThreadPool* pool)
+    : num_shards_(num_shards), pool_(pool) {
   common::Check(num_shards >= 1, "transport needs at least one shard");
-  common::Check(pools_.empty() || pools_.size() == num_shards,
-                "per-shard pools must cover every shard");
-  if (pools_.empty()) pools_.resize(num_shards, nullptr);
 }
 
 void LocalTransport::BindLocalResolver(const SessionResolver* resolver) {
@@ -143,12 +137,10 @@ void LocalTransport::UnregisterSession(uint64_t session_id) {
 common::Status LocalTransport::Send(uint32_t runner_shard,
                                     const DetectRequestMsg& request) {
   common::Check(resolver_ != nullptr, "transport used before BindLocalResolver");
-  if (runner_shard >= pools_.size()) {
+  if (runner_shard >= num_shards_) {
     return common::Status::InvalidArgument("wire batch sent past the shards");
   }
-  common::ThreadPool* pool =
-      pools_[runner_shard] != nullptr ? pools_[runner_shard] : default_pool_;
-  completed_.push_back(ExecuteWireRequest(request, *resolver_, pool));
+  completed_.push_back(ExecuteWireRequest(request, *resolver_, pool_));
   stats_.requests += 1;
   return common::Status::OK();
 }
@@ -204,15 +196,9 @@ bool LoopbackTransport::SpillQueue::Empty() const {
 }
 
 LoopbackTransport::LoopbackTransport(size_t num_shards,
-                                     std::vector<common::ThreadPool*> pools,
                                      LoopbackTransportOptions options)
-    : options_(std::move(options)),
-      pools_(std::move(pools)),
-      outbox_(kOutboxRingCapacity) {
+    : options_(options), outbox_(kOutboxRingCapacity) {
   common::Check(num_shards >= 1, "transport needs at least one shard");
-  common::Check(pools_.empty() || pools_.size() == num_shards,
-                "per-shard pools must cover every shard");
-  if (pools_.empty()) pools_.resize(num_shards, nullptr);
   runners_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     runners_.push_back(std::make_unique<Runner>(kInboxRingCapacity));
@@ -221,11 +207,6 @@ LoopbackTransport::LoopbackTransport(size_t num_shards,
   // touches another's state, but keeping construction fully ordered is free.
   for (uint32_t s = 0; s < num_shards; ++s) {
     runners_[s]->thread = std::thread([this, s] { RunnerLoop(s); });
-    if (!options_.runner_cpus.empty()) {
-      (void)common::affinity::PinThread(
-          runners_[s]->thread,
-          options_.runner_cpus[s % options_.runner_cpus.size()]);
-    }
   }
 }
 
@@ -397,7 +378,7 @@ void LoopbackTransport::RunnerLoop(uint32_t shard) {
     } else if (shard_dead || transient_failure) {
       response.status = WireStatus::kUnavailable;
     } else {
-      response = ExecuteWireRequest(request, *resolver_, pools_[shard]);
+      response = ExecuteWireRequest(request, *resolver_, /*pool=*/nullptr);
     }
 
     if (options_.reorder_jitter_seconds > 0.0) {

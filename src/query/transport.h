@@ -205,17 +205,16 @@ DetectResponseMsg ExecuteWireRequest(
     UnresolvedSlotPolicy policy = UnresolvedSlotPolicy::kFatal);
 
 /// \brief The in-process transport: `Send` executes the batch synchronously
-/// on the caller (fanning over the shard's pool) and queues the response for
-/// `Receive`, with no serialization. A `DetectorService` given no transport
-/// builds and owns one, so every in-process detect call runs here; shards
-/// execute one after another (`LoopbackTransport` runs them in parallel).
+/// on the caller (fanning its frames over `pool`) and queues the response
+/// for `Receive`, with no serialization. A `DetectorService` given no
+/// transport builds and owns one, so every in-process detect call runs here;
+/// shards execute one after another (`LoopbackTransport` runs them in
+/// parallel).
 class LocalTransport : public ShardTransport {
  public:
-  /// `pools` — when non-empty, one per shard — name the worker pool each
-  /// shard's batches fan out over; `default_pool` serves shards without one.
-  explicit LocalTransport(size_t num_shards,
-                          std::vector<common::ThreadPool*> pools = {},
-                          common::ThreadPool* default_pool = nullptr);
+  /// Every shard's batches fan out over `pool` (the engine's one pool);
+  /// null detects inline on the caller.
+  explicit LocalTransport(size_t num_shards, common::ThreadPool* pool = nullptr);
 
   const char* name() const override { return "local"; }
   void BindLocalResolver(const SessionResolver* resolver) override;
@@ -232,8 +231,8 @@ class LocalTransport : public ShardTransport {
   // fails `ExecuteWireRequest`'s resolve check, where a remote runner would
   // reject the batch.
   const SessionResolver* resolver_ = nullptr;
-  std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
-  common::ThreadPool* default_pool_ = nullptr;
+  size_t num_shards_;
+  common::ThreadPool* pool_;
   std::deque<DetectResponseMsg> completed_;
   TransportStats stats_;
 };
@@ -261,12 +260,6 @@ struct LoopbackTransportOptions {
   /// When non-zero, runners reject requests whose `repo_fingerprint` differs
   /// (deployment-mismatch detection; `kRepoMismatch`, never retried).
   uint64_t expected_fingerprint = 0;
-  /// When non-empty, runner `s` is pinned to `runner_cpus[s % size()]`
-  /// (best-effort, Linux only — see common/affinity.h). Placement keeps a
-  /// shard's runner on the core next to its data instead of wherever the
-  /// scheduler last migrated it; failures are silently ignored because
-  /// correctness never depends on placement.
-  std::vector<int> runner_cpus;
 };
 
 /// \brief The RPC stand-in: per-shard runner threads connected to the
@@ -276,10 +269,11 @@ struct LoopbackTransportOptions {
 /// bytes** — the runner parses the coordinator's serialized request and the
 /// coordinator parses the runner's serialized response, so anything a real
 /// socket transport would corrupt, reorder, or lose has to survive the same
-/// (de)serialization here. Runners execute concurrently (each fanning its
-/// batches over its own shard pool, or inline on the runner thread), inject
-/// configurable latency, response reordering, and failures, and the
-/// completion queue delivers responses in whatever order they finish.
+/// (de)serialization here. Runners execute concurrently, each detecting its
+/// batches inline on its own thread (one runner thread per shard, like one
+/// remote machine per shard), inject configurable latency, response
+/// reordering, and failures, and the completion queue delivers responses in
+/// whatever order they finish.
 ///
 /// ## Queue mechanics (lock-free hot path)
 ///
@@ -294,12 +288,8 @@ struct LoopbackTransportOptions {
 /// spin briefly, then park on a per-runner `Parker`.
 class LoopbackTransport : public ShardTransport {
  public:
-  /// `pools` — when non-empty, one per shard — give each runner a private
-  /// worker pool ("one GPU's worth" next to the shard's data); null entries
-  /// detect inline on the runner thread. Runners never share a pool: the
-  /// library's pools are single-driver.
+  /// Starts one runner thread per shard.
   explicit LoopbackTransport(size_t num_shards,
-                             std::vector<common::ThreadPool*> pools = {},
                              LoopbackTransportOptions options = {});
   ~LoopbackTransport() override;
 
@@ -357,7 +347,6 @@ class LoopbackTransport : public ShardTransport {
   void RunnerLoop(uint32_t shard);
 
   LoopbackTransportOptions options_;
-  std::vector<common::ThreadPool*> pools_;  // Per shard; may hold nulls.
   // Written once by BindLocalResolver before the first Send; runner threads
   // read it only while handling requests enqueued afterwards (the inbox
   // ring's release/acquire handoff orders the accesses).

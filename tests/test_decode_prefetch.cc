@@ -74,13 +74,11 @@ engine::QueryOptions MakeQueryOptions(engine::Method method, size_t batch_size =
   return options;
 }
 
-engine::EngineConfig DecodeConfig(size_t prefetch_depth, size_t num_threads = 1,
-                                  size_t io_threads = 0) {
+engine::EngineConfig DecodeConfig(size_t prefetch_depth, size_t num_threads = 1) {
   engine::EngineConfig config;
   config.simulate_decode = true;
   config.prefetch_depth = prefetch_depth;
   config.num_threads = num_threads;
-  config.io_threads = io_threads;
   return config;
 }
 
@@ -249,7 +247,7 @@ TEST(DecodePrefetcherTest, SubmitDrainsThePreviousBatch) {
   EXPECT_TRUE(prefetcher.Cached(100));
 }
 
-// (c) For every method, prefetching decode (any depth, any pool layout)
+// (c) For every method, prefetching decode (any depth, any pool size)
 // produces the synchronous path's trace bit for bit.
 TEST(DecodePrefetchEquivalenceTest, AllMethodsBitIdenticalAcrossDepthsAndPools) {
   auto fx = DecodeFixture::Make();
@@ -258,13 +256,12 @@ TEST(DecodePrefetchEquivalenceTest, AllMethodsBitIdenticalAcrossDepthsAndPools) 
   struct Layout {
     size_t depth;
     size_t num_threads;
-    size_t io_threads;
   };
   const Layout layouts[] = {
-      {1, 1, 0},  // Overlap window 1, no pools at all (inline fallback).
-      {4, 1, 2},  // Dedicated I/O pool, sequential detect.
-      {4, 4, 0},  // Decode shares the detect pool.
-      {4, 4, 2},  // Both pools.
+      {1, 1},  // Overlap window 1, no pool at all (inline fallback).
+      {4, 2},  // One worker shared by decode tasks and detect fan-out.
+      {4, 4},  // Three workers shared by both.
+      {1, 4},  // Overlap window 1 on the shared pool.
   };
   for (const engine::Method method : kAllMethods) {
     auto base = sync_engine.FindDistinct(0, 30, MakeQueryOptions(method));
@@ -275,15 +272,14 @@ TEST(DecodePrefetchEquivalenceTest, AllMethodsBitIdenticalAcrossDepthsAndPools) 
     for (const Layout& layout : layouts) {
       engine::SearchEngine engine(
           &fx->repo, &fx->chunking, &fx->truth,
-          DecodeConfig(layout.depth, layout.num_threads, layout.io_threads));
+          DecodeConfig(layout.depth, layout.num_threads));
       auto trace = engine.FindDistinct(0, 30, MakeQueryOptions(method));
       ASSERT_TRUE(trace.ok()) << engine::MethodName(method);
       ExpectTracesIdentical(
           base.value(), trace.value(),
           std::string(engine::MethodName(method)) + " depth=" +
               std::to_string(layout.depth) + " threads=" +
-              std::to_string(layout.num_threads) + " io=" +
-              std::to_string(layout.io_threads));
+              std::to_string(layout.num_threads));
     }
   }
 }
@@ -294,7 +290,7 @@ TEST(DecodePrefetchEquivalenceTest, SimulatedDecodeChargesIntoTheTrace) {
   auto fx = DecodeFixture::Make();
   engine::SearchEngine plain(&fx->repo, &fx->chunking, &fx->truth);
   engine::SearchEngine decoded(&fx->repo, &fx->chunking, &fx->truth,
-                               DecodeConfig(/*prefetch_depth=*/4, 1, 2));
+                               DecodeConfig(/*prefetch_depth=*/4, 2));
   const engine::QueryOptions options = MakeQueryOptions(engine::Method::kRandom);
   auto without = plain.FindDistinct(0, 30, options);
   auto with = decoded.FindDistinct(0, 30, options);
@@ -308,7 +304,7 @@ TEST(DecodePrefetchEquivalenceTest, SimulatedDecodeChargesIntoTheTrace) {
 TEST(DecodePrefetchEquivalenceTest, SessionPrefetcherStatsBalance) {
   auto fx = DecodeFixture::Make();
   engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth,
-                              DecodeConfig(/*prefetch_depth=*/4, 1, 2));
+                              DecodeConfig(/*prefetch_depth=*/4, 2));
   auto session =
       engine.CreateSession(0, 30, MakeQueryOptions(engine::Method::kExSample));
   ASSERT_TRUE(session.ok());
@@ -327,7 +323,8 @@ TEST(DecodePrefetchEquivalenceTest, SessionPrefetcherStatsBalance) {
 
 // (d) Composed with sharding: at every shard count, the prefetching path
 // reproduces that shard count's synchronous trace bit for bit (per-shard
-// stores and position state, per-shard detect pools and all).
+// stores and position state, with every shard's decode and detect on the
+// engine's one pool).
 TEST(DecodePrefetchShardingTest, AllMethodsBitIdenticalAtEveryShardCount) {
   auto fx = DecodeFixture::Make();
   for (const size_t shards : {1u, 2u, 5u}) {
@@ -339,8 +336,7 @@ TEST(DecodePrefetchShardingTest, AllMethodsBitIdenticalAtEveryShardCount) {
       auto base = sync_engine.FindDistinct(0, 30, MakeQueryOptions(method));
       ASSERT_TRUE(base.ok()) << engine::MethodName(method);
       for (const size_t depth : {1u, 4u}) {
-        engine::EngineConfig config = DecodeConfig(depth, /*num_threads=*/4);
-        config.threads_per_shard = 2;
+        const engine::EngineConfig config = DecodeConfig(depth, /*num_threads=*/4);
         engine::SearchEngine engine(&sharded_repo.value(), &fx->chunking, &fx->truth,
                                     config);
         auto trace = engine.FindDistinct(0, 30, MakeQueryOptions(method));
@@ -354,11 +350,12 @@ TEST(DecodePrefetchShardingTest, AllMethodsBitIdenticalAtEveryShardCount) {
   }
 }
 
-// Concurrent sessions share the engine's I/O pool; interleaving their
-// prefetching steps changes no trace (same result as running each alone).
+// Concurrent sessions share the engine's pool for decode and detect alike;
+// interleaving their prefetching steps changes no trace (same result as
+// running each alone).
 TEST(DecodePrefetchShardingTest, ConcurrentSessionsSharingPrefetchPools) {
   auto fx = DecodeFixture::Make();
-  const engine::EngineConfig config = DecodeConfig(/*prefetch_depth=*/4, 4, 2);
+  const engine::EngineConfig config = DecodeConfig(/*prefetch_depth=*/4, 4);
 
   std::vector<engine::QuerySpec> specs;
   for (const engine::Method method :

@@ -21,6 +21,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <set>
@@ -351,18 +352,16 @@ TEST(DistTransportTest, RepositoryMismatchSurfacesStatus) {
       << "healthy runners must not be blamed for a deployment mismatch";
 }
 
-// --- Full pipeline: decode + prefetch + per-shard pools over loopback -------
+// --- Full pipeline: decode + prefetch + the engine's pool over loopback -----
 
 TEST(DistTransportTest, FullPipelineLoopbackMatchesLocal) {
   const size_t num_shards = 5;
   auto fx = DistFixture::Make(num_shards);
 
   EngineConfig base = OracleConfig();
-  base.num_threads = 2;
-  base.threads_per_shard = 2;  // Loopback runners drive per-shard pools.
+  base.num_threads = 3;  // Decode tasks (and local detect fan-out) share it.
   base.simulate_decode = true;
   base.prefetch_depth = 4;
-  base.io_threads = 2;
   base.coalesce_detect = true;
   base.device_batch = 16;
 
@@ -549,7 +548,7 @@ TEST(DistTransportTest, LoopbackServiceRoundTripsOverBytes) {
   ServiceFixture fixture;
   query::LoopbackTransportOptions loopback;
   loopback.reorder_jitter_seconds = 0.0001;
-  query::LoopbackTransport transport(1, {}, loopback);
+  query::LoopbackTransport transport(1, loopback);
   query::DetectorServiceOptions options;
   options.device_batch = 3;
   options.transport = &transport;
@@ -1188,6 +1187,64 @@ TEST(SocketTransportTest, StartsNoThreads) {
 
   EXPECT_EQ(ThreadCount(), before);
   EXPECT_EQ(transport.Stats().connects, 1u);
+}
+
+// The engine's whole thread budget is `num_threads - 1` pool workers plus
+// one loopback runner per shard: decode-ahead, detect fan-out and proxy
+// scans share the one pool, so a 1-thread engine starts no thread at all.
+TEST(EngineThreadBudgetTest, OneThreadEngineStartsNoThread) {
+  auto fx = DistFixture::Make(1);
+  EngineConfig config = OracleConfig();
+  config.simulate_decode = true;
+  config.prefetch_depth = 4;
+  const size_t before = ThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/task is unreadable";
+
+  SearchEngine engine = MakeEngine(*fx, 1, config);
+  size_t peak = 0;
+  auto traces = engine.RunConcurrent(
+      AllMethodSpecs(/*limit=*/5),
+      [&](size_t, const QuerySession&) { peak = std::max(peak, ThreadCount()); });
+  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+  EXPECT_EQ(peak, before);
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST(EngineThreadBudgetTest, LoopbackEngineStartsPoolWorkersAndOneRunnerPerShard) {
+  auto fx = DistFixture::Make(2);
+  EngineConfig local_config = OracleConfig();
+  local_config.num_threads = 3;
+  local_config.simulate_decode = true;
+  local_config.prefetch_depth = 4;
+  EngineConfig loopback_config = local_config;
+  loopback_config.transport = TransportKind::kLoopback;
+  const std::vector<QuerySpec> specs = AllMethodSpecs(/*limit=*/5);
+  const size_t before = ThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/task is unreadable";
+
+  std::vector<query::QueryTrace> over_wire;
+  {
+    SearchEngine loopback = MakeEngine(*fx, 2, loopback_config);
+    size_t peak = 0;
+    auto traces = loopback.RunConcurrent(
+        specs,
+        [&](size_t, const QuerySession&) { peak = std::max(peak, ThreadCount()); });
+    ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+    // 2 pool workers (the caller is the pool's third thread) + 2 runners.
+    EXPECT_EQ(peak, before + 4);
+    EXPECT_EQ(ThreadCount(), before + 4);
+    over_wire = std::move(traces).value();
+  }
+
+  SearchEngine local = MakeEngine(*fx, 2, local_config);
+  auto in_process = local.RunConcurrent(specs);
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  ASSERT_EQ(over_wire.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ExpectSameTrace(in_process.value()[i], over_wire[i],
+                    std::string("thread budget loopback vs local: ") +
+                        MethodName(specs[i].options.method));
+  }
 }
 
 }  // namespace

@@ -90,13 +90,12 @@ std::vector<ConfigRow> Configs() {
   decode_reuse.reuse = reuse::ReuseOptions::All();
   rows.push_back({"decode-reuse", decode_reuse, 1, 2});
 
-  // Unsharded simulated decode with prefetch depth 4 on a 2-thread I/O pool
-  // beside a 2-thread detect pool, batch 8.
+  // Unsharded simulated decode with prefetch depth 4, decode tasks and
+  // detect fan-out sharing one 3-thread pool, batch 8.
   engine::EngineConfig decode_prefetch;
   decode_prefetch.simulate_decode = true;
   decode_prefetch.prefetch_depth = 4;
-  decode_prefetch.num_threads = 2;
-  decode_prefetch.io_threads = 2;
+  decode_prefetch.num_threads = 3;
   rows.push_back({"decode-prefetch", decode_prefetch, 8, 1});
   return rows;
 }

@@ -977,18 +977,18 @@ TEST(TenantServerTest, TransportDeathAfterReleasesSurfacesStatus) {
 // --- Threaded serving under TSan ---------------------------------------------
 //
 // The serving loop drives the same shared machinery as RunConcurrent — the
-// coalesced service, per-shard fan-out pools, shared prefetch I/O — so the
-// TSan lane watches it too, end to end through the tenant layer.
+// coalesced service, and decode tasks beside the detect fan-out on the
+// engine's one pool — so the TSan lane watches it too, end to end through
+// the tenant layer.
 
 TEST(TenantServerTest, ThreadedServingMatchesSolo) {
   auto fx = ServeFixture::Make();
   engine::EngineConfig config = OracleConfig();
   config.coalesce_detect = true;
   config.device_batch = 16;
-  config.num_threads = 2;
+  config.num_threads = 3;
   config.simulate_decode = true;
   config.prefetch_depth = 2;
-  config.io_threads = 2;
   engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
 
   ServeOptions options;

@@ -238,7 +238,7 @@ TEST(SearchEngineShardTest, RunConcurrentOnShardedEngineMatchesSoloRuns) {
 TEST(SearchEngineShardTest, InterleavedShardedSessionsMatchSoloRuns) {
   auto fx = ShardedEngineFixture::Make(/*num_shards=*/3);
   EngineConfig config = OracleConfig();
-  config.threads_per_shard = 2;  // Per-shard pools shared by both sessions.
+  config.num_threads = 2;  // One pool shared by both sessions' fan-out.
   engine::SearchEngine engine(&fx->sharded, &fx->chunking, &fx->truth, config);
 
   QueryOptions a_options;

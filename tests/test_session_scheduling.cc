@@ -217,9 +217,9 @@ TEST(SessionSchedulingTest, PrioritySchedulingIsDeterministicUnderFixedSeed) {
 
 // --- Threaded configuration under TSan ---------------------------------------
 //
-// The heaviest shared-state configuration in one run: coalesced service with
-// parallel per-shard flushes, per-shard detect pools, prefetchers drained by
-// the service, shared engine-wide I/O pool — the paths the TSan CI job
+// The heaviest shared-state configuration in one run: coalesced service
+// over 3 shards, prefetchers drained by the service, decode tasks and detect
+// fan-out sharing the engine's one pool — the paths the TSan CI job
 // watches.
 
 TEST(SessionSchedulingTest, ThreadedCoalescedDecodeWorkloadMatchesSolo) {
@@ -227,10 +227,9 @@ TEST(SessionSchedulingTest, ThreadedCoalescedDecodeWorkloadMatchesSolo) {
   EngineConfig config = OracleConfig();
   config.coalesce_detect = true;
   config.device_batch = 16;
-  config.threads_per_shard = 2;  // Parallel shard flush in the service.
+  config.num_threads = 3;  // Detect fan-out and decode tasks share it.
   config.simulate_decode = true;
   config.prefetch_depth = 2;  // Service-drained decode-ahead.
-  config.io_threads = 2;
   config.scheduler = query::SchedulerKind::kPriority;
   SearchEngine engine = MakeEngine(*fx, 3, config);
 

@@ -4,8 +4,9 @@
 //  (a) for all 7 methods, a query over a sharded repository (shards ∈
 //      {1, 2, 5}) produces a merged trace *bit-identical* to the unsharded
 //      run at the same seed — shard count never changes an answer;
-//  (b) traces are additionally invariant to thread count, per-shard pools,
-//      and internal-vs-explicit sharding — those knobs buy wall-clock only;
+//  (b) traces are additionally invariant to thread count, loopback runners
+//      per shard, and internal-vs-explicit sharding — those knobs buy
+//      wall-clock only;
 //  (c) per-shard attribution adds up: every shard that owns frames detects
 //      some, and the dispatcher's per-shard tallies sum to the trace;
 //  (d) decode accounting follows the same rules under shard routing.
@@ -123,8 +124,9 @@ TEST(ShardEquivalenceTest, BatchSizeOneMatchesUnsharded) {
   }
 }
 
-// (b) Thread knobs — engine pool size, per-shard pools, parallel shard
-// dispatch — change wall-clock only, never the merged trace.
+// (b) Thread knobs — engine pool size, and parallel shard dispatch over one
+// loopback runner per shard — change wall-clock only, never the merged
+// trace.
 TEST(ShardEquivalenceTest, TracesInvariantToThreadAndPoolConfiguration) {
   auto fx = ShardFixture::Make();
   engine::SearchEngine unsharded(&fx->repo, &fx->chunking, &fx->truth);
@@ -133,23 +135,26 @@ TEST(ShardEquivalenceTest, TracesInvariantToThreadAndPoolConfiguration) {
 
   struct Knobs {
     size_t num_threads;
-    size_t threads_per_shard;
+    engine::TransportKind transport;
   };
+  constexpr engine::TransportKind kLocal = engine::TransportKind::kLocal;
+  constexpr engine::TransportKind kLoopback = engine::TransportKind::kLoopback;
   for (const size_t shards : {2u, 5u}) {
     auto sharded_repo = video::ShardedRepository::ShardByClips(fx->repo, shards);
     ASSERT_TRUE(sharded_repo.ok());
-    for (const Knobs knobs : {Knobs{1, 0}, Knobs{4, 0}, Knobs{1, 2}, Knobs{4, 2}}) {
+    for (const Knobs knobs : {Knobs{1, kLocal}, Knobs{4, kLocal}, Knobs{1, kLoopback},
+                              Knobs{4, kLoopback}}) {
       engine::EngineConfig config;
       config.num_threads = knobs.num_threads;
-      config.threads_per_shard = knobs.threads_per_shard;
+      config.transport = knobs.transport;
       engine::SearchEngine engine(&sharded_repo.value(), &fx->chunking, &fx->truth,
                                   config);
       auto trace = engine.FindDistinct(0, 30, MakeQueryOptions(engine::Method::kExSample));
       ASSERT_TRUE(trace.ok());
       ExpectTracesIdentical(base.value(), trace.value(),
                             "shards=" + std::to_string(shards) + " threads=" +
-                                std::to_string(knobs.num_threads) + "/" +
-                                std::to_string(knobs.threads_per_shard));
+                                std::to_string(knobs.num_threads) + " over " +
+                                engine::TransportKindName(knobs.transport));
     }
   }
 }

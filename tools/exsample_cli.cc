@@ -16,19 +16,11 @@
 //   --decode           simulate I/O+decode cost (per-query video store)
 //   --prefetch=D       decode-ahead window: overlap decode of the next D
 //                      frames with detection (implies --decode; 0 = sync)
-//   --io-threads=N     decode worker threads for the prefetcher (implies
-//                      --decode; default: 0 = share the detect pool)
-//   --affinity=SPEC    pin engine threads to CPUs (Linux; best-effort, a
-//                      no-op elsewhere). SPEC is either a bare taskset-style
-//                      list ("0-3,6") applied to the detect workers, or
-//                      ';'-separated group entries workers=LIST, io=LIST,
-//                      runners=LIST — e.g.
-//                        --affinity='workers=0-5;io=6;runners=7'
-//                      pins detect workers, decode I/O workers, and loopback
-//                      shard runners respectively (thread i of a group goes
-//                      to cpus[i % n]). Oversubscribed or impossible pin
-//                      sets warn and proceed unpinned — placement never
-//                      affects results, only latency
+//   --threads=N        threads in the engine's one pool, counting the
+//                      caller: detect fan-out, decode-ahead and proxy scans
+//                      share it (0 = one per hardware thread; default: 1 =
+//                      no pool). Traces are identical at every N; to place
+//                      the process on CPUs, run it under taskset(1)
 //   --csv=PATH         write the discovery trace as CSV
 //   --oracle           use the oracle discriminator (default: IoU tracker)
 //
@@ -99,14 +91,18 @@
 //   --stats-every=N    with --stats-json and --concurrent: additionally
 //                      rewrite PATH every N scheduler rounds while the
 //                      workload runs, so progress can be watched live
+//
+// An unknown flag, a missing =VALUE, or a malformed number exits 2.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
-#include <set>
 #include <string>
+#include <variant>
 
 #include "exsample/exsample.h"
 
@@ -125,173 +121,145 @@ struct CliArgs {
   std::optional<double> recall;
   double scale = 0.1;
   uint64_t seed = 1;
-  size_t shards = 1;
+  uint64_t shards = 1;
   bool decode = false;
-  size_t prefetch = 0;
-  size_t io_threads = 0;
-  std::string affinity;
-  size_t concurrent = 0;
-  size_t batch = 8;
-  size_t device_batch = 32;
+  uint64_t prefetch = 0;
+  uint64_t threads = 1;
+  uint64_t concurrent = 0;
+  uint64_t batch = 8;
+  uint64_t device_batch = 32;
   double deadline = 0.0;
   std::string scheduler = "fair";
   std::string transport = "local";
   std::string shard_hosts;
   double flush_deadline_ms = 0.0;
-  size_t max_retries = 2;
+  uint64_t max_retries = 2;
   bool reuse = false;
   std::string reuse_components = "all";
-  size_t repeat = 1;
+  uint64_t repeat = 1;
   std::string stats_json_path;
   uint64_t stats_every = 0;
   std::string tenants;
 };
 
-bool ParseArg(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
+// One row per flag. The type of the field it sets is the flag's kind: a
+// bool is a bare switch, any other field takes `=VALUE`. `implies` names a
+// switch the flag also turns on.
+using CliField =
+    std::variant<bool CliArgs::*, std::string CliArgs::*, uint64_t CliArgs::*,
+                 double CliArgs::*, std::optional<double> CliArgs::*>;
+struct CliFlag {
+  const char* name;
+  CliField field;
+  bool CliArgs::*implies = nullptr;
+};
 
-CliArgs ParseArgs(int argc, char** argv) {
-  CliArgs args;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--list") == 0) {
-      args.list = true;
-    } else if (std::strcmp(arg, "--oracle") == 0) {
-      args.oracle = true;
-    } else if (ParseArg(arg, "--dataset", &value)) {
-      args.dataset = value;
-    } else if (ParseArg(arg, "--class", &value)) {
-      args.class_name = value;
-    } else if (ParseArg(arg, "--method", &value)) {
-      args.method = value;
-    } else if (ParseArg(arg, "--csv", &value)) {
-      args.csv_path = value;
-    } else if (ParseArg(arg, "--limit", &value)) {
-      args.limit = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--recall", &value)) {
-      args.recall = std::strtod(value.c_str(), nullptr);
-    } else if (ParseArg(arg, "--scale", &value)) {
-      args.scale = std::strtod(value.c_str(), nullptr);
-    } else if (ParseArg(arg, "--seed", &value)) {
-      args.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--shards", &value)) {
-      args.shards = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(arg, "--decode") == 0) {
-      args.decode = true;
-    } else if (ParseArg(arg, "--prefetch", &value)) {
-      args.prefetch = std::strtoull(value.c_str(), nullptr, 10);
-      args.decode = true;
-    } else if (ParseArg(arg, "--io-threads", &value)) {
-      args.io_threads = std::strtoull(value.c_str(), nullptr, 10);
-      args.decode = true;  // Decode workers are meaningless without decode.
-    } else if (ParseArg(arg, "--affinity", &value)) {
-      args.affinity = value;
-    } else if (ParseArg(arg, "--concurrent", &value)) {
-      args.concurrent = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--scheduler", &value)) {
-      args.scheduler = value;
-    } else if (ParseArg(arg, "--coalesce", &value)) {
-      args.device_batch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--batch", &value)) {
-      args.batch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--deadline", &value)) {
-      args.deadline = std::strtod(value.c_str(), nullptr);
-    } else if (ParseArg(arg, "--transport", &value)) {
-      args.transport = value;
-    } else if (ParseArg(arg, "--shard-hosts", &value)) {
-      args.shard_hosts = value;
-    } else if (ParseArg(arg, "--flush-deadline", &value)) {
-      args.flush_deadline_ms = std::strtod(value.c_str(), nullptr);
-    } else if (ParseArg(arg, "--max-retries", &value)) {
-      args.max_retries = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(arg, "--reuse") == 0) {
-      args.reuse = true;
-    } else if (ParseArg(arg, "--reuse", &value)) {
-      args.reuse = true;
-      args.reuse_components = value;
-    } else if (ParseArg(arg, "--repeat", &value)) {
-      args.repeat = std::max<size_t>(1, std::strtoull(value.c_str(), nullptr, 10));
-    } else if (ParseArg(arg, "--stats-json", &value)) {
-      args.stats_json_path = value;
-    } else if (ParseArg(arg, "--stats-every", &value)) {
-      args.stats_every = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(arg, "--tenants", &value)) {
-      args.tenants = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s (see header comment)\n", arg);
-    }
-  }
-  return args;
-}
+const CliFlag kCliFlags[] = {
+    {"--list", &CliArgs::list},
+    {"--oracle", &CliArgs::oracle},
+    {"--dataset", &CliArgs::dataset},
+    {"--class", &CliArgs::class_name},
+    {"--method", &CliArgs::method},
+    {"--csv", &CliArgs::csv_path},
+    {"--limit", &CliArgs::limit},
+    {"--recall", &CliArgs::recall},
+    {"--scale", &CliArgs::scale},
+    {"--seed", &CliArgs::seed},
+    {"--shards", &CliArgs::shards},
+    {"--decode", &CliArgs::decode},
+    {"--prefetch", &CliArgs::prefetch, &CliArgs::decode},
+    {"--threads", &CliArgs::threads},
+    {"--concurrent", &CliArgs::concurrent},
+    {"--scheduler", &CliArgs::scheduler},
+    {"--coalesce", &CliArgs::device_batch},
+    {"--batch", &CliArgs::batch},
+    {"--deadline", &CliArgs::deadline},
+    {"--transport", &CliArgs::transport},
+    {"--shard-hosts", &CliArgs::shard_hosts},
+    {"--flush-deadline", &CliArgs::flush_deadline_ms},
+    {"--max-retries", &CliArgs::max_retries},
+    {"--reuse", &CliArgs::reuse},
+    {"--reuse", &CliArgs::reuse_components, &CliArgs::reuse},
+    {"--repeat", &CliArgs::repeat},
+    {"--stats-json", &CliArgs::stats_json_path},
+    {"--stats-every", &CliArgs::stats_every},
+    {"--tenants", &CliArgs::tenants},
+};
 
-// Parses a --affinity spec into placement lists. Accepts a bare CPU list
-// ("0-3,6" -> detect workers) or ';'-separated group entries
-// ("workers=0-3;io=4;runners=5-7"). Returns false with a message on a
-// malformed spec; the caller warns and runs unpinned.
-bool ParseAffinitySpec(const std::string& spec,
-                       engine::PlacementConfig* placement, std::string* error) {
-  size_t begin = 0;
-  while (begin <= spec.size()) {
-    size_t end = spec.find(';', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(begin, end - begin);
-    begin = end + 1;
-    if (entry.empty()) continue;
-    std::string group = "workers";
-    std::string list = entry;
-    const size_t eq = entry.find('=');
-    if (eq != std::string::npos) {
-      group = entry.substr(0, eq);
-      list = entry.substr(eq + 1);
-    }
-    auto cpus = common::affinity::ParseCpuList(list);
-    if (!cpus.ok()) {
-      *error = cpus.status().message();
-      return false;
-    }
-    if (group == "workers") {
-      placement->worker_cpus = std::move(cpus).value();
-    } else if (group == "io") {
-      placement->io_cpus = std::move(cpus).value();
-    } else if (group == "runners") {
-      placement->runner_cpus = std::move(cpus).value();
-    } else {
-      *error = "unknown affinity group '" + group + "' (workers|io|runners)";
-      return false;
-    }
-  }
-  if (!placement->Any()) {
-    *error = "empty affinity spec";
-    return false;
-  }
+// Each overload stores `text` into its field's type; false when `text` is
+// not one whole value of it (the strtoull/strtod end pointer stops short).
+bool ParseValue(const std::string&, bool* out) {
+  *out = true;
   return true;
 }
 
-// Highest CPU index named by a placement (-1 when none).
-int MaxCpu(const engine::PlacementConfig& placement) {
-  int max_cpu = -1;
-  for (const auto* cpus :
-       {&placement.worker_cpus, &placement.io_cpus, &placement.runner_cpus}) {
-    for (int cpu : *cpus) max_cpu = std::max(max_cpu, cpu);
-  }
-  return max_cpu;
+bool ParseValue(const std::string& text, std::string* out) {
+  *out = text;
+  return true;
 }
 
-// Number of distinct CPUs named across all placement groups.
-size_t DistinctCpus(const engine::PlacementConfig& placement) {
-  std::set<int> distinct;
-  for (const auto* cpus :
-       {&placement.worker_cpus, &placement.io_cpus, &placement.runner_cpus}) {
-    distinct.insert(cpus->begin(), cpus->end());
+bool ParseValue(const std::string& text, uint64_t* out) {
+  // strtoull would take leading blanks and a sign (wrapping "-1").
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
   }
-  return distinct.size();
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return errno == 0 && end == text.c_str() + text.size();
+}
+
+bool ParseValue(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
+}
+
+bool ParseValue(const std::string& text, std::optional<double>* out) {
+  double value = 0.0;
+  if (!ParseValue(text, &value)) return false;
+  *out = value;
+  return true;
+}
+
+// Parses argv against kCliFlags; on anything it cannot take, names the flag
+// on stderr and returns nullopt.
+std::optional<CliArgs> ParseArgs(int argc, char** argv) {
+  CliArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const bool has_value = eq != std::string::npos;
+    const std::string name = arg.substr(0, eq);
+    const CliFlag* flag = nullptr;
+    bool known = false;
+    for (const CliFlag& row : kCliFlags) {
+      if (name != row.name) continue;
+      known = true;
+      if (std::holds_alternative<bool CliArgs::*>(row.field) != has_value) {
+        flag = &row;
+        break;
+      }
+    }
+    if (flag == nullptr) {
+      std::fprintf(stderr, "%s: %s (see header comment)\n", name.c_str(),
+                   !known      ? "unknown flag"
+                   : has_value ? "takes no value"
+                               : "needs =VALUE");
+      return std::nullopt;
+    }
+    const std::string value = has_value ? arg.substr(eq + 1) : "";
+    const bool parsed = std::visit(
+        [&](auto field) { return ParseValue(value, &(args.*field)); },
+        flag->field);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: bad value '%s'\n", name.c_str(), value.c_str());
+      return std::nullopt;
+    }
+    if (flag->implies != nullptr) args.*(flag->implies) = true;
+  }
+  args.repeat = std::max<uint64_t>(1, args.repeat);
+  return args;
 }
 
 // Parses a --reuse component list ("cache,warm", "all", ...) into options;
@@ -487,7 +455,9 @@ int ListDatasets() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliArgs args = ParseArgs(argc, argv);
+  const std::optional<CliArgs> parsed = ParseArgs(argc, argv);
+  if (!parsed.has_value()) return 2;
+  const CliArgs& args = *parsed;
   if (!args.tenants.empty() && args.concurrent == 0 && !args.list) {
     std::fprintf(stderr,
                  "warning: --tenants is ignored without --concurrent (the "
@@ -557,10 +527,10 @@ int main(int argc, char** argv) {
   if (args.oracle) {
     config.discriminator = engine::EngineConfig::DiscriminatorKind::kOracle;
   }
+  config.num_threads = args.threads;
   if (args.decode) {
     config.simulate_decode = true;
     config.prefetch_depth = args.prefetch;
-    config.io_threads = args.io_threads;
   }
   config.scheduler = *scheduler_kind;
   config.scheduler_seed = args.seed;
@@ -597,45 +567,6 @@ int main(int argc, char** argv) {
                    "host:port per shard (%zu given, %zu shards)\n",
                    config.socket.hosts.size(), std::max<size_t>(1, args.shards));
       return 1;
-    }
-  }
-  if (!args.affinity.empty()) {
-    engine::PlacementConfig placement;
-    std::string affinity_error;
-    if (!ParseAffinitySpec(args.affinity, &placement, &affinity_error)) {
-      std::fprintf(stderr, "warning: --affinity ignored: %s\n",
-                   affinity_error.c_str());
-    } else {
-      // Validation warns and proceeds — a bad pin set costs latency, never
-      // correctness, so it must not kill a run that would otherwise work.
-      if (!common::affinity::Supported()) {
-        std::fprintf(stderr,
-                     "warning: --affinity is a no-op on this platform (thread "
-                     "pinning needs Linux)\n");
-      }
-      const int hw = common::affinity::HardwareThreads();
-      const size_t distinct = DistinctCpus(placement);
-      if (distinct > static_cast<size_t>(hw) || MaxCpu(placement) >= hw) {
-        std::fprintf(stderr,
-                     "warning: --affinity names %zu CPUs (max index %d) but "
-                     "only %d hardware threads exist; out-of-range pins will "
-                     "fail and threads sharing a CPU will contend\n",
-                     distinct, MaxCpu(placement), hw);
-      }
-      if (!placement.io_cpus.empty() && args.io_threads == 0) {
-        std::fprintf(stderr,
-                     "warning: --affinity io= pins have no pool to apply to "
-                     "with --io-threads=0 (decode shares the detect pool; its "
-                     "workers follow the workers= pins)\n");
-      }
-      if (!placement.runner_cpus.empty() &&
-          *transport_kind != engine::TransportKind::kLoopback) {
-        std::fprintf(stderr,
-                     "warning: --affinity runners= pins apply only with "
-                     "--transport=loopback (no runner threads exist "
-                     "otherwise)\n");
-      }
-      config.placement = placement;
     }
   }
   // --shards=1 (the default) keeps the zero-overhead single-repository path;
@@ -681,9 +612,10 @@ int main(int argc, char** argv) {
       for (const TenantEntry& e : *entries) total_queries += e.queries;
       if (args.concurrent > 1 && args.concurrent != total_queries) {
         std::fprintf(stderr,
-                     "warning: --concurrent=%zu is superseded by the --tenants "
+                     "warning: --concurrent=%llu is superseded by the --tenants "
                      "queries= counts (serving %zu queries)\n",
-                     args.concurrent, total_queries);
+                     static_cast<unsigned long long>(args.concurrent),
+                     total_queries);
       }
       serve::TenantServer server(&search, serve::ServeOptions{});
       for (const TenantEntry& e : *entries) {

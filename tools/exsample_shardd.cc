@@ -114,8 +114,7 @@ void HandleConnection(int fd) {
   ConnectionRegistry registry;
   std::unique_ptr<common::ThreadPool> pool;
   if (g_config.threads > 1) {
-    pool = std::make_unique<common::ThreadPool>(
-        common::ThreadPool::Options{g_config.threads, {}});
+    pool = std::make_unique<common::ThreadPool>(g_config.threads);
   }
   for (;;) {
     auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
