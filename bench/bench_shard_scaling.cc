@@ -2,8 +2,9 @@
 //
 // A sharded repository gives every shard its own detector context — the
 // in-process stand-in for "one query spans machines". Batches go through a
-// `DetectorService` over a `LoopbackTransport`, whose one runner thread per
-// shard detects that shard's slices inline. Under a latency-bound detector
+// `DetectorService` over a `LoopbackTransport`: the coordinator detects the
+// slice it waits on and one runner thread per shard the wave's others, each
+// inline. Under a latency-bound detector
 // (GPU inference or a remote model server), the runners overlap the shards'
 // device batches, so the detect stage's frames/sec should scale with shard
 // count while calls stay latency-bound.

@@ -1,8 +1,11 @@
 #include "common/format.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace exsample {
@@ -67,6 +70,22 @@ std::string FormatRatio(double ratio) {
     std::snprintf(buf, sizeof(buf), "%.2gx", ratio);
   }
   return buf;
+}
+
+bool ParseValue(const std::string& text, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return errno == 0 && end == text.c_str() + text.size();
+}
+
+bool ParseValue(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
 }
 
 void TextTable::SetHeader(std::vector<std::string> header) { header_ = std::move(header); }

@@ -19,6 +19,16 @@ std::string FormatCount(uint64_t count);
 /// \brief Formats a ratio as e.g. "3.7x" (two significant digits past 10).
 std::string FormatRatio(double ratio);
 
+/// \brief Parses `text` as one whole unsigned decimal number, the way the
+/// command-line tools read numeric flags: false on empty text, a leading
+/// blank or sign (strtoull would wrap "-1"), trailing characters, or
+/// overflow.
+bool ParseValue(const std::string& text, uint64_t* out);
+
+/// \brief Parses `text` as one whole `strtod` number; false on empty text or
+/// trailing characters.
+bool ParseValue(const std::string& text, double* out);
+
 /// \brief Minimal fixed-width text table used by the bench harness output.
 ///
 /// Columns are right-padded to the widest cell. Intended for small

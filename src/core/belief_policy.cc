@@ -74,13 +74,19 @@ size_t ThompsonPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng)
   });
 }
 
-size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
+double BayesUcbPolicy::Index(double alpha, double beta, double t) {
   // Quantile level 1 - 1/t grows toward 1 as evidence accumulates, shrinking
-  // the exploration bonus (Kaufmann's Bayes-UCB index).
+  // the exploration bonus (Kaufmann's Bayes-UCB index). Through the upper
+  // tail 1/t the inversion keeps a relative error; at a lower-tail level
+  // near 1 it would stop on an absolute one.
+  const double tail = std::max(1.0 / t, 1e-12);
+  return stats::InverseRegularizedGammaQ(alpha, tail, std::lgamma(alpha)) / beta;
+}
+
+size_t BayesUcbPolicy::PickChunk(const ChunkStatsTable& stats, common::Rng& rng) {
   const double t = static_cast<double>(stats.TotalSamples()) + 1.0;
-  const double level = std::min(1.0 - 1.0 / t, 1.0 - 1e-12);
-  return ArgmaxGroups(stats, rng, [level](const BeliefGroup& group, double) {
-    return stats::GammaBelief(group.alpha, group.beta).Quantile(level);
+  return ArgmaxGroups(stats, rng, [t](const BeliefGroup& group, double) {
+    return Index(group.alpha, group.beta, t);
   });
 }
 

@@ -48,6 +48,12 @@ class BayesUcbPolicy : public ChunkPolicy {
  public:
   size_t PickChunk(const ChunkStatsTable& stats, common::Rng& rng) override;
   std::string name() const override { return "bayes-ucb"; }
+
+  /// \brief The index of a Gamma(`alpha`, `beta`) belief at step `t` (total
+  /// samples + 1): the x whose upper tail Q(alpha, beta * x) is 1/t, with the
+  /// tail floored at 1e-12. Taken through `stats::InverseRegularizedGammaQ`,
+  /// so it holds the tail to a relative error however large t grows.
+  static double Index(double alpha, double beta, double t);
 };
 
 /// \brief Greedy point-estimate policy: argmax of (N1+alpha0)/(n+beta0) with

@@ -56,13 +56,14 @@ enum class TransportKind {
   /// In process, through the service's own `query::LocalTransport`: no
   /// serialization, shards one after another. The default.
   kLocal,
-  /// Wire-serialized execution on one runner thread per shard
-  /// (`query::LoopbackTransport`), each detecting its batches inline: every
-  /// device batch crosses the versioned wire format, completions arrive in
-  /// any order, and the fault-injection knobs (`EngineConfig::loopback`)
-  /// exercise the retry/requeue story. The way an in-process engine detects
-  /// its shards in parallel. Traces are bit-identical to `kLocal` — the
-  /// `dist` suite enforces it.
+  /// Wire-serialized execution over one runner per shard
+  /// (`query::LoopbackTransport`): every device batch crosses the versioned
+  /// wire format, completions arrive in any order, and the fault-injection
+  /// knobs (`EngineConfig::loopback`) exercise the retry/requeue story. The
+  /// way an in-process engine detects its shards in parallel: the
+  /// coordinator runs the batch it would wait on itself, and each runner's
+  /// thread detects a wave's other batches inline, in parallel with it.
+  /// Traces are bit-identical to `kLocal` — the `dist` suite enforces it.
   kLoopback,
   /// Real TCP sockets to `exsample_shardd` shard servers
   /// (`query::SocketTransport`): sessions deploy over the
@@ -134,10 +135,9 @@ struct EngineConfig {
   /// Decode overlaps detection, and fill rate is measured, at this size.
   size_t device_batch = 32;
   /// Which transport executes the service's device batches: in process
-  /// (`kLocal`, the default), wire-serialized onto one runner thread per
-  /// shard (`kLoopback`, the RPC stand-in and the in-process way to detect
-  /// shards in parallel), or over TCP (`kSocket`). Traces are identical
-  /// either way.
+  /// (`kLocal`, the default), wire-serialized over one runner per shard
+  /// (`kLoopback`, the RPC stand-in and the in-process way to detect shards
+  /// in parallel), or over TCP (`kSocket`). Traces are identical either way.
   TransportKind transport = TransportKind::kLocal;
   /// When > 0 (seconds, wall clock), the service flushes latency-aware
   /// (`query::DetectorServiceOptions::flush_deadline_seconds`): a shard's
@@ -207,7 +207,8 @@ struct EngineConfig {
   /// the engine is constructed over an explicit `ShardedRepository`, whose
   /// own shard count wins. Shards detect one after another over `kLocal`
   /// (fanning each batch over the engine's pool) and concurrently over
-  /// `kLoopback`, whose runner thread per shard detects inline.
+  /// `kLoopback`, where the coordinator detects the batch it waits on and
+  /// each shard's runner thread the wave's others, inline.
   size_t num_shards = 1;
 };
 

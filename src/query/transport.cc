@@ -1,5 +1,7 @@
 #include "query/transport.h"
 
+#include <sched.h>
+
 #include <chrono>
 #include <utility>
 
@@ -165,6 +167,20 @@ namespace {
 constexpr size_t kInboxRingCapacity = 256;
 constexpr size_t kOutboxRingCapacity = 1024;
 
+/// Yield-spins an idle runner makes before it parks: one that just ran a
+/// wave's batch then takes the next wave's wake without a futex call. None
+/// when the process may run on one CPU only: there a spinning runner only
+/// takes turns from the coordinator.
+int RunnerSpinIterations() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+      CPU_COUNT(&allowed) == 1) {
+    return 0;
+  }
+  return common::Parker::kSpinIterations;
+}
+
 }  // namespace
 
 void LoopbackTransport::SpillQueue::Push(std::vector<uint8_t> bytes) {
@@ -197,7 +213,9 @@ bool LoopbackTransport::SpillQueue::Empty() const {
 
 LoopbackTransport::LoopbackTransport(size_t num_shards,
                                      LoopbackTransportOptions options)
-    : options_(options), outbox_(kOutboxRingCapacity) {
+    : options_(options),
+      runner_spins_(RunnerSpinIterations()),
+      outbox_(kOutboxRingCapacity) {
   common::Check(num_shards >= 1, "transport needs at least one shard");
   runners_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -234,7 +252,6 @@ common::Status LoopbackTransport::RegisterSession(const RegisterSessionMsg& msg)
     stats_.control_messages += 1;
     stats_.bytes_sent += copy.size();
     runner->inbox.Push(std::move(copy));
-    runner->parker.WakeOne();
   }
   return common::Status::OK();
 }
@@ -248,7 +265,6 @@ void LoopbackTransport::UnregisterSession(uint64_t session_id) {
     stats_.control_messages += 1;
     stats_.bytes_sent += copy.size();
     runner->inbox.Push(std::move(copy));
-    runner->parker.WakeOne();
   }
 }
 
@@ -264,9 +280,13 @@ common::Status LoopbackTransport::Send(uint32_t runner_shard,
   stats_.requests += 1;
   stats_.bytes_sent += bytes.size();
   in_flight_ += 1;
-  Runner& runner = *runners_[runner_shard];
-  runner.inbox.Push(std::move(bytes));
-  runner.parker.WakeOne();  // Syscall only if the runner actually parked.
+  runners_[runner_shard]->inbox.Push(std::move(bytes));
+  // The last batch sent is the one Receive runs on the coordinator; once a
+  // later batch goes to another runner, the earlier one's runner starts it
+  // now, in parallel with the rest of the wave.
+  if (last_unclaimed_ && last_sent_ != runner_shard) WakeRunner(last_sent_);
+  last_sent_ = runner_shard;
+  last_unclaimed_ = true;
   return common::Status::OK();
 }
 
@@ -275,10 +295,15 @@ common::Result<DetectResponseMsg> LoopbackTransport::Receive() {
     return common::Status::FailedPrecondition("no wire batch in flight");
   }
   // A response is guaranteed to arrive (in_flight_ > 0 and runners answer
-  // everything they accept): spin briefly, then park.
+  // everything they accept). Run what no thread has claimed; once every
+  // queued batch has a thread running it, spin briefly, then park.
   std::vector<uint8_t> bytes;
   int idle_spins = 0;
   while (!outbox_.TryPop(bytes)) {
+    if (ServeUnclaimed()) {
+      idle_spins = 0;
+      continue;
+    }
     if (++idle_spins < common::Parker::kSpinIterations) {
       std::this_thread::yield();
       continue;
@@ -302,94 +327,146 @@ common::Result<DetectResponseMsg> LoopbackTransport::Receive() {
   return response;
 }
 
+bool LoopbackTransport::ServeUnclaimed() {
+  last_unclaimed_ = false;  // The scan below runs it or finds it claimed.
+  bool served = false;
+  const size_t n = runners_.size();
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t shard = static_cast<uint32_t>((last_sent_ + k) % n);
+    if (Drain(shard)) {
+      served = true;
+    } else if (!runners_[shard]->inbox.Empty()) {
+      // The runner thread holds the claim and may drop it without having
+      // seen the newest batch: asked again, it serves the inbox once more.
+      WakeRunner(shard);
+    }
+  }
+  return served;
+}
+
+void LoopbackTransport::WakeRunner(uint32_t shard) {
+  Runner& runner = *runners_[shard];
+  runner.woken.store(true, std::memory_order_release);
+  runner.parker.WakeOne();  // Syscall only if the runner parked.
+}
+
+bool LoopbackTransport::Drain(uint32_t shard) {
+  Runner& runner = *runners_[shard];
+  if (runner.inbox.Empty() || runner.claimed.load(std::memory_order_relaxed) ||
+      runner.claimed.exchange(true, std::memory_order_acquire)) {
+    return false;
+  }
+  // Dry before dropping the claim: the coordinator, the only producer, never
+  // leaves a batch behind in an inbox it held. One a runner thread misses as
+  // it drops the claim is still queued for the coordinator's next scan,
+  // which runs it or asks the runner again.
+  bool served = false;
+  while (ServeOne(shard)) served = true;
+  runner.claimed.store(false, std::memory_order_release);
+  return served;
+}
+
 void LoopbackTransport::RunnerLoop(uint32_t shard) {
   Runner& runner = *runners_[shard];
   int idle_spins = 0;
   while (true) {
-    std::vector<uint8_t> bytes;
-    while (!runner.inbox.TryPop(bytes)) {
-      // Drain before exiting: a request accepted by Send is always answered,
-      // so the coordinator can never block forever in Receive.
-      if (runner.stop.load(std::memory_order_seq_cst)) return;
-      if (++idle_spins < common::Parker::kSpinIterations) {
-        std::this_thread::yield();
-        continue;
-      }
+    // Serve only when asked, so the thread never takes a batch the
+    // coordinator is about to run itself.
+    if (runner.woken.load(std::memory_order_relaxed) &&
+        runner.woken.exchange(false, std::memory_order_acquire)) {
+      Drain(shard);
       idle_spins = 0;
-      common::Parker::WaitGuard guard(runner.parker);
-      if (!runner.inbox.Empty() ||
-          runner.stop.load(std::memory_order_seq_cst)) {
-        continue;  // Re-check via TryPop / the stop branch above.
-      }
-      guard.Wait();
+      continue;
+    }
+    if (runner.stop.load(std::memory_order_seq_cst)) {
+      // A request accepted by Send is always answered, so the coordinator
+      // can never block forever in Receive.
+      Drain(shard);
+      return;
+    }
+    if (++idle_spins < runner_spins_) {
+      std::this_thread::yield();
+      continue;
     }
     idle_spins = 0;
-
-    // One envelope, many kinds: control frames and detect batches share the
-    // inbox, dispatched by the framed header — exactly what a socket server
-    // does with the same helpers.
-    const common::Span<const uint8_t> frame(bytes.data(), bytes.size());
-    auto kind = PeekWireKind(frame);
-    common::CheckOk(kind.status(), "loopback frame failed to parse");
-    if (kind.value() == WireKind::kRegisterSession) {
-      auto reg = ParseRegisterSession(frame);
-      common::CheckOk(reg.status(), "loopback registration failed to parse");
-      runner.registered_sessions.insert(reg.value().session_id);
-      continue;
+    common::Parker::WaitGuard guard(runner.parker);
+    if (runner.woken.load(std::memory_order_relaxed) ||
+        runner.stop.load(std::memory_order_seq_cst)) {
+      continue;  // Re-check via the branches above.
     }
-    if (kind.value() == WireKind::kUnregisterSession) {
-      auto unreg = ParseUnregisterSession(frame);
-      common::CheckOk(unreg.status(), "loopback unregister failed to parse");
-      runner.registered_sessions.erase(unreg.value().session_id);
-      continue;
-    }
-    common::Check(kind.value() == WireKind::kDetectRequest,
-                  "unexpected wire kind in a loopback runner inbox");
-    auto parsed = ParseDetectRequest(frame);
-    common::CheckOk(parsed.status(), "loopback request failed to parse");
-    const DetectRequestMsg& request = parsed.value();
-    // The control-plane contract: every slot's session must have been
-    // deployed to this runner before the batch referencing it.
-    for (const WireSlot& slot : request.slots) {
-      common::Check(runner.registered_sessions.count(slot.session_id) != 0,
-                    "wire batch references a session never registered with "
-                    "this runner");
-    }
-    runner.requests_served += 1;
-
-    SleepSeconds(options_.latency_seconds);
-
-    DetectResponseMsg response;
-    response.wire_seq = request.wire_seq;
-    response.origin_shard = request.origin_shard;
-    response.attempt = request.attempt;
-    const bool fingerprint_mismatch =
-        options_.expected_fingerprint != 0 && request.repo_fingerprint != 0 &&
-        request.repo_fingerprint != options_.expected_fingerprint;
-    const bool shard_dead =
-        options_.fail_shard >= 0 &&
-        shard == static_cast<uint32_t>(options_.fail_shard) &&
-        runner.requests_served > options_.fail_after_requests;
-    const bool transient_failure =
-        options_.failure_rate > 0.0 &&
-        WireCoin(options_.seed, request, shard) < options_.failure_rate;
-    if (fingerprint_mismatch) {
-      response.status = WireStatus::kRepoMismatch;
-    } else if (shard_dead || transient_failure) {
-      response.status = WireStatus::kUnavailable;
-    } else {
-      response = ExecuteWireRequest(request, *resolver_, /*pool=*/nullptr);
-    }
-
-    if (options_.reorder_jitter_seconds > 0.0) {
-      SleepSeconds(WireCoin(options_.seed, request, 0x9e1u + shard) *
-                   options_.reorder_jitter_seconds);
-    }
-
-    std::vector<uint8_t> out_bytes = SerializeDetectResponse(response);
-    outbox_.Push(std::move(out_bytes));
-    out_parker_.WakeOne();  // Syscall only if the coordinator parked.
+    guard.Wait();
   }
+}
+
+bool LoopbackTransport::ServeOne(uint32_t shard) {
+  Runner& runner = *runners_[shard];
+  std::vector<uint8_t> bytes;
+  if (!runner.inbox.TryPop(bytes)) return false;
+
+  // One envelope, many kinds: control frames and detect batches share the
+  // inbox, dispatched by the framed header — exactly what a socket server
+  // does with the same helpers.
+  const common::Span<const uint8_t> frame(bytes.data(), bytes.size());
+  auto kind = PeekWireKind(frame);
+  common::CheckOk(kind.status(), "loopback frame failed to parse");
+  if (kind.value() == WireKind::kRegisterSession) {
+    auto reg = ParseRegisterSession(frame);
+    common::CheckOk(reg.status(), "loopback registration failed to parse");
+    runner.registered_sessions.insert(reg.value().session_id);
+    return true;
+  }
+  if (kind.value() == WireKind::kUnregisterSession) {
+    auto unreg = ParseUnregisterSession(frame);
+    common::CheckOk(unreg.status(), "loopback unregister failed to parse");
+    runner.registered_sessions.erase(unreg.value().session_id);
+    return true;
+  }
+  common::Check(kind.value() == WireKind::kDetectRequest,
+                "unexpected wire kind in a loopback runner inbox");
+  auto parsed = ParseDetectRequest(frame);
+  common::CheckOk(parsed.status(), "loopback request failed to parse");
+  const DetectRequestMsg& request = parsed.value();
+  // The control-plane contract: every slot's session must have been
+  // deployed to this runner before the batch referencing it.
+  for (const WireSlot& slot : request.slots) {
+    common::Check(runner.registered_sessions.count(slot.session_id) != 0,
+                  "wire batch references a session never registered with "
+                  "this runner");
+  }
+  runner.requests_served += 1;
+
+  SleepSeconds(options_.latency_seconds);
+
+  DetectResponseMsg response;
+  response.wire_seq = request.wire_seq;
+  response.origin_shard = request.origin_shard;
+  response.attempt = request.attempt;
+  const bool fingerprint_mismatch =
+      options_.expected_fingerprint != 0 && request.repo_fingerprint != 0 &&
+      request.repo_fingerprint != options_.expected_fingerprint;
+  const bool shard_dead =
+      options_.fail_shard >= 0 &&
+      shard == static_cast<uint32_t>(options_.fail_shard) &&
+      runner.requests_served > options_.fail_after_requests;
+  const bool transient_failure =
+      options_.failure_rate > 0.0 &&
+      WireCoin(options_.seed, request, shard) < options_.failure_rate;
+  if (fingerprint_mismatch) {
+    response.status = WireStatus::kRepoMismatch;
+  } else if (shard_dead || transient_failure) {
+    response.status = WireStatus::kUnavailable;
+  } else {
+    response = ExecuteWireRequest(request, *resolver_, /*pool=*/nullptr);
+  }
+
+  if (options_.reorder_jitter_seconds > 0.0) {
+    SleepSeconds(WireCoin(options_.seed, request, 0x9e1u + shard) *
+                 options_.reorder_jitter_seconds);
+  }
+
+  outbox_.Push(SerializeDetectResponse(response));
+  out_parker_.WakeOne();  // Syscall only if the coordinator parked.
+  return true;
 }
 
 }  // namespace query

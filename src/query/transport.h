@@ -208,8 +208,9 @@ DetectResponseMsg ExecuteWireRequest(
 /// on the caller (fanning its frames over `pool`) and queues the response
 /// for `Receive`, with no serialization. A `DetectorService` given no
 /// transport builds and owns one, so every in-process detect call runs here;
-/// shards execute one after another (`LoopbackTransport` runs them in
-/// parallel).
+/// shards execute one after another (`LoopbackTransport` runs the batch the
+/// coordinator waits on itself and a wave's other batches on its runners,
+/// in parallel).
 class LocalTransport : public ShardTransport {
  public:
   /// Every shard's batches fan out over `pool` (the engine's one pool);
@@ -262,30 +263,43 @@ struct LoopbackTransportOptions {
   uint64_t expected_fingerprint = 0;
 };
 
-/// \brief The RPC stand-in: per-shard runner threads connected to the
-/// coordinator by byte queues.
+/// \brief The RPC stand-in: per-shard runners connected to the coordinator
+/// by byte queues.
 ///
-/// Every request and response crosses the thread boundary **only as wire
-/// bytes** — the runner parses the coordinator's serialized request and the
-/// coordinator parses the runner's serialized response, so anything a real
-/// socket transport would corrupt, reorder, or lose has to survive the same
-/// (de)serialization here. Runners execute concurrently, each detecting its
-/// batches inline on its own thread (one runner thread per shard, like one
-/// remote machine per shard), inject configurable latency, response
-/// reordering, and failures, and the completion queue delivers responses in
-/// whatever order they finish.
+/// Every request and response crosses between coordinator and runner **only
+/// as wire bytes** — the runner parses the coordinator's serialized request
+/// and the coordinator parses the runner's serialized response, so anything a
+/// real socket transport would corrupt, reorder, or lose has to survive the
+/// same (de)serialization here. Each shard has one runner (like one remote
+/// machine per shard) that detects its batches inline, injects configurable
+/// latency, response reordering, and failures, and the completion queue
+/// delivers responses in whatever order they finish.
 ///
-/// ## Queue mechanics (lock-free hot path)
+/// ## Queue mechanics (lock-free hot path, no handoff for a solo batch)
 ///
 /// Each runner's inbox and the shared completion outbox are bounded MPSC
-/// rings: `Send` costs one ring push plus a waiter-counted wake (no mutex
-/// while the runner is busy), and a completed response travels back the
-/// same way. When a ring fills, the producer spills to a mutex-guarded
+/// rings: `Send` costs one ring push, and a completed response travels back
+/// the same way. When a ring fills, the producer spills to a mutex-guarded
 /// overflow deque instead of blocking — the transport keeps the old
-/// unbounded-queue semantics (a Send never waits on a slow runner, a
-/// runner never waits on a slow coordinator, so no cyclic blocking is
-/// possible), while the steady-state path stays lock-free. Idle runners
-/// spin briefly, then park on a per-runner `Parker`.
+/// unbounded-queue semantics (a Send never waits on a slow runner, a runner
+/// never waits on a slow coordinator, so no cyclic blocking is possible),
+/// while the steady-state path stays lock-free.
+///
+/// A runner is a thread plus a *claim*: whichever thread holds the claim —
+/// the runner's own or the coordinator — is the inbox's one consumer and owns
+/// the runner's session registry, served-request count, and fault state, so
+/// a batch behaves the same whichever thread runs it. A runner thread serves
+/// its inbox only when the coordinator wakes it. `Send` only queues the
+/// batch; it wakes the previous batch's runner once a later batch goes to
+/// another runner. `Receive` runs the last-sent batch on the coordinator —
+/// the batch it would otherwise wait on — and any other queued batch no
+/// thread has claimed yet, so a one-batch wave costs no thread handoff while
+/// a multi-batch wave's other batches run on their runners in parallel. Only
+/// when every queued batch already has a thread running it does the
+/// coordinator spin briefly, then park. An idle runner thread does the same
+/// on its own `Parker`, except in a process confined to one CPU, where it
+/// parks at once: there its spinning would only take turns from the
+/// coordinator.
 class LoopbackTransport : public ShardTransport {
  public:
   /// Starts one runner thread per shard.
@@ -300,7 +314,8 @@ class LoopbackTransport : public ShardTransport {
   void BindLocalResolver(const SessionResolver* resolver) override;
   /// Ships the serialized registration through every runner's inbox: the
   /// per-queue FIFO order guarantees a runner processes it before any detect
-  /// batch sent afterwards, so no ack round-trip is needed in-process.
+  /// batch sent afterwards, so no ack round-trip is needed in-process. Wakes
+  /// no runner: the next thread to serve the inbox applies it.
   common::Status RegisterSession(const RegisterSessionMsg& msg) override;
   void UnregisterSession(uint64_t session_id) override;
   common::Status Send(uint32_t runner_shard,
@@ -335,9 +350,15 @@ class LoopbackTransport : public ShardTransport {
 
     std::thread thread;
     SpillQueue inbox;          // Serialized requests and control frames.
-    common::Parker parker;     // Runner parks here when the inbox is dry.
+    common::Parker parker;     // Runner parks here until woken.
     std::atomic<bool> stop{false};
-    // Runner-thread state (no locking needed).
+    // Set by the coordinator before it wakes the runner: the thread serves
+    // its inbox only when asked.
+    std::atomic<bool> woken{false};
+    // The claim: taken with an acquire exchange, dropped with a release
+    // store, by the runner thread or the coordinator. Its holder is the
+    // inbox's single consumer and owns the state below.
+    std::atomic<bool> claimed{false};
     uint64_t requests_served = 0;
     // Sessions the control plane deployed to this runner; detect slots must
     // name one (the protocol contract a remote runner would enforce).
@@ -345,8 +366,21 @@ class LoopbackTransport : public ShardTransport {
   };
 
   void RunnerLoop(uint32_t shard);
+  /// Pops and runs one message of `shard`'s inbox; false when it is empty.
+  /// Only the holder of the runner's claim calls it.
+  bool ServeOne(uint32_t shard);
+  /// Claims `shard`'s runner if its inbox is non-empty and no thread holds
+  /// the claim, serves the inbox dry, and drops the claim. True when it
+  /// served a message.
+  bool Drain(uint32_t shard);
+  /// Coordinator side: drains every inbox no thread has claimed, the
+  /// last-sent batch's runner first. True when it served a message.
+  bool ServeUnclaimed();
+  /// Coordinator side: asks `shard`'s runner thread to serve its inbox.
+  void WakeRunner(uint32_t shard);
 
   LoopbackTransportOptions options_;
+  const int runner_spins_;  // Idle yield-spins before a runner parks.
   // Written once by BindLocalResolver before the first Send; runner threads
   // read it only while handling requests enqueued afterwards (the inbox
   // ring's release/acquire handoff orders the accesses).
@@ -362,6 +396,10 @@ class LoopbackTransport : public ShardTransport {
   // Coordinator-side bookkeeping (one thread drives Send/Receive).
   size_t in_flight_ = 0;
   TransportStats stats_;
+  // The runner of the last batch sent, and whether that batch is still
+  // waiting for its runner's wake or for the coordinator to run it.
+  uint32_t last_sent_ = 0;
+  bool last_unclaimed_ = false;
 };
 
 }  // namespace query

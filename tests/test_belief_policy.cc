@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/rng.h"
+#include "stats/gamma_belief.h"
+#include "stats/special_functions.h"
 
 namespace exsample {
 namespace core {
@@ -92,6 +95,24 @@ TEST(BayesUcbPolicyTest, ConvergesToBestChunk) {
   common::Rng rng(6);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(policy.PickChunk(stats, rng), 1u);
+  }
+}
+
+TEST(BayesUcbPolicyTest, IndexIsTheUpperTailQuantile) {
+  const double beta = 2.5;
+  for (const double alpha : {0.1, 1.1, 5.1, 50.1}) {
+    for (double t = 10.0; t <= 1e13; t *= 10.0) {
+      const double index = BayesUcbPolicy::Index(alpha, beta, t);
+      const double tail = std::max(1.0 / t, 1e-12);
+      EXPECT_NEAR(stats::RegularizedGammaQ(alpha, beta * index) / tail, 1.0, 1e-9)
+          << "alpha " << alpha << " t " << t;
+      // The lower-tail quantile it replaces stops on an absolute 1e-12 in P,
+      // so it is a reference only while 1/t is far above that.
+      if (t <= 1e4) {
+        const double lower = stats::GammaBelief(alpha, beta).Quantile(1.0 - 1.0 / t);
+        EXPECT_NEAR(index / lower, 1.0, 1e-6) << "alpha " << alpha << " t " << t;
+      }
+    }
   }
 }
 

@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -563,6 +565,149 @@ TEST(DistTransportTest, LoopbackServiceRoundTripsOverBytes) {
   EXPECT_GT(transport.Stats().bytes_sent, 0u);
   EXPECT_GT(transport.Stats().bytes_received, 0u);
   EXPECT_EQ(transport.InFlight(), 0u);
+}
+
+// --- The loopback coordinator runs the batch it waits on --------------------
+
+/// Detector decorator recording the thread of every `Detect` call.
+class ThreadRecordingDetector : public detect::ObjectDetector {
+ public:
+  explicit ThreadRecordingDetector(detect::ObjectDetector* inner) : inner_(inner) {}
+
+  detect::Detections Detect(video::FrameId frame) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    return inner_->Detect(frame);
+  }
+  double SecondsPerFrame() const override { return inner_->SecondsPerFrame(); }
+  uint64_t FramesProcessed() const override { return inner_->FramesProcessed(); }
+
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  detect::ObjectDetector* inner_;
+  mutable std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(LoopbackHandoffTest, OneSliceWaveDetectsOnTheFlushingThread) {
+  ServiceFixture fixture;
+  ThreadRecordingDetector recorder(&fixture.detector);
+  auto sharded = video::ShardedRepository::ShardByClips(fixture.fx->repo, 2);
+  ASSERT_TRUE(sharded.ok());
+  query::ShardDispatcher dispatcher(&sharded.value(),
+                                    {query::ShardContext{&recorder, nullptr},
+                                     query::ShardContext{&recorder, nullptr}});
+  query::LoopbackTransport transport(2);
+  query::DetectorServiceOptions options;
+  options.device_batch = 8;
+  options.transport = &transport;
+  query::DetectorService service(options, 2);
+
+  // Four waves of one slice each, on either runner.
+  const std::vector<video::FrameId> frames = {10, 20, 30};
+  for (const uint32_t shard : {0u, 1u, 1u, 0u}) {
+    const std::vector<uint32_t> shards(frames.size(), shard);
+    query::DetectorService::DetectRequest request = fixture.Request(frames);
+    request.shards = shards;
+    request.dispatcher = &dispatcher;
+    const auto ticket = service.Submit(request);
+    service.Flush();
+    ASSERT_TRUE(service.Ready(ticket));
+    fixture.ExpectDirectDetections(frames, service.Take(ticket));
+  }
+  EXPECT_EQ(transport.Stats().requests, 4u);
+  const std::vector<std::thread::id> threads = recorder.threads();
+  ASSERT_EQ(threads.size(), 4 * frames.size());
+  for (const std::thread::id id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id()) << "a runner thread detected";
+  }
+}
+
+TEST(LoopbackHandoffTest, MultiSliceWaveStillOverlapsOnTheRunners) {
+  ServiceFixture fixture;
+  auto sharded = video::ShardedRepository::ShardByClips(fixture.fx->repo, 4);
+  ASSERT_TRUE(sharded.ok());
+  query::ShardDispatcher dispatcher(
+      &sharded.value(), std::vector<query::ShardContext>(
+                            4, query::ShardContext{&fixture.detector, nullptr}));
+  query::LoopbackTransportOptions loopback;
+  loopback.latency_seconds = 0.02;
+  query::LoopbackTransport transport(4, loopback);
+  query::DetectorServiceOptions options;
+  options.device_batch = 8;
+  options.transport = &transport;
+  query::DetectorService service(options, 4);
+
+  const std::vector<video::FrameId> frames = {10, 20, 30, 40, 50, 60, 70, 80};
+  const std::vector<uint32_t> shards = {0, 0, 1, 1, 2, 2, 3, 3};  // A slice each.
+  query::DetectorService::DetectRequest request = fixture.Request(frames);
+  request.shards = shards;
+  request.dispatcher = &dispatcher;
+  const auto start = std::chrono::steady_clock::now();
+  const auto ticket = service.Submit(request);
+  service.Flush();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(service.Ready(ticket));
+  fixture.ExpectDirectDetections(frames, service.Take(ticket));
+  EXPECT_EQ(transport.Stats().requests, 4u);
+  // One after another the four slices take 0.08 s; overlapped, about 0.02.
+  EXPECT_LT(seconds, 0.06);
+}
+
+TEST(LoopbackHandoffTest, FailAfterRequestsCountsPerRunnerWhicheverThreadServes) {
+  ServiceFixture fixture;
+  query::SessionDirectory directory;
+  directory.Register(1, 0, &fixture.detector);
+  directory.Register(1, 1, &fixture.detector);
+  query::LoopbackTransportOptions loopback;
+  loopback.latency_seconds = 0.002;  // Gives a woken runner time to claim.
+  loopback.fail_shard = 1;
+  loopback.fail_after_requests = 2;
+  query::LoopbackTransport transport(2, loopback);
+  transport.BindLocalResolver(&directory);
+  query::RegisterSessionMsg registration;
+  registration.session_id = 1;
+  ASSERT_TRUE(transport.RegisterSession(registration).ok());
+
+  uint64_t next_seq = 0;
+  const auto send = [&](uint32_t shard) {
+    query::DetectRequestMsg request;
+    request.wire_seq = next_seq++;
+    request.origin_shard = shard;
+    request.slots.push_back(query::WireSlot{1, 100 * request.wire_seq});
+    ASSERT_TRUE(transport.Send(shard, request).ok());
+  };
+  std::map<uint64_t, query::WireStatus> status;  // By wire_seq.
+  const auto receive_all = [&] {
+    while (transport.InFlight() > 0) {
+      auto response = transport.Receive();
+      ASSERT_TRUE(response.ok());
+      status[response.value().wire_seq] = response.value().status;
+    }
+  };
+  send(1);  // Alone: the coordinator runs it.
+  receive_all();
+  send(1);  // Followed by a batch elsewhere: shard 1's runner is woken for it.
+  send(0);
+  receive_all();
+  send(1);  // Shard 1's third request: past fail_after_requests.
+  send(0);
+  receive_all();
+
+  ASSERT_EQ(status.size(), 5u);
+  EXPECT_EQ(status[0], query::WireStatus::kOk);
+  EXPECT_EQ(status[1], query::WireStatus::kOk);
+  EXPECT_EQ(status[2], query::WireStatus::kOk);
+  EXPECT_EQ(status[3], query::WireStatus::kUnavailable);
+  EXPECT_EQ(status[4], query::WireStatus::kOk);
+  EXPECT_EQ(transport.Stats().failures_injected, 1u);
 }
 
 /// Scripted transport: shard 0's runner is dead (every batch fails), shard

@@ -42,6 +42,23 @@ TEST(FormatRatioTest, TwoSignificantDigits) {
   EXPECT_EQ(FormatRatio(12.3), "12x");
 }
 
+TEST(ParseValueTest, TakesOnlyOneWholeNumber) {
+  uint64_t count = 0;
+  EXPECT_TRUE(ParseValue("4464", &count));
+  EXPECT_EQ(count, 4464u);
+  for (const char* bad : {"", "two", "-1", " 1", "+1", "1x", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseValue(bad, &count)) << "'" << bad << "'";
+  }
+  double scale = 0.0;
+  EXPECT_TRUE(ParseValue("0.100000", &scale));
+  EXPECT_EQ(scale, 0.1);
+  EXPECT_TRUE(ParseValue("1e-3", &scale));
+  EXPECT_EQ(scale, 1e-3);
+  for (const char* bad : {"", "soon", "0.1s"}) {
+    EXPECT_FALSE(ParseValue(bad, &scale)) << "'" << bad << "'";
+  }
+}
+
 TEST(TextTableTest, AlignsColumns) {
   TextTable table;
   table.SetHeader({"name", "value"});

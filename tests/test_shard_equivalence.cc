@@ -5,8 +5,8 @@
 //      {1, 2, 5}) produces a merged trace *bit-identical* to the unsharded
 //      run at the same seed — shard count never changes an answer;
 //  (b) traces are additionally invariant to thread count, loopback runners
-//      per shard, and internal-vs-explicit sharding — those knobs buy
-//      wall-clock only;
+//      per shard, decode-ahead beside a contended detect path, and
+//      internal-vs-explicit sharding — those knobs buy wall-clock only;
 //  (c) per-shard attribution adds up: every shard that owns frames detects
 //      some, and the dispatcher's per-shard tallies sum to the trace;
 //  (d) decode accounting follows the same rules under shard routing.
@@ -155,6 +155,42 @@ TEST(ShardEquivalenceTest, TracesInvariantToThreadAndPoolConfiguration) {
                             "shards=" + std::to_string(shards) + " threads=" +
                                 std::to_string(knobs.num_threads) + " over " +
                                 engine::TransportKindName(knobs.transport));
+    }
+  }
+}
+
+// Everything the lock-free paths touch at once — an 8-thread pool running
+// decode-ahead tasks (prefetch 4) while the loopback coordinator and its
+// runners detect coalesced batches — reproduces the sequential run bit for
+// bit, for every method and shard count. Queue mechanics move work between
+// threads; they must never reorder the computation the trace records.
+TEST(ShardEquivalenceTest, ContendedEngineMatchesSequentialForEveryMethod) {
+  auto fx = ShardFixture::Make();
+  engine::EngineConfig sequential_config;
+  sequential_config.simulate_decode = true;
+  engine::SearchEngine sequential(&fx->repo, &fx->chunking, &fx->truth,
+                                  sequential_config);
+  engine::EngineConfig contended_config = sequential_config;
+  contended_config.num_threads = 8;
+  contended_config.prefetch_depth = 4;
+  contended_config.device_batch = 16;
+  contended_config.transport = engine::TransportKind::kLoopback;
+  contended_config.flush_deadline_seconds = 0.0005;
+  for (const engine::Method method : kAllMethods) {
+    engine::QueryOptions options = MakeQueryOptions(method);
+    options.max_samples = 600;
+    auto base = sequential.FindDistinct(0, 20, options);
+    ASSERT_TRUE(base.ok()) << engine::MethodName(method);
+    for (const size_t shards : {1u, 2u, 5u}) {
+      auto sharded_repo = video::ShardedRepository::ShardByClips(fx->repo, shards);
+      ASSERT_TRUE(sharded_repo.ok());
+      engine::SearchEngine contended(&sharded_repo.value(), &fx->chunking,
+                                     &fx->truth, contended_config);
+      auto trace = contended.FindDistinct(0, 20, options);
+      ASSERT_TRUE(trace.ok()) << engine::MethodName(method);
+      ExpectTracesIdentical(base.value(), trace.value(),
+                            std::string(engine::MethodName(method)) +
+                                " contended shards=" + std::to_string(shards));
     }
   }
 }

@@ -95,10 +95,7 @@
 // An unknown flag, a missing =VALUE, or a malformed number exits 2.
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -187,7 +184,10 @@ const CliFlag kCliFlags[] = {
 };
 
 // Each overload stores `text` into its field's type; false when `text` is
-// not one whole value of it (the strtoull/strtod end pointer stops short).
+// not one whole value of it. The numeric rules are the library's
+// (`common::ParseValue`), shared with exsample_shardd.
+using common::ParseValue;
+
 bool ParseValue(const std::string&, bool* out) {
   *out = true;
   return true;
@@ -196,23 +196,6 @@ bool ParseValue(const std::string&, bool* out) {
 bool ParseValue(const std::string& text, std::string* out) {
   *out = text;
   return true;
-}
-
-bool ParseValue(const std::string& text, uint64_t* out) {
-  // strtoull would take leading blanks and a sign (wrapping "-1").
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return errno == 0 && end == text.c_str() + text.size();
-}
-
-bool ParseValue(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return !text.empty() && end == text.c_str() + text.size();
 }
 
 bool ParseValue(const std::string& text, std::optional<double>* out) {
@@ -368,6 +351,12 @@ struct TenantEntry {
   double spacing = 0.0;
 };
 
+std::nullopt_t BadNumber(const std::string& entry, const std::string& item) {
+  std::fprintf(stderr, "bad --tenants entry '%s': bad value in '%s'\n",
+               entry.c_str(), item.c_str());
+  return std::nullopt;
+}
+
 // Parses the semicolon-separated --tenants list. The CLI-side keys
 // (queries=, spacing=) are stripped out of each entry before the rest is
 // handed to the library's ParseTenantSpec grammar, so unknown keys still
@@ -396,10 +385,13 @@ std::optional<std::vector<TenantEntry>> ParseTenantEntries(const std::string& li
         const std::string item = entry.substr(kb, ke - kb);
         kb = ke + 1;
         if (item.rfind("queries=", 0) == 0) {
-          parsed.queries =
-              std::max<size_t>(1, std::strtoull(item.c_str() + 8, nullptr, 10));
+          uint64_t queries = 0;
+          if (!ParseValue(item.substr(8), &queries)) return BadNumber(entry, item);
+          parsed.queries = std::max<uint64_t>(1, queries);
         } else if (item.rfind("spacing=", 0) == 0) {
-          parsed.spacing = std::strtod(item.c_str() + 8, nullptr);
+          if (!ParseValue(item.substr(8), &parsed.spacing)) {
+            return BadNumber(entry, item);
+          }
         } else if (!item.empty()) {
           kept += kept.empty() ? item : "," + item;
         }
@@ -607,7 +599,7 @@ int main(int argc, char** argv) {
       // tenant), admitted and scheduled by the TenantServer above the
       // engine; --concurrent only opts into the multi-session machinery.
       auto entries = ParseTenantEntries(args.tenants);
-      if (!entries.has_value()) return 1;
+      if (!entries.has_value()) return 2;
       size_t total_queries = 0;
       for (const TenantEntry& e : *entries) total_queries += e.queries;
       if (args.concurrent > 1 && args.concurrent != total_queries) {

@@ -30,6 +30,9 @@
 //                   answering — the up-but-wedged server only the
 //                   coordinator's per-request deadline can detect
 //
+// An unknown flag, a missing =VALUE, or a malformed or out-of-range number
+// (a port past 65535) exits 2, naming the flag.
+//
 // One thread per connection; each connection owns its session registry, so
 // a reconnecting coordinator starts from a clean slate and must replay its
 // registrations (which the SocketTransport does on every connect).
@@ -43,13 +46,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
 
+#include "common/format.h"
 #include "common/thread_pool.h"
 #include "datasets/presets.h"
 #include "datasets/scenarios.h"
@@ -69,7 +71,7 @@ struct ServerConfig {
   uint64_t seed = 5;
   std::string dataset;
   double scale = 0.1;
-  size_t threads = 1;
+  uint64_t threads = 1;
   // < 0: never hang.
   int64_t hang_after = -1;
 };
@@ -196,39 +198,54 @@ void HandleConnection(int fd) {
   ::close(fd);
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *value = arg + len + 1;
+// Reads argv into g_config. An unknown flag, a missing =VALUE, or a value
+// that is not one whole number in the flag's range (exsample_cli's rules,
+// `common::ParseValue`) names the flag on stderr and returns false.
+bool ParseArgs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    uint64_t number = 0;
+    bool ok = eq != std::string::npos;
+    if (name == "--port") {
+      ok = ok && common::ParseValue(value, &number) && number <= 65535;
+      g_config.port = static_cast<int>(number);
+    } else if (name == "--port-file") {
+      g_config.port_file = value;
+    } else if (name == "--frames") {
+      ok = ok && common::ParseValue(value, &g_config.frames);
+    } else if (name == "--seed") {
+      ok = ok && common::ParseValue(value, &g_config.seed);
+    } else if (name == "--dataset") {
+      g_config.dataset = value;
+    } else if (name == "--scale") {
+      ok = ok && common::ParseValue(value, &g_config.scale);
+    } else if (name == "--threads") {
+      ok = ok && common::ParseValue(value, &g_config.threads);
+    } else if (name == "--hang-after") {
+      ok = ok && common::ParseValue(value, &number) &&
+           number <= static_cast<uint64_t>(INT64_MAX);
+      g_config.hang_after = static_cast<int64_t>(number);
+    } else {
+      std::fprintf(stderr, "%s: unknown flag (see header comment)\n", name.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: %s '%s'\n", name.c_str(),
+                   eq == std::string::npos ? "needs =VALUE, got" : "bad value",
+                   value.c_str());
+      return false;
+    }
+  }
   return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--port", &value)) {
-      g_config.port = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--port-file", &value)) {
-      g_config.port_file = value;
-    } else if (ParseFlag(argv[i], "--frames", &value)) {
-      g_config.frames = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
-      g_config.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--dataset", &value)) {
-      g_config.dataset = value;
-    } else if (ParseFlag(argv[i], "--scale", &value)) {
-      g_config.scale = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
-      g_config.threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "--hang-after", &value)) {
-      g_config.hang_after = std::strtoll(value.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return 1;
-    }
-  }
+  if (!ParseArgs(argc, argv)) return 2;
 
   // Two recipes, one contract: (--frames, --seed) rebuilds the dist-suite
   // scenario, (--dataset, --scale, --seed) rebuilds an evaluation dataset the
