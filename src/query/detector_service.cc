@@ -307,12 +307,15 @@ void DetectorService::SendAndCollect() {
     }
   }
 
-  // Ship every slice first — the runners work concurrently — then collect
-  // completions in whatever order they arrive; the wire sequence number
-  // matches each response back to its slice, and results land in fixed
-  // ticket slots, so arrival order is irrelevant to the trace. A slice is
-  // sent once its frames finished decoding, in each request's batch order:
-  // later slices keep decoding while the runners detect earlier ones.
+  // Ship every slice first, then collect completions in whatever order they
+  // arrive; the wire sequence number matches each response back to its
+  // slice, and results land in fixed ticket slots, so arrival order is
+  // irrelevant to the trace. A slice is sent once its frames finished
+  // decoding, in each request's batch order. When it starts running depends
+  // on the transport: a socket runner starts it as its bytes arrive, while
+  // later slices keep decoding; `LocalTransport` runs it inside `Send`;
+  // `LoopbackTransport` wakes its runner at the next send to another runner,
+  // and otherwise runs it in `Receive`.
   const uint64_t first_seq = next_wire_seq_;
   size_t in_flight = 0;
   bool all_down = false;

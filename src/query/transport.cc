@@ -1,7 +1,5 @@
 #include "query/transport.h"
 
-#include <sched.h>
-
 #include <chrono>
 #include <utility>
 
@@ -167,20 +165,6 @@ namespace {
 constexpr size_t kInboxRingCapacity = 256;
 constexpr size_t kOutboxRingCapacity = 1024;
 
-/// Yield-spins an idle runner makes before it parks: one that just ran a
-/// wave's batch then takes the next wave's wake without a futex call. None
-/// when the process may run on one CPU only: there a spinning runner only
-/// takes turns from the coordinator.
-int RunnerSpinIterations() {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
-      CPU_COUNT(&allowed) == 1) {
-    return 0;
-  }
-  return common::Parker::kSpinIterations;
-}
-
 }  // namespace
 
 void LoopbackTransport::SpillQueue::Push(std::vector<uint8_t> bytes) {
@@ -213,9 +197,7 @@ bool LoopbackTransport::SpillQueue::Empty() const {
 
 LoopbackTransport::LoopbackTransport(size_t num_shards,
                                      LoopbackTransportOptions options)
-    : options_(options),
-      runner_spins_(RunnerSpinIterations()),
-      outbox_(kOutboxRingCapacity) {
+    : options_(options), outbox_(kOutboxRingCapacity) {
   common::Check(num_shards >= 1, "transport needs at least one shard");
   runners_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -384,7 +366,7 @@ void LoopbackTransport::RunnerLoop(uint32_t shard) {
       Drain(shard);
       return;
     }
-    if (++idle_spins < runner_spins_) {
+    if (++idle_spins < common::Parker::kSpinIterations) {
       std::this_thread::yield();
       continue;
     }

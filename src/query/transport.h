@@ -297,9 +297,7 @@ struct LoopbackTransportOptions {
 /// a multi-batch wave's other batches run on their runners in parallel. Only
 /// when every queued batch already has a thread running it does the
 /// coordinator spin briefly, then park. An idle runner thread does the same
-/// on its own `Parker`, except in a process confined to one CPU, where it
-/// parks at once: there its spinning would only take turns from the
-/// coordinator.
+/// on its own `Parker`.
 class LoopbackTransport : public ShardTransport {
  public:
   /// Starts one runner thread per shard.
@@ -380,7 +378,6 @@ class LoopbackTransport : public ShardTransport {
   void WakeRunner(uint32_t shard);
 
   LoopbackTransportOptions options_;
-  const int runner_spins_;  // Idle yield-spins before a runner parks.
   // Written once by BindLocalResolver before the first Send; runner threads
   // read it only while handling requests enqueued afterwards (the inbox
   // ring's release/acquire handoff orders the accesses).
