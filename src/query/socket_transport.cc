@@ -79,20 +79,6 @@ class OutgoingFrame {
   size_t sent_ = 0;
 };
 
-common::Status ReadAll(int fd, uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::recv(fd, data + done, size - done, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return common::Status::Internal("socket read failed");
-    }
-    if (n == 0) return common::Status::Internal("connection closed");
-    done += static_cast<size_t>(n);
-  }
-  return common::Status::OK();
-}
-
 /// Parses a "host:port" shard endpoint. The host is a numeric IPv4 address
 /// or "localhost" (empty means localhost too); the port is decimal, 1..65535.
 /// A malformed entry is a deployment error, reported by name.
@@ -176,9 +162,8 @@ std::chrono::steady_clock::duration Seconds(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-/// Free space a connection's input buffer offers every read: one `recv`
-/// takes a wave's worth of typical responses (a few hundred bytes each);
-/// larger frames grow the buffer to their size.
+/// Least free space a connection's input buffer offers a read: one `recv`
+/// takes a wave's worth of typical responses (a few hundred bytes each).
 constexpr size_t kReadChunkBytes = 16 << 10;
 
 }  // namespace
@@ -199,20 +184,46 @@ common::Status WriteFrame(int fd, common::Span<const uint8_t> payload) {
   return common::Status::OK();
 }
 
-common::Result<std::vector<uint8_t>> ReadFrame(int fd, size_t max_frame_bytes) {
-  uint8_t header[kFrameHeaderBytes];
-  const common::Status head = ReadAll(fd, header, kFrameHeaderBytes);
-  if (!head.ok()) return head;
-  const uint32_t size = DecodeFrameHeader(header);
-  if (size > max_frame_bytes) {
-    return common::Status::InvalidArgument("wire frame exceeds the size bound");
+FrameReader::Outcome FrameReader::Next(int fd,
+                                       common::Span<const uint8_t>* frame) {
+  for (;;) {
+    const size_t held = end_ - begin_;
+    size_t missing = 0;  // What a buffered partial frame still lacks.
+    if (held >= kFrameHeaderBytes) {
+      const size_t size = DecodeFrameHeader(in_.data() + begin_);
+      if (size > kMaxFrameBytes) return Outcome::kDrop;
+      if (held - kFrameHeaderBytes >= size) {
+        *frame = common::Span<const uint8_t>(
+            in_.data() + begin_ + kFrameHeaderBytes, size);
+        begin_ += kFrameHeaderBytes + size;
+        return Outcome::kFrame;
+      }
+      missing = kFrameHeaderBytes + size - held;
+    }
+    if (drained_) {
+      drained_ = false;
+      return Outcome::kPending;
+    }
+    // Room for one read: move the partial frame (if any) to the front, and
+    // grow toward what the frame still lacks by at most what is held.
+    if (begin_ > 0) {
+      std::memmove(in_.data(), in_.data() + begin_, held);
+      begin_ = 0;
+      end_ = held;
+    }
+    const size_t want = std::max(kReadChunkBytes, std::min(missing, held));
+    if (in_.size() - end_ < want) in_.resize(end_ + want);
+
+    const size_t room = in_.size() - end_;
+    const ssize_t n = ::recv(fd, in_.data() + end_, room, MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Outcome::kPending;
+    }
+    if (n <= 0) return Outcome::kDrop;  // EOF, or a reset or other error.
+    end_ += static_cast<size_t>(n);
+    drained_ = static_cast<size_t>(n) < room;
   }
-  std::vector<uint8_t> payload(size);
-  if (size > 0) {
-    const common::Status body = ReadAll(fd, payload.data(), size);
-    if (!body.ok()) return body;
-  }
-  return payload;
 }
 
 // --- SocketTransport --------------------------------------------------------
@@ -297,9 +308,7 @@ void SocketTransport::MarkDisconnectedLocked(uint32_t shard) {
   ::close(conn.fd);
   conn.fd = -1;
   conn.pending_acks.clear();
-  conn.in = {};
-  conn.in_begin = 0;
-  conn.in_end = 0;
+  conn.reader = FrameReader();
   // A dropped connection is a failure signal for everything riding it:
   // synthesize kUnavailable completions now instead of waiting for each
   // batch's deadline to expire.
@@ -385,53 +394,15 @@ void SocketTransport::PollLocked(Clock::time_point deadline, Lock& lock) {
 
 void SocketTransport::ReadLocked(uint32_t shard) {
   Conn& conn = *conns_[shard];
-  while (conn.fd >= 0) {
-    // Room for the read: move the partial frame (if any) to the front, and
-    // grow the buffer only when a frame needs more than it holds.
-    const size_t held = conn.in_end - conn.in_begin;
-    if (conn.in_begin > 0) {
-      std::memmove(conn.in.data(), conn.in.data() + conn.in_begin, held);
-      conn.in_begin = 0;
-      conn.in_end = held;
-    }
-    size_t want = kReadChunkBytes;
-    if (held >= kFrameHeaderBytes) {
-      const size_t frame_bytes =
-          kFrameHeaderBytes + DecodeFrameHeader(conn.in.data());
-      want = std::max(want, frame_bytes - held);
-    }
-    if (conn.in.size() - conn.in_end < want) conn.in.resize(conn.in_end + want);
-
-    const size_t room = conn.in.size() - conn.in_end;
-    const ssize_t n =
-        ::recv(conn.fd, conn.in.data() + conn.in_end, room, MSG_DONTWAIT);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n <= 0) {  // EOF, or a reset or other read error.
+  common::Span<const uint8_t> frame;
+  for (;;) {
+    const FrameReader::Outcome outcome = conn.reader.Next(conn.fd, &frame);
+    if (outcome == FrameReader::Outcome::kPending) return;
+    if (outcome == FrameReader::Outcome::kDrop ||
+        !DispatchFrameLocked(shard, frame)) {
       MarkDisconnectedLocked(shard);
       return;
     }
-    conn.in_end += static_cast<size_t>(n);
-
-    // Dispatch every complete frame; an incomplete one waits for more bytes.
-    while (conn.in_end - conn.in_begin >= kFrameHeaderBytes) {
-      const uint8_t* head = conn.in.data() + conn.in_begin;
-      const size_t size = DecodeFrameHeader(head);
-      if (size > kMaxFrameBytes) {
-        MarkDisconnectedLocked(shard);  // Corrupt or hostile framing.
-        return;
-      }
-      if (conn.in_end - conn.in_begin - kFrameHeaderBytes < size) break;
-      if (!DispatchFrameLocked(shard, common::Span<const uint8_t>(
-                                          head + kFrameHeaderBytes, size))) {
-        MarkDisconnectedLocked(shard);
-        return;
-      }
-      conn.in_begin += kFrameHeaderBytes + size;
-    }
-    if (conn.in_begin == conn.in_end) conn.in_begin = conn.in_end = 0;
-    // A short read drained the socket: skip the recv that would only say so.
-    if (static_cast<size_t>(n) < room) return;
   }
 }
 
@@ -621,8 +592,6 @@ bool SocketTransport::DispatchFrameLocked(uint32_t shard,
       conns_[shard]->pending_acks[ack.value().session_id] = ack.value().status;
       return true;
     }
-    case WireKind::kHeartbeatAck:
-      return ParseHeartbeatAck(frame).ok();
     default:
       // Request kinds arriving at the coordinator are a protocol violation.
       return false;

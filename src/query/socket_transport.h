@@ -35,15 +35,38 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// `kMaxFrameBytes`.
 common::Status WriteFrame(int fd, common::Span<const uint8_t> payload);
 
-/// \brief Reads one length-prefixed frame from `fd` (blocking, EINTR-safe).
-/// `InvalidArgument` for frames past `max_frame_bytes` (a corrupt or hostile
-/// peer must not make us allocate unbounded memory); `Internal` ("connection
-/// closed") on EOF or a read error, including mid-frame truncation.
-common::Result<std::vector<uint8_t>> ReadFrame(int fd, size_t max_frame_bytes);
-
 /// \brief Largest frame either side accepts. Generous: the coordinator's
 /// device batches are a few KiB, responses a few hundred KiB at most.
 inline constexpr size_t kMaxFrameBytes = 64ull << 20;
+
+/// \brief The receive side of one connection, shared by the coordinator and
+/// `exsample_shardd`: bytes read without blocking wait here until their
+/// frame is complete, so a peer that stops mid-frame blocks nothing. One
+/// read grows the buffer by at most what it holds (or 16 KiB), whatever a
+/// header declares: a peer that declares a huge frame and stalls costs what
+/// it sent, not what it declared.
+class FrameReader {
+ public:
+  enum class Outcome {
+    kFrame,    ///< `*frame` holds a complete frame's payload.
+    kPending,  ///< No complete frame, and the socket is drained: poll it.
+    kDrop,     ///< EOF, a read error, or a header past `kMaxFrameBytes`.
+  };
+
+  /// Hands out the next complete frame, first reading `fd` without blocking
+  /// (EINTR-safe) when none is buffered. `*frame` views the buffer until the
+  /// next call. Once a short read's frames are handed out, `kPending` comes
+  /// without another `recv`.
+  Outcome Next(int fd, common::Span<const uint8_t>* frame);
+
+ private:
+  /// Bytes not yet handed out: `in_[begin_, end_)`.
+  std::vector<uint8_t> in_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  /// The last read took less than it was offered: the socket was empty.
+  bool drained_ = false;
+};
 
 /// \brief Configuration of a `SocketTransport`.
 struct SocketTransportOptions {
@@ -84,7 +107,7 @@ struct SocketTransportOptions {
 /// - Sockets are non-blocking. `Receive` and the registration ack wait
 ///   `poll()` the connected sockets until the earliest request deadline (or
 ///   the ack deadline) and read whatever has arrived.
-/// - Received bytes wait in a per-connection buffer, and a frame is
+/// - Received bytes wait in a per-connection `FrameReader`, and a frame is
 ///   dispatched only once it is complete: a peer that sends half a frame
 ///   and goes silent blocks nothing, and the request deadline still fires.
 /// - A send the kernel cannot take keeps reading the same connection while
@@ -156,13 +179,8 @@ class SocketTransport : public ShardTransport {
     /// Backoff gate: no connect attempt before this instant.
     Clock::time_point next_attempt = Clock::time_point::min();
     double backoff_seconds = 0.0;
-    /// Received bytes not yet dispatched live in `in[in_begin, in_end)`:
-    /// at most one incomplete frame once dispatch has run. `in` is sized to
-    /// its capacity and grows only for a frame larger than it, so a read
-    /// never zero-fills.
-    std::vector<uint8_t> in;
-    size_t in_begin = 0;
-    size_t in_end = 0;
+    /// Received bytes not yet dispatched; reset on disconnect.
+    FrameReader reader;
     /// Acks received that no waiter has consumed yet (session_id ->
     /// status); cleared on disconnect.
     std::unordered_map<uint64_t, WireStatus> pending_acks;
@@ -202,8 +220,8 @@ class SocketTransport : public ShardTransport {
   /// re-check their own conditions.
   void PollLocked(Clock::time_point deadline, Lock& lock);
   /// Reads what `shard`'s socket holds without blocking and dispatches every
-  /// complete frame. EOF, a read error or a protocol violation marks the
-  /// shard disconnected.
+  /// complete frame. EOF, a read error, an oversized frame header or a
+  /// protocol violation marks the shard disconnected.
   void ReadLocked(uint32_t shard);
   /// Routes one received frame (detect response or control ack). Returns
   /// false on a frame the protocol forbids — including a `kOk` response whose

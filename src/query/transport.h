@@ -94,7 +94,7 @@ struct TransportStats {
   uint64_t bytes_received = 0;
   /// Failures the transport injected (loopback fault injection only).
   uint64_t failures_injected = 0;
-  /// Control-plane frames shipped (session register/unregister, heartbeats)
+  /// Control-plane frames shipped (session register/unregister)
   /// — counted apart from `requests` so the exact send accounting
   /// (requests == batches + retries + requeues) survives the control plane.
   uint64_t control_messages = 0;

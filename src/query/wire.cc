@@ -164,8 +164,8 @@ common::Status CheckFullyConsumed(const WireReader& reader) {
   return common::Status::OK();
 }
 
-/// Shared body of the four control messages whose payload is one u64 after
-/// the header (acks, unregister, heartbeats).
+/// Shared body of the two control messages whose payload is one u64 after
+/// the header (acks, unregister).
 std::vector<uint8_t> SerializeU64Body(WireKind kind, uint8_t flags,
                                       uint64_t value) {
   std::vector<uint8_t> out;
@@ -360,11 +360,15 @@ common::Result<WireKind> PeekWireKind(common::Span<const uint8_t> bytes) {
   }
   s = reader.ReadU8(&kind);
   if (!s.ok()) return s;
-  if (kind < static_cast<uint8_t>(WireKind::kDetectRequest) ||
-      kind > static_cast<uint8_t>(WireKind::kUnregisterSession)) {
-    return common::Status::InvalidArgument("unknown wire message kind");
+  switch (static_cast<WireKind>(kind)) {
+    case WireKind::kDetectRequest:
+    case WireKind::kDetectResponse:
+    case WireKind::kRegisterSession:
+    case WireKind::kSessionAck:
+    case WireKind::kUnregisterSession:
+      return static_cast<WireKind>(kind);
   }
-  return static_cast<WireKind>(kind);
+  return common::Status::InvalidArgument("unknown wire message kind");
 }
 
 std::vector<uint8_t> SerializeRegisterSession(const RegisterSessionMsg& msg) {
@@ -456,39 +460,6 @@ common::Result<UnregisterSessionMsg> ParseUnregisterSession(
   if (!s.ok()) return s;
   if (flags != 0) {
     return common::Status::InvalidArgument("reserved unregister flags set");
-  }
-  return msg;
-}
-
-std::vector<uint8_t> SerializeHeartbeat(const HeartbeatMsg& msg) {
-  return SerializeU64Body(WireKind::kHeartbeat, /*flags=*/0, msg.nonce);
-}
-
-common::Result<HeartbeatMsg> ParseHeartbeat(common::Span<const uint8_t> bytes) {
-  HeartbeatMsg msg;
-  uint8_t flags = 0;
-  common::Status s =
-      ParseU64Body(bytes, WireKind::kHeartbeat, &flags, &msg.nonce);
-  if (!s.ok()) return s;
-  if (flags != 0) {
-    return common::Status::InvalidArgument("reserved heartbeat flags set");
-  }
-  return msg;
-}
-
-std::vector<uint8_t> SerializeHeartbeatAck(const HeartbeatAckMsg& msg) {
-  return SerializeU64Body(WireKind::kHeartbeatAck, /*flags=*/0, msg.nonce);
-}
-
-common::Result<HeartbeatAckMsg> ParseHeartbeatAck(
-    common::Span<const uint8_t> bytes) {
-  HeartbeatAckMsg msg;
-  uint8_t flags = 0;
-  common::Status s =
-      ParseU64Body(bytes, WireKind::kHeartbeatAck, &flags, &msg.nonce);
-  if (!s.ok()) return s;
-  if (flags != 0) {
-    return common::Status::InvalidArgument("reserved heartbeat flags set");
   }
   return msg;
 }

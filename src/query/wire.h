@@ -25,7 +25,7 @@ namespace query {
 /// detection lists plus the detector seconds the runner charged) from
 /// *control* messages (session registration shipping the detector
 /// configuration a remote runner materializes its session state from, the
-/// matching ack, unregistration, and heartbeats). Control and data parse
+/// matching ack, and unregistration). Control and data parse
 /// through the same bounds-checked reader; `PeekWireKind` dispatches a
 /// received frame without trusting anything past the header.
 ///
@@ -46,16 +46,16 @@ inline constexpr uint32_t kWireMagic = 0x4d575358;
 inline constexpr uint16_t kWireVersion = 1;
 
 /// \brief Message kinds, tagged in the header byte after the version. Kinds
-/// 1–2 are the data plane; 3–7 are the control plane a real transport needs
-/// to deploy session state and probe liveness. Parsers reject kinds they do
-/// not know: a frame from a newer coordinator fails cleanly, never silently.
+/// 1–2 are the data plane; 3, 4 and 7 are the control plane a real transport
+/// needs to deploy session state. Kinds 5 and 6 are reserved and never
+/// reassigned, so an older peer's frame cannot parse as a different message.
+/// Parsers reject kinds they do not know: a frame from a newer coordinator
+/// fails cleanly, never silently.
 enum class WireKind : uint8_t {
   kDetectRequest = 1,
   kDetectResponse = 2,
   kRegisterSession = 3,
   kSessionAck = 4,
-  kHeartbeat = 5,
-  kHeartbeatAck = 6,
   kUnregisterSession = 7,
 };
 
@@ -170,15 +170,6 @@ struct UnregisterSessionMsg {
   uint64_t session_id = 0;
 };
 
-/// \brief Liveness probe; the runner echoes the nonce in a `HeartbeatAckMsg`.
-struct HeartbeatMsg {
-  uint64_t nonce = 0;
-};
-
-struct HeartbeatAckMsg {
-  uint64_t nonce = 0;
-};
-
 /// \brief Validates the framed header of a received buffer (magic, version,
 /// known kind) and returns its kind without consuming the message — the
 /// dispatch step of every runner/coordinator receive loop. `InvalidArgument`
@@ -194,13 +185,6 @@ common::Result<SessionAckMsg> ParseSessionAck(common::Span<const uint8_t> bytes)
 
 std::vector<uint8_t> SerializeUnregisterSession(const UnregisterSessionMsg& msg);
 common::Result<UnregisterSessionMsg> ParseUnregisterSession(
-    common::Span<const uint8_t> bytes);
-
-std::vector<uint8_t> SerializeHeartbeat(const HeartbeatMsg& msg);
-common::Result<HeartbeatMsg> ParseHeartbeat(common::Span<const uint8_t> bytes);
-
-std::vector<uint8_t> SerializeHeartbeatAck(const HeartbeatAckMsg& msg);
-common::Result<HeartbeatAckMsg> ParseHeartbeatAck(
     common::Span<const uint8_t> bytes);
 
 }  // namespace query

@@ -35,7 +35,6 @@ class ShardServer {
     /// (correctly) answers kRepoMismatch.
     uint64_t frames = 80000;
     uint64_t seed = 5;
-    size_t threads = 1;
     /// Fault injection: serve this many detect requests, then wedge
     /// (read but never answer). < 0: never.
     int64_t hang_after = -1;
@@ -54,6 +53,8 @@ class ShardServer {
   int port() const { return port_; }
   std::string host() const { return "127.0.0.1:" + std::to_string(port_); }
   bool running() const { return pid_ > 0; }
+  /// The server's process id while it runs (-1 once killed).
+  pid_t pid() const { return pid_; }
 
   /// SIGKILLs the server and reaps it. Connections drop with no goodbye —
   /// exactly the silence the transport's failure inference must handle.
@@ -91,7 +92,6 @@ class ShardServer {
         "--port-file=" + port_file_,
         "--frames=" + std::to_string(options_.frames),
         "--seed=" + std::to_string(options_.seed),
-        "--threads=" + std::to_string(options_.threads),
     };
     if (options_.hang_after >= 0) {
       args.push_back("--hang-after=" + std::to_string(options_.hang_after));

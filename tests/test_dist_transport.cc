@@ -23,6 +23,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -815,29 +817,63 @@ TEST(DistTransportTest, SessionDirectoryResolvesAndRejects) {
 // still be bit-identical to the solo in-process runs — including when a
 // server is killed or wedged mid-query.
 
+/// The 4-byte little-endian length prefix of a frame of `size` bytes.
+std::vector<uint8_t> FrameHeader(uint32_t size) {
+  return {static_cast<uint8_t>(size), static_cast<uint8_t>(size >> 8),
+          static_cast<uint8_t>(size >> 16), static_cast<uint8_t>(size >> 24)};
+}
+
+bool SendRaw(int fd, const uint8_t* data, size_t size) {
+  return ::send(fd, data, size, MSG_NOSIGNAL) == static_cast<ssize_t>(size);
+}
+
 TEST(SocketFramingTest, FramesRoundTripOverASocketpair) {
+  using Outcome = query::FrameReader::Outcome;
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  query::FrameReader reader;
+  common::Span<const uint8_t> frame;
+  // Nothing sent: nothing handed out, and the read does not block.
+  EXPECT_EQ(reader.Next(fds[1], &frame), Outcome::kPending);
+
+  // Frames written back to back come out whole, one at a time, in order.
   const std::vector<uint8_t> payload = {1, 2, 3, 250, 0, 7};
-  ASSERT_TRUE(query::WriteFrame(
-                  fds[0], common::Span<const uint8_t>(payload.data(),
-                                                      payload.size()))
-                  .ok());
-  auto frame = query::ReadFrame(fds[1], query::kMaxFrameBytes);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame.value(), payload);
+  ASSERT_TRUE(query::WriteFrame(fds[0], payload).ok());
+  ASSERT_TRUE(query::WriteFrame(fds[0], std::vector<uint8_t>()).ok());
+  ASSERT_EQ(reader.Next(fds[1], &frame), Outcome::kFrame);
+  EXPECT_EQ(std::vector<uint8_t>(frame.begin(), frame.end()), payload);
+  ASSERT_EQ(reader.Next(fds[1], &frame), Outcome::kFrame);
+  EXPECT_TRUE(frame.empty());
+  EXPECT_EQ(reader.Next(fds[1], &frame), Outcome::kPending);
 
-  // A frame past the receiver's bound is rejected before any allocation.
-  ASSERT_TRUE(query::WriteFrame(
-                  fds[0], common::Span<const uint8_t>(payload.data(),
-                                                      payload.size()))
-                  .ok());
-  auto bounded = query::ReadFrame(fds[1], /*max_frame_bytes=*/2);
-  EXPECT_FALSE(bounded.ok());
+  // A frame larger than one read arrives in pieces: its header and part of
+  // its body wait, and the rest completes it.
+  std::vector<uint8_t> large(100000);
+  for (size_t i = 0; i < large.size(); ++i) large[i] = static_cast<uint8_t>(i * 31);
+  std::vector<uint8_t> wire = FrameHeader(static_cast<uint32_t>(large.size()));
+  wire.insert(wire.end(), large.begin(), large.end());
+  const size_t split = 40000;
+  ASSERT_TRUE(SendRaw(fds[0], wire.data(), split));
+  EXPECT_EQ(reader.Next(fds[1], &frame), Outcome::kPending);
+  ASSERT_TRUE(SendRaw(fds[0], wire.data() + split, wire.size() - split));
+  ASSERT_EQ(reader.Next(fds[1], &frame), Outcome::kFrame);
+  EXPECT_EQ(std::vector<uint8_t>(frame.begin(), frame.end()), large);
 
-  // EOF mid-stream is a clean error, not a hang or a garbage frame.
+  // EOF mid-frame is a dropped connection, not a hang or a garbage frame.
+  ASSERT_TRUE(SendRaw(fds[0], wire.data(), 10));
+  EXPECT_EQ(reader.Next(fds[1], &frame), Outcome::kPending);
   ::close(fds[0]);
-  EXPECT_FALSE(query::ReadFrame(fds[1], query::kMaxFrameBytes).ok());
+  EXPECT_EQ(reader.Next(fds[1], &frame), Outcome::kDrop);
+  ::close(fds[1]);
+
+  // A header past the bound is refused as soon as it arrives.
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  query::FrameReader bounded;
+  const std::vector<uint8_t> oversized =
+      FrameHeader(static_cast<uint32_t>(query::kMaxFrameBytes + 1));
+  ASSERT_TRUE(SendRaw(fds[0], oversized.data(), oversized.size()));
+  EXPECT_EQ(bounded.Next(fds[1], &frame), Outcome::kDrop);
+  ::close(fds[0]);
   ::close(fds[1]);
 }
 
@@ -1100,7 +1136,6 @@ class ScriptedPeer {
       if (fd < 0) return;
       timeval timeout{};
       timeout.tv_sec = kPeerTimeoutSeconds;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
       ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
       script(fd);
       ::close(fd);
@@ -1124,9 +1159,33 @@ class ScriptedPeer {
 };
 
 bool Reply(int fd, const std::vector<uint8_t>& bytes) {
-  return query::WriteFrame(
-             fd, common::Span<const uint8_t>(bytes.data(), bytes.size()))
-      .ok();
+  return query::WriteFrame(fd, bytes).ok();
+}
+
+/// A scripted peer's blocking read: waits (up to the peer timeout) until
+/// `reader` hands out a whole frame from `fd`, and copies it to `frame` when
+/// given one. False on EOF, broken framing or the timeout.
+bool ReadFrame(int fd, query::FrameReader& reader,
+               std::vector<uint8_t>* frame = nullptr) {
+  common::Span<const uint8_t> bytes;
+  for (;;) {
+    switch (reader.Next(fd, &bytes)) {
+      case query::FrameReader::Outcome::kFrame:
+        if (frame != nullptr) frame->assign(bytes.begin(), bytes.end());
+        return true;
+      case query::FrameReader::Outcome::kPending: {
+        pollfd pfd{};
+        pfd.fd = fd;
+        pfd.events = POLLIN;
+        if (::poll(&pfd, 1, ScriptedPeer::kPeerTimeoutSeconds * 1000) <= 0) {
+          return false;
+        }
+        break;
+      }
+      case query::FrameReader::Outcome::kDrop:
+        return false;
+    }
+  }
 }
 
 TEST(SocketTransportTest, HalfSentResponseWaitsOutTheRequestDeadline) {
@@ -1135,19 +1194,16 @@ TEST(SocketTransportTest, HalfSentResponseWaitsOutTheRequestDeadline) {
   // buffer the partial frame, not block on it: Receive synthesizes
   // kUnavailable when the request deadline passes.
   ScriptedPeer peer([](int fd) {
-    auto registration = query::ReadFrame(fd, query::kMaxFrameBytes);
-    if (!registration.ok()) return;
+    query::FrameReader reader;
+    if (!ReadFrame(fd, reader)) return;  // The registration.
     query::SessionAckMsg ack;
     ack.session_id = 11;
     if (!Reply(fd, query::SerializeSessionAck(ack))) return;
-    if (!query::ReadFrame(fd, query::kMaxFrameBytes).ok()) return;
-    const uint8_t header[query::kFrameHeaderBytes] = {200, 0, 0, 0};
-    if (::send(fd, header, sizeof(header), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(sizeof(header))) {
-      return;
-    }
+    if (!ReadFrame(fd, reader)) return;  // The detect request.
+    const std::vector<uint8_t> header = FrameHeader(200);
+    if (!SendRaw(fd, header.data(), header.size())) return;
     // Silent until the coordinator hangs up (or the peer timeout fires).
-    (void)query::ReadFrame(fd, query::kMaxFrameBytes);
+    (void)ReadFrame(fd, reader);
   });
 
   query::SocketTransportOptions options;
@@ -1183,15 +1239,14 @@ TEST(SocketTransportTest, ResponseWithTheWrongSlotCountIsAProtocolViolation) {
   // violation — the batch is inferred unavailable — never reach the
   // service as a short `kOk`.
   ScriptedPeer peer([](int fd) {
-    auto registration = query::ReadFrame(fd, query::kMaxFrameBytes);
-    if (!registration.ok()) return;
+    query::FrameReader reader;
+    if (!ReadFrame(fd, reader)) return;  // The registration.
     query::SessionAckMsg ack;
     ack.session_id = 11;
     if (!Reply(fd, query::SerializeSessionAck(ack))) return;
-    auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
-    if (!frame.ok()) return;
-    auto request = query::ParseDetectRequest(common::Span<const uint8_t>(
-        frame.value().data(), frame.value().size()));
+    std::vector<uint8_t> frame;
+    if (!ReadFrame(fd, reader, &frame)) return;
+    auto request = query::ParseDetectRequest(frame);
     if (!request.ok()) return;
     query::DetectResponseMsg response;
     response.wire_seq = request.value().wire_seq;
@@ -1199,7 +1254,7 @@ TEST(SocketTransportTest, ResponseWithTheWrongSlotCountIsAProtocolViolation) {
     response.detections.resize(request.value().slots.size() - 1);
     if (!Reply(fd, query::SerializeDetectResponse(response))) return;
     // Hold the connection until the coordinator hangs up.
-    (void)query::ReadFrame(fd, query::kMaxFrameBytes);
+    (void)ReadFrame(fd, reader);
   });
 
   query::SocketTransportOptions options;
@@ -1235,11 +1290,11 @@ TEST(SocketTransportTest, WaveLargerThanTheSocketBuffersCompletes) {
   constexpr size_t kDetectionsPerResponse = 6000;
   ScriptedPeer peer(
       [&](int fd) {
+        query::FrameReader reader;
+        std::vector<uint8_t> frame;
         for (size_t i = 0; i < kWave; ++i) {
-          auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
-          if (!frame.ok()) return;
-          auto request = query::ParseDetectRequest(common::Span<const uint8_t>(
-              frame.value().data(), frame.value().size()));
+          if (!ReadFrame(fd, reader, &frame)) return;
+          auto request = query::ParseDetectRequest(frame);
           if (!request.ok()) return;
           query::DetectResponseMsg response;
           response.wire_seq = request.value().wire_seq;
@@ -1332,6 +1387,74 @@ TEST(SocketTransportTest, StartsNoThreads) {
 
   EXPECT_EQ(ThreadCount(), before);
   EXPECT_EQ(transport.Stats().connects, 1u);
+}
+
+/// A numeric field of `/proc/<pid>/status` (VmRSS reads in kB), or -1.
+long ProcStatusField(pid_t pid, const std::string& field) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::strtol(line.c_str() + field.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST(SocketTransportTest, StalledHugeFrameHeadersCostTheServerNoMemoryOrThreads) {
+  // Four peers each send only a frame header declaring 60 MB, then stall
+  // with their connections open. The server must keep serving a real query,
+  // and hold only the bytes those peers sent: no buffer sized to a declared
+  // frame, and no thread per connection. Readings are relative to the
+  // server's own before the peers connect (sanitizer runtimes add threads).
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  testutil::ShardServer server(EXSAMPLE_SHARDD_PATH, {});
+  const long rss_before_kb = ProcStatusField(server.pid(), "VmRSS");
+  const long threads_before = ProcStatusField(server.pid(), "Threads");
+  ASSERT_GT(rss_before_kb, 0) << "/proc/<pid>/status is unreadable";
+  ASSERT_GT(threads_before, 0);
+
+  const std::vector<uint8_t> header = FrameHeader(60u << 20);
+  std::vector<int> stalled;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    stalled.push_back(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_TRUE(SendRaw(fd, header.data(), header.size()));
+  }
+
+  SearchEngine reference = MakeEngine(*fx, 1, OracleConfig());
+  auto solo = reference.FindDistinct(/*class_id=*/0, /*limit=*/10);
+  ASSERT_TRUE(solo.ok());
+  const auto expect_socket_query_matches_solo = [&](const std::string& what) {
+    SearchEngine socket = MakeEngine(*fx, 1, SocketConfig({server.host()}));
+    auto over_socket = socket.FindDistinct(/*class_id=*/0, /*limit=*/10);
+    ASSERT_TRUE(over_socket.ok()) << over_socket.status().ToString();
+    ExpectSameTrace(solo.value(), over_socket.value(), what);
+    EXPECT_EQ(socket.shard_transport()->Stats().inferred_failures, 0u) << what;
+  };
+  expect_socket_query_matches_solo("socket query beside stalled headers");
+  // A server that reads connections in turn has read every header by now.
+  // One more body byte each makes it read again, so a buffer sized to the
+  // declared frame on that read would show.
+  for (const int fd : stalled) {
+    const uint8_t byte = 0;
+    ASSERT_TRUE(SendRaw(fd, &byte, 1));
+  }
+  expect_socket_query_matches_solo("socket query beside trickling peers");
+
+  const long rss_after_kb = ProcStatusField(server.pid(), "VmRSS");
+  EXPECT_LT(rss_after_kb - rss_before_kb, 16 * 1024)
+      << "server RSS grew from " << rss_before_kb << " kB to " << rss_after_kb
+      << " kB";
+  EXPECT_LE(ProcStatusField(server.pid(), "Threads"), threads_before);
+  for (const int fd : stalled) ::close(fd);
 }
 
 // The engine's whole thread budget is `num_threads - 1` pool workers plus

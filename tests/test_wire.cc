@@ -260,8 +260,6 @@ TEST(WireRequestTest, RandomGarbageNeverCrashes) {
     (void)ParseRegisterSession(BytesOf(junk));
     (void)ParseSessionAck(BytesOf(junk));
     (void)ParseUnregisterSession(BytesOf(junk));
-    (void)ParseHeartbeat(BytesOf(junk));
-    (void)ParseHeartbeatAck(BytesOf(junk));
     (void)PeekWireKind(BytesOf(junk));
   }
 }
@@ -318,25 +316,13 @@ TEST(WireControlTest, SessionAckUnknownStatusRejected) {
   EXPECT_FALSE(ParseSessionAck(BytesOf(bytes)).ok());
 }
 
-TEST(WireControlTest, UnregisterAndHeartbeatsRoundTrip) {
+TEST(WireControlTest, UnregisterRoundTrips) {
   UnregisterSessionMsg unreg;
   unreg.session_id = 77;
   auto parsed_unreg =
       ParseUnregisterSession(BytesOf(SerializeUnregisterSession(unreg)));
   ASSERT_TRUE(parsed_unreg.ok());
   EXPECT_EQ(parsed_unreg.value().session_id, 77u);
-
-  HeartbeatMsg hb;
-  hb.nonce = 0xfeedface;
-  auto parsed_hb = ParseHeartbeat(BytesOf(SerializeHeartbeat(hb)));
-  ASSERT_TRUE(parsed_hb.ok());
-  EXPECT_EQ(parsed_hb.value().nonce, 0xfeedfaceu);
-
-  HeartbeatAckMsg hback;
-  hback.nonce = 0xdeadbeef;
-  auto parsed_hback = ParseHeartbeatAck(BytesOf(SerializeHeartbeatAck(hback)));
-  ASSERT_TRUE(parsed_hback.ok());
-  EXPECT_EQ(parsed_hback.value().nonce, 0xdeadbeefu);
 }
 
 TEST(WireControlTest, ControlTruncationsFailCleanly) {
@@ -372,21 +358,21 @@ TEST(WireControlTest, PeekDispatchesEveryKind) {
   expect_kind(SerializeRegisterSession(RegisterSessionMsg{}),
               WireKind::kRegisterSession);
   expect_kind(SerializeSessionAck(SessionAckMsg{}), WireKind::kSessionAck);
-  expect_kind(SerializeHeartbeat(HeartbeatMsg{}), WireKind::kHeartbeat);
-  expect_kind(SerializeHeartbeatAck(HeartbeatAckMsg{}),
-              WireKind::kHeartbeatAck);
   expect_kind(SerializeUnregisterSession(UnregisterSessionMsg{}),
               WireKind::kUnregisterSession);
 }
 
 TEST(WireControlTest, PeekRejectsUnknownKindsAndBadHeaders) {
-  std::vector<uint8_t> bytes = SerializeHeartbeat(HeartbeatMsg{});
+  std::vector<uint8_t> bytes = SerializeUnregisterSession(UnregisterSessionMsg{});
 
   std::vector<uint8_t> unknown_kind = bytes;
-  unknown_kind[6] = 0;  // Kind byte: 0 was never assigned.
-  EXPECT_FALSE(PeekWireKind(BytesOf(unknown_kind)).ok());
-  unknown_kind[6] = 8;  // One past the last known kind.
-  EXPECT_FALSE(PeekWireKind(BytesOf(unknown_kind)).ok());
+  // Kind byte: 0 was never assigned, 5 and 6 are reserved (a retired
+  // liveness probe), 8 is one past the last known kind.
+  for (const uint8_t kind : {0, 5, 6, 8}) {
+    unknown_kind[6] = kind;
+    EXPECT_FALSE(PeekWireKind(BytesOf(unknown_kind)).ok())
+        << "kind " << static_cast<int>(kind);
+  }
 
   std::vector<uint8_t> bad_magic = bytes;
   bad_magic[0] ^= 0xff;
@@ -410,12 +396,12 @@ TEST(WireControlTest, ParsersRejectWrongControlKinds) {
   // registration.
   const std::vector<uint8_t> reg = SerializeRegisterSession(RegisterSessionMsg{});
   const std::vector<uint8_t> ack = SerializeSessionAck(SessionAckMsg{});
-  const std::vector<uint8_t> hb = SerializeHeartbeat(HeartbeatMsg{});
+  const std::vector<uint8_t> unreg =
+      SerializeUnregisterSession(UnregisterSessionMsg{});
   EXPECT_FALSE(ParseRegisterSession(BytesOf(ack)).ok());
   EXPECT_FALSE(ParseSessionAck(BytesOf(reg)).ok());
-  EXPECT_FALSE(ParseUnregisterSession(BytesOf(hb)).ok());
-  EXPECT_FALSE(ParseHeartbeat(BytesOf(ack)).ok());
-  EXPECT_FALSE(ParseHeartbeatAck(BytesOf(hb)).ok());
+  EXPECT_FALSE(ParseSessionAck(BytesOf(unreg)).ok());
+  EXPECT_FALSE(ParseUnregisterSession(BytesOf(ack)).ok());
 }
 
 }  // namespace

@@ -495,6 +495,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The serving path's tenant list is parsed before the build, so a
+  // malformed entry fails at once.
+  std::optional<std::vector<TenantEntry>> entries;
+  if (!args.tenants.empty() && args.concurrent > 0) {
+    entries = ParseTenantEntries(args.tenants);
+    if (!entries.has_value()) return 2;
+  }
+
   std::printf("building %s at scale %.2f (seed %llu)...\n", spec->name.c_str(),
               args.scale, static_cast<unsigned long long>(args.seed));
   auto built = datasets::BuiltShardedDataset::Build(*spec, std::max<size_t>(1, args.shards),
@@ -594,12 +602,10 @@ int main(int argc, char** argv) {
                    "warning: --scheduler=deadline without --deadline=S gives "
                    "every session infinite slack (fair order)\n");
     }
-    if (!args.tenants.empty()) {
+    if (entries.has_value()) {
       // Serving path: the tenant spec defines the workload (queries= per
       // tenant), admitted and scheduled by the TenantServer above the
       // engine; --concurrent only opts into the multi-session machinery.
-      auto entries = ParseTenantEntries(args.tenants);
-      if (!entries.has_value()) return 2;
       size_t total_queries = 0;
       for (const TenantEntry& e : *entries) total_queries += e.queries;
       if (args.concurrent > 1 && args.concurrent != total_queries) {

@@ -11,7 +11,7 @@
 // socket lane enforces.
 //
 //   exsample_shardd --port=0 --port-file=/tmp/shard.port --frames=80000
-//                   --seed=5 [--threads=N] [--hang-after=K]
+//                   --seed=5 [--hang-after=K]
 //   exsample_shardd --port=7001 --dataset=night-street --scale=0.1 --seed=1
 //
 //   --port=N        TCP port to listen on (0: ephemeral; see --port-file)
@@ -24,7 +24,6 @@
 //                   must mirror the coordinator's `--dataset --scale --seed`
 //                   exactly — the repository fingerprint enforces that
 //   --scale=S       dataset scale (default 0.1, exsample_cli's default)
-//   --threads=N     per-connection detect pool width (default 1: inline)
 //   --hang-after=K  fault injection: after serving K detect requests
 //                   (across all connections), keep reading but stop
 //                   answering — the up-but-wedged server only the
@@ -33,26 +32,31 @@
 // An unknown flag, a missing =VALUE, or a malformed or out-of-range number
 // (a port past 65535) exits 2, naming the flag.
 //
-// One thread per connection; each connection owns its session registry, so
-// a reconnecting coordinator starts from a clean slate and must replay its
+// One thread serves every connection from one poll() loop. Each connection
+// reads through the transport's FrameReader, so a peer that stalls mid-frame
+// holds only the bytes it sent; each complete frame is served inline, and a
+// reply that cannot leave within the coordinator's default request deadline
+// drops its peer. Each connection owns its session registry, so a
+// reconnecting coordinator starts from a clean slate and must replay its
 // registrations (which the SocketTransport does on every connect).
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/format.h"
-#include "common/thread_pool.h"
 #include "datasets/presets.h"
 #include "datasets/scenarios.h"
 #include "detect/detector.h"
@@ -71,7 +75,6 @@ struct ServerConfig {
   uint64_t seed = 5;
   std::string dataset;
   double scale = 0.1;
-  uint64_t threads = 1;
   // < 0: never hang.
   int64_t hang_after = -1;
 };
@@ -79,7 +82,8 @@ struct ServerConfig {
 ServerConfig g_config;
 const scene::GroundTruth* g_truth = nullptr;
 uint64_t g_fingerprint = 0;
-std::atomic<uint64_t> g_detects_served{0};
+// Detect requests served across all connections (what --hang-after counts).
+uint64_t g_detects_served = 0;
 
 /// Per-connection session state: ids resolve to detectors this connection's
 /// RegisterSessionMsg frames materialized. Shard-independent on purpose —
@@ -106,96 +110,97 @@ class ConnectionRegistry : public query::SessionResolver {
       sessions_;
 };
 
+/// One coordinator connection: a blocking socket (a reply leaves whole),
+/// the bytes received that do not yet form a frame, and the sessions this
+/// connection registered.
+struct Connection {
+  explicit Connection(int fd) : fd(fd) {}
+  ~Connection() { ::close(fd); }
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  const int fd;
+  query::FrameReader reader;
+  ConnectionRegistry registry;
+};
+
 bool Reply(int fd, const std::vector<uint8_t>& bytes) {
-  return query::WriteFrame(
-             fd, common::Span<const uint8_t>(bytes.data(), bytes.size()))
-      .ok();
+  return query::WriteFrame(fd, bytes).ok();
 }
 
-void HandleConnection(int fd) {
-  ConnectionRegistry registry;
-  std::unique_ptr<common::ThreadPool> pool;
-  if (g_config.threads > 1) {
-    pool = std::make_unique<common::ThreadPool>(g_config.threads);
-  }
-  for (;;) {
-    auto frame = query::ReadFrame(fd, query::kMaxFrameBytes);
-    if (!frame.ok()) break;  // Peer gone (or hostile framing): drop it.
-    const common::Span<const uint8_t> bytes(frame.value().data(),
-                                            frame.value().size());
-    const auto kind = query::PeekWireKind(bytes);
-    if (!kind.ok()) break;  // Unknown/corrupt envelope: drop the connection.
-    bool ok = true;
-    switch (kind.value()) {
-      case query::WireKind::kRegisterSession: {
-        const auto msg = query::ParseRegisterSession(bytes);
-        if (!msg.ok()) { ok = false; break; }
-        query::SessionAckMsg ack;
-        ack.session_id = msg.value().session_id;
-        if (msg.value().repo_fingerprint != 0 &&
-            msg.value().repo_fingerprint != g_fingerprint) {
-          // Mis-deployment: this server was built over a different
-          // repository than the coordinator queries. Refuse loudly — a
-          // detector materialized here would silently diverge.
-          ack.status = query::WireStatus::kRepoMismatch;
-        } else {
-          registry.Register(msg.value().session_id,
-                            msg.value().detector_options);
-          ack.status = query::WireStatus::kOk;
-        }
-        ok = Reply(fd, query::SerializeSessionAck(ack));
-        break;
+/// Serves one complete frame. Returns false when the connection must close.
+bool Serve(Connection& conn, common::Span<const uint8_t> bytes) {
+  const auto kind = query::PeekWireKind(bytes);
+  if (!kind.ok()) return false;  // Unknown or corrupt envelope.
+  switch (kind.value()) {
+    case query::WireKind::kRegisterSession: {
+      const auto msg = query::ParseRegisterSession(bytes);
+      if (!msg.ok()) return false;
+      query::SessionAckMsg ack;
+      ack.session_id = msg.value().session_id;
+      if (msg.value().repo_fingerprint != 0 &&
+          msg.value().repo_fingerprint != g_fingerprint) {
+        // Mis-deployment: this server was built over a different
+        // repository than the coordinator queries. Refuse loudly — a
+        // detector materialized here would silently diverge.
+        ack.status = query::WireStatus::kRepoMismatch;
+      } else {
+        conn.registry.Register(msg.value().session_id,
+                               msg.value().detector_options);
+        ack.status = query::WireStatus::kOk;
       }
-      case query::WireKind::kUnregisterSession: {
-        const auto msg = query::ParseUnregisterSession(bytes);
-        if (!msg.ok()) { ok = false; break; }
-        registry.Unregister(msg.value().session_id);
-        break;  // Fire-and-forget: no ack.
-      }
-      case query::WireKind::kHeartbeat: {
-        const auto msg = query::ParseHeartbeat(bytes);
-        if (!msg.ok()) { ok = false; break; }
-        query::HeartbeatAckMsg ack;
-        ack.nonce = msg.value().nonce;
-        ok = Reply(fd, query::SerializeHeartbeatAck(ack));
-        break;
-      }
-      case query::WireKind::kDetectRequest: {
-        const auto msg = query::ParseDetectRequest(bytes);
-        if (!msg.ok()) { ok = false; break; }
-        const uint64_t served = g_detects_served.fetch_add(1) + 1;
-        if (g_config.hang_after >= 0 &&
-            served > static_cast<uint64_t>(g_config.hang_after)) {
-          // Wedged-server fault injection: swallow the request. The
-          // coordinator's per-request deadline is the only thing that can
-          // notice — exactly the inference path under test.
-          break;
-        }
-        query::DetectResponseMsg response;
-        if (msg.value().repo_fingerprint != 0 &&
-            msg.value().repo_fingerprint != g_fingerprint) {
-          response.wire_seq = msg.value().wire_seq;
-          response.origin_shard = msg.value().origin_shard;
-          response.attempt = msg.value().attempt;
-          response.status = query::WireStatus::kRepoMismatch;
-        } else {
-          // kUnavailable (not a crash) for unregistered ids: a batch may
-          // race a reconnect past the registration replay, and remote input
-          // must never take the server down.
-          response = query::ExecuteWireRequest(
-              msg.value(), registry, pool.get(),
-              query::UnresolvedSlotPolicy::kUnavailable);
-        }
-        ok = Reply(fd, query::SerializeDetectResponse(response));
-        break;
-      }
-      default:
-        ok = false;  // Response kinds arriving at a server: protocol bug.
-        break;
+      return Reply(conn.fd, query::SerializeSessionAck(ack));
     }
-    if (!ok) break;
+    case query::WireKind::kUnregisterSession: {
+      const auto msg = query::ParseUnregisterSession(bytes);
+      if (!msg.ok()) return false;
+      conn.registry.Unregister(msg.value().session_id);
+      return true;  // Fire-and-forget: no ack.
+    }
+    case query::WireKind::kDetectRequest: {
+      const auto msg = query::ParseDetectRequest(bytes);
+      if (!msg.ok()) return false;
+      if (g_config.hang_after >= 0 &&
+          ++g_detects_served > static_cast<uint64_t>(g_config.hang_after)) {
+        // Wedged-server fault injection: swallow the request. The
+        // coordinator's per-request deadline is the only thing that can
+        // notice — exactly the inference path under test.
+        return true;
+      }
+      query::DetectResponseMsg response;
+      if (msg.value().repo_fingerprint != 0 &&
+          msg.value().repo_fingerprint != g_fingerprint) {
+        response.wire_seq = msg.value().wire_seq;
+        response.origin_shard = msg.value().origin_shard;
+        response.attempt = msg.value().attempt;
+        response.status = query::WireStatus::kRepoMismatch;
+      } else {
+        // kUnavailable (not a crash) for unregistered ids: a batch may
+        // race a reconnect past the registration replay, and remote input
+        // must never take the server down.
+        response = query::ExecuteWireRequest(
+            msg.value(), conn.registry, /*pool=*/nullptr,
+            query::UnresolvedSlotPolicy::kUnavailable);
+      }
+      return Reply(conn.fd, query::SerializeDetectResponse(response));
+    }
+    default:
+      return false;  // Response kinds arriving at a server: protocol bug.
   }
-  ::close(fd);
+}
+
+/// Serves every complete frame `conn` has sent. Returns false when the
+/// connection must close: EOF, a read error, broken framing, or a frame
+/// `Serve` refused.
+bool ServeReadable(Connection& conn) {
+  common::Span<const uint8_t> frame;
+  for (;;) {
+    const auto outcome = conn.reader.Next(conn.fd, &frame);
+    if (outcome != query::FrameReader::Outcome::kFrame) {
+      return outcome == query::FrameReader::Outcome::kPending;
+    }
+    if (!Serve(conn, frame)) return false;
+  }
 }
 
 // Reads argv into g_config. An unknown flag, a missing =VALUE, or a value
@@ -222,8 +227,6 @@ bool ParseArgs(int argc, char** argv) {
       g_config.dataset = value;
     } else if (name == "--scale") {
       ok = ok && common::ParseValue(value, &g_config.scale);
-    } else if (name == "--threads") {
-      ok = ok && common::ParseValue(value, &g_config.threads);
     } else if (name == "--hang-after") {
       ok = ok && common::ParseValue(value, &number) &&
            number <= static_cast<uint64_t>(INT64_MAX);
@@ -292,6 +295,9 @@ int main(int argc, char** argv) {
   }
   int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Non-blocking: a connection that resets between poll() and accept() must
+  // not park the one thread in accept().
+  ::fcntl(listener, F_SETFL, O_NONBLOCK);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -337,11 +343,31 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
+  // A reply that cannot leave within the coordinator's default request
+  // deadline (past which it has given the batch up) drops its peer: a peer
+  // that stops reading must not wedge the loop every connection shares.
+  timeval send_timeout{};
+  send_timeout.tv_sec = static_cast<time_t>(
+      query::SocketTransportOptions().request_deadline_seconds);
+  std::vector<std::unique_ptr<Connection>> conns;
+  std::vector<pollfd> fds;
   for (;;) {
+    fds.assign(1, pollfd{listener, POLLIN, 0});
+    for (const auto& conn : conns) fds.push_back(pollfd{conn->fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), -1) <= 0) continue;  // EINTR.
+    // fds[i + 1] polled conns[i]; serving back to front keeps that pairing
+    // through the erases.
+    for (size_t i = conns.size(); i-- > 0;) {
+      if (fds[i + 1].revents != 0 && !ServeReadable(*conns[i])) {
+        conns.erase(conns.begin() + i);
+      }
+    }
+    if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) continue;
-    int nodelay = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
-    std::thread(HandleConnection, fd).detach();
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                 sizeof(send_timeout));
+    conns.push_back(std::make_unique<Connection>(fd));
   }
 }
