@@ -2,131 +2,102 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "common/hash.h"
-#include "stats/gamma_belief.h"
 
 namespace exsample {
 namespace core {
 
 AdaptiveExSampleStrategy::AdaptiveExSampleStrategy(uint64_t total_frames,
                                                    AdaptiveExSampleOptions options)
-    : total_frames_(total_frames), options_(options), rng_(options.seed) {
-  assert(total_frames_ > 0);
-  const size_t m = std::max<size_t>(1, std::min<uint64_t>(options_.initial_chunks,
-                                                          total_frames_));
-  chunks_.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    DynChunk chunk;
-    chunk.begin = total_frames_ * i / m;
-    chunk.end = total_frames_ * (i + 1) / m;
-    chunk.sampler = MakeSampler(chunk.begin, chunk.end);
-    chunks_.push_back(std::move(chunk));
+    : options_(options),
+      rng_(options.seed),
+      stats_(std::max<size_t>(1, std::min<uint64_t>(options.initial_chunks,
+                                                     total_frames)),
+             options.belief),
+      initial_chunks_(stats_.NumChunks()) {
+  assert(total_frames > 0);
+  for (size_t i = 0; i < initial_chunks_; ++i) {
+    const video::FrameId begin = total_frames * i / initial_chunks_;
+    const video::FrameId end = total_frames * (i + 1) / initial_chunks_;
+    // Chunk j's sampler is keyed (seed, j), as ExSample keys its own.
+    const uint64_t key = common::HashCombine(options_.seed, i);
+    nodes_.push_back(Node{begin, end, StratifiedFrameSampler(begin, end, key)});
   }
-  eligible_count_ = chunks_.size();
-}
-
-std::unique_ptr<FrameSampler> AdaptiveExSampleStrategy::MakeSampler(
-    video::FrameId begin, video::FrameId end) {
-  return std::make_unique<StratifiedFrameSampler>(
-      begin, end, common::HashCombine(options_.seed, ++sampler_counter_));
 }
 
 size_t AdaptiveExSampleStrategy::ChunkOfFrame(video::FrameId frame) const {
-  // Last chunk whose begin <= frame (chunks_ sorted by begin, contiguous).
-  size_t lo = 0, hi = chunks_.size();
-  while (hi - lo > 1) {
-    const size_t mid = (lo + hi) / 2;
-    if (chunks_[mid].begin <= frame) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+  // The initial chunks tile the timeline in order; each split halves one.
+  size_t chunk = std::partition_point(nodes_.begin(), nodes_.begin() + initial_chunks_,
+                                      [frame](const Node& n) { return n.end <= frame; }) -
+                 nodes_.begin();
+  common::Check(chunk < initial_chunks_, "AdaptiveExSampleStrategy: frame past the end");
+  while (nodes_[chunk].left != 0) {
+    const size_t left = nodes_[chunk].left;
+    chunk = frame < nodes_[left].end ? left : left + 1;
   }
-  return lo;
+  return chunk;
 }
 
 std::optional<video::FrameId> AdaptiveExSampleStrategy::NextFrame() {
-  while (eligible_count_ > 0) {
-    // Thompson step over the dynamic chunk list.
-    double best_draw = -1.0;
-    size_t best = chunks_.size();
-    for (size_t j = 0; j < chunks_.size(); ++j) {
-      if (!chunks_[j].eligible) continue;
-      const uint64_t n1 =
-          chunks_[j].n1 > 0 ? static_cast<uint64_t>(chunks_[j].n1) : 0;
-      const double draw =
-          MakeBelief(n1, chunks_[j].n, options_.belief).Sample(rng_);
-      if (draw > best_draw || best == chunks_.size()) {
-        best_draw = draw;
-        best = j;
-      }
-    }
-    DynChunk& chunk = chunks_[best];
-
-    // Draw until we find a frame no ancestor chunk already emitted.
-    for (;;) {
-      const std::optional<video::FrameId> frame = chunk.sampler->Next(rng_);
-      if (!frame.has_value()) {
-        chunk.eligible = false;
-        --eligible_count_;
-        break;  // Re-pick another chunk.
-      }
-      if (emitted_.insert(*frame).second) {
-        if (chunk.sampler->Remaining() == 0) {
-          chunk.eligible = false;
-          --eligible_count_;
-        }
-        return frame;
-      }
-    }
-  }
-  return std::nullopt;
+  if (stats_.EligibleChunks() == 0) return std::nullopt;
+  const size_t chunk = policy_.PickChunk(stats_, rng_);
+  StratifiedFrameSampler& sampler = nodes_[chunk].sampler;
+  const std::optional<video::FrameId> frame = sampler.Next(rng_);
+  common::Check(frame.has_value(),
+                "AdaptiveExSampleStrategy: eligible chunk returned no frame");
+  if (sampler.Remaining() == 0) stats_.Retire(chunk);
+  return frame;
 }
 
-void AdaptiveExSampleStrategy::MaybeSplit(size_t index) {
-  DynChunk& chunk = chunks_[index];
-  if (chunk.n < options_.split_threshold) return;
-  if (chunks_.size() >= options_.max_chunks) return;
-  const uint64_t span = chunk.end - chunk.begin;
-  if (span < 2 * options_.min_chunk_frames) return;
+void AdaptiveExSampleStrategy::MaybeSplit(size_t chunk) {
+  // An exhausted chunk is retired, and so is a split one.
+  if (!stats_.Eligible(chunk)) return;
+  if (stats_.State(chunk).n < options_.split_threshold) return;
+  if (NumChunks() >= options_.max_chunks) return;
+  const video::FrameId begin = nodes_[chunk].begin;
+  const video::FrameId end = nodes_[chunk].end;
+  if (end - begin < 2 * options_.min_chunk_frames) return;
 
-  const video::FrameId mid = chunk.begin + span / 2;
-  DynChunk left, right;
-  left.begin = chunk.begin;
-  left.end = mid;
-  right.begin = mid;
-  right.end = chunk.end;
   // Without per-frame bookkeeping we do not know which half earned which
-  // results; give each child a *discounted* share of the evidence. The rate
-  // estimate carries over, but the widened belief lets a handful of fresh
-  // samples separate the hot child from the cold one (the "adapt" in
-  // adaptive).
+  // results; each child's prior carries a *discounted* share of the parent's
+  // evidence in whole pseudo-counts. The rate estimate carries over, but the
+  // widened belief lets a handful of fresh samples separate the hot child
+  // from the cold one. The parent's evidence, counts plus whole inherited
+  // counts, is whole: rounding drops the residue of the base prior.
+  const stats::GammaBelief parent = stats_.Belief(chunk);
   const double share = 0.5 * options_.inherit_fraction;
-  left.n = static_cast<uint64_t>(static_cast<double>(chunk.n) * share);
-  right.n = left.n;
-  left.n1 = static_cast<int64_t>(static_cast<double>(chunk.n1) * share);
-  right.n1 = left.n1;
-  left.sampler = MakeSampler(left.begin, left.end);
-  right.sampler = MakeSampler(right.begin, right.end);
+  const auto inherit = [share](double evidence) {
+    return std::floor(share * std::round(evidence));
+  };
+  BeliefParams prior = options_.belief;
+  prior.alpha0 += inherit(parent.alpha() - prior.alpha0);
+  prior.beta0 += inherit(parent.beta() - prior.beta0);
 
-  // Two eligible children replace the parent (which counted 1 if eligible,
-  // 0 if its sampler had exhausted).
-  const bool parent_eligible = chunk.eligible;
-  chunks_[index] = std::move(left);
-  chunks_.insert(chunks_.begin() + static_cast<ptrdiff_t>(index) + 1,
-                 std::move(right));
-  eligible_count_ += 2 - (parent_eligible ? 1 : 0);
+  const video::FrameId mid = begin + (end - begin) / 2;
+  const size_t left = stats_.NumChunks();  // The halves' indices: left, left + 1.
+  auto halves = std::move(nodes_[chunk].sampler)
+                    .Split(mid, common::HashCombine(options_.seed, left),
+                           common::HashCombine(options_.seed, left + 1));
+  stats_.Retire(chunk);
+  stats_.AddChunk(prior);
+  stats_.AddChunk(prior);
+  nodes_[chunk].left = left;
+  nodes_.push_back(Node{begin, mid, std::move(halves.first)});
+  nodes_.push_back(Node{mid, end, std::move(halves.second)});
+  // A half whose frames the parent already emitted has none left to give.
+  for (const size_t half : {left, left + 1}) {
+    if (nodes_[half].sampler.Remaining() == 0) stats_.Retire(half);
+  }
   ++splits_;
 }
 
 void AdaptiveExSampleStrategy::Observe(video::FrameId frame, size_t new_results,
                                        size_t once_matched) {
-  const size_t index = ChunkOfFrame(frame);
-  DynChunk& chunk = chunks_[index];
-  chunk.n1 += static_cast<int64_t>(new_results) - static_cast<int64_t>(once_matched);
-  chunk.n += 1;
-  MaybeSplit(index);
+  const size_t chunk = ChunkOfFrame(frame);
+  stats_.Update(chunk, new_results, once_matched);
+  MaybeSplit(chunk);
 }
 
 }  // namespace core

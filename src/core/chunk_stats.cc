@@ -27,11 +27,11 @@ ChunkStatsTable::ChunkStatsTable(size_t num_chunks, BeliefParams prior,
                                  std::vector<BeliefParams> chunk_priors)
     : entries_(num_chunks),
       position_(num_chunks, 0),
-      prior_(prior),
-      chunk_priors_(std::move(chunk_priors)),
+      chunk_priors_(chunk_priors.empty() ? std::vector<BeliefParams>(num_chunks, prior)
+                                         : std::move(chunk_priors)),
       index_(kInitialIndexCells) {
   common::Check(num_chunks < kNoSlot, "ChunkStatsTable: too many chunks");
-  common::Check(chunk_priors_.empty() || chunk_priors_.size() == num_chunks,
+  common::Check(chunk_priors_.size() == num_chunks,
                 "ChunkStatsTable: chunk_priors must be empty or one per chunk");
   for (size_t j = 0; j < num_chunks; ++j) Link(j, Belief(j));
 }
@@ -57,13 +57,23 @@ void ChunkStatsTable::Retire(size_t chunk) {
   entries_[chunk].group = kNoSlot;
 }
 
+size_t ChunkStatsTable::AddChunk(BeliefParams prior) {
+  const size_t chunk = entries_.size();
+  common::Check(chunk + 1 < kNoSlot, "ChunkStatsTable: too many chunks");
+  chunk_priors_.push_back(prior);
+  entries_.emplace_back();
+  position_.push_back(0);
+  Link(chunk, Belief(chunk));
+  return chunk;
+}
+
 uint64_t ChunkStatsTable::N1NonNegative(size_t chunk) const {
   const int64_t n1 = entries_[chunk].state.n1;
   return n1 > 0 ? static_cast<uint64_t>(n1) : 0;
 }
 
 stats::GammaBelief ChunkStatsTable::Belief(size_t chunk) const {
-  return MakeBelief(N1NonNegative(chunk), entries_[chunk].state.n, PriorOf(chunk));
+  return MakeBelief(N1NonNegative(chunk), entries_[chunk].state.n, chunk_priors_[chunk]);
 }
 
 uint64_t ChunkStatsTable::TotalN1() const {

@@ -40,10 +40,11 @@ struct BeliefGroup {
 ///
 /// Chunk j's belief is Gamma(N1⁺_j + alpha0_j, n_j + beta0_j), built exactly
 /// as `MakeBelief` builds it; the prior (alpha0_j, beta0_j) is the flat prior
-/// or, for a cross-query warm start (`reuse::BeliefBank`), chunk j's own.
-/// Every chunk starts eligible; `Retire` removes one that has no frames left.
-/// The index is kept current by `Update` and `Retire` in O(1) each, and a
-/// pick walks it in O(belief states) instead of O(chunks).
+/// or chunk j's own (a warm start's, `reuse::BeliefBank`, or a split child's
+/// share of its parent's evidence). Every chunk starts eligible; `Retire`
+/// removes one that has no frames left. `Update`, `Retire` and `AddChunk`
+/// keep the index current in O(1) each, and a pick walks it in O(belief
+/// states) instead of O(chunks).
 class ChunkStatsTable {
  public:
   /// `chunk_priors` is empty (every chunk takes `prior`) or holds one prior
@@ -58,6 +59,10 @@ class ChunkStatsTable {
   /// \brief Marks a chunk ineligible (its frames are exhausted): policies
   /// never pick it again. Its statistics keep updating. Idempotent.
   void Retire(size_t chunk);
+
+  /// \brief Appends an eligible, unsampled chunk with its own prior and
+  /// returns its index.
+  size_t AddChunk(BeliefParams prior);
 
   /// \brief Number of chunks (M).
   size_t NumChunks() const { return entries_.size(); }
@@ -113,9 +118,6 @@ class ChunkStatsTable {
     uint32_t slot = kNoSlot;  ///< kNoSlot marks an empty cell.
   };
 
-  const BeliefParams& PriorOf(size_t chunk) const {
-    return chunk_priors_.empty() ? prior_ : chunk_priors_[chunk];
-  }
   /// Takes `chunk` out of its group; frees the group if it empties.
   void Unlink(size_t chunk);
   /// Adds `chunk` to the group of `belief`, creating the group if needed,
@@ -138,8 +140,7 @@ class ChunkStatsTable {
   /// random chunk's, and a compact array keeps that write in cache.
   std::vector<uint32_t> position_;
   uint64_t total_samples_ = 0;
-  BeliefParams prior_;
-  std::vector<BeliefParams> chunk_priors_;
+  std::vector<BeliefParams> chunk_priors_;  ///< One per chunk.
   size_t eligible_ = 0;
 
   std::vector<BeliefGroup> groups_;

@@ -28,9 +28,7 @@ ExSampleStrategy::ExSampleStrategy(const video::Chunking* chunking,
       rng_(options.seed),
       stats_(chunking->NumChunks(), options.belief, options.chunk_priors),
       policy_(MakeChunkPolicy(options.policy)),
-      samplers_(chunking->NumChunks()) {
-  common::Check(options_.batch_size >= 1, "ExSampleOptions: batch_size must be >= 1");
-}
+      samplers_(chunking->NumChunks()) {}
 
 FrameSampler* ExSampleStrategy::SamplerFor(size_t chunk) {
   if (samplers_[chunk] == nullptr) {
@@ -41,7 +39,7 @@ FrameSampler* ExSampleStrategy::SamplerFor(size_t chunk) {
   return samplers_[chunk].get();
 }
 
-std::optional<video::FrameId> ExSampleStrategy::DrawOne() {
+std::optional<video::FrameId> ExSampleStrategy::NextFrame() {
   if (stats_.EligibleChunks() == 0) return std::nullopt;
   const size_t chunk = policy_->PickChunk(stats_, rng_);
   FrameSampler* sampler = SamplerFor(chunk);
@@ -50,38 +48,6 @@ std::optional<video::FrameId> ExSampleStrategy::DrawOne() {
                 "ExSampleStrategy: eligible chunk returned no frame");
   if (sampler->Remaining() == 0) stats_.Retire(chunk);
   return frame;
-}
-
-bool ExSampleStrategy::FillBatch() {
-  for (size_t b = 0; b < options_.batch_size; ++b) {
-    const std::optional<video::FrameId> frame = DrawOne();
-    if (!frame.has_value()) break;
-    pending_.push_back(*frame);
-  }
-  return !pending_.empty();
-}
-
-std::optional<video::FrameId> ExSampleStrategy::NextFrame() {
-  if (pending_.empty() && !FillBatch()) return std::nullopt;
-  const video::FrameId frame = pending_.front();
-  pending_.pop_front();
-  return frame;
-}
-
-std::vector<video::FrameId> ExSampleStrategy::NextBatch(size_t max_frames) {
-  std::vector<video::FrameId> batch;
-  batch.reserve(max_frames);
-  // Frames already drawn by the single-frame adapter come first (mixed use).
-  while (batch.size() < max_frames && !pending_.empty()) {
-    batch.push_back(pending_.front());
-    pending_.pop_front();
-  }
-  while (batch.size() < max_frames) {
-    const std::optional<video::FrameId> frame = DrawOne();
-    if (!frame.has_value()) break;
-    batch.push_back(*frame);
-  }
-  return batch;
 }
 
 void ExSampleStrategy::Observe(video::FrameId frame, size_t new_results,
@@ -109,7 +75,6 @@ std::string ExSampleStrategy::name() const {
       break;
   }
   if (options_.within_chunk == WithinChunkSampling::kUniform) name += "+unif";
-  if (options_.batch_size > 1) name += "+b" + std::to_string(options_.batch_size);
   return name;
 }
 

@@ -1,7 +1,6 @@
 #ifndef EXSAMPLE_CORE_EXSAMPLE_H_
 #define EXSAMPLE_CORE_EXSAMPLE_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,13 +33,6 @@ struct ExSampleOptions {
   /// ("we also use random+ to sample within a chunk", Sec. III-F).
   WithinChunkSampling within_chunk = WithinChunkSampling::kStratified;
 
-  /// Batched sampling (Sec. III-F): draw B chunk choices per belief refresh
-  /// so GPU inference can run on image batches. 1 = Algorithm 1 verbatim.
-  /// Drives the single-frame `NextFrame` adapter's internal refill; when the
-  /// strategy runs on the batch pipeline, `SearchEngine` maps this onto the
-  /// runner's `RunnerOptions::batch_size` (equivalent semantics).
-  size_t batch_size = 1;
-
   /// Seed of the strategy's private random stream.
   uint64_t seed = 1;
 
@@ -68,19 +60,14 @@ class ExSampleStrategy : public query::SearchStrategy {
  public:
   ExSampleStrategy(const video::Chunking* chunking, ExSampleOptions options = {});
 
+  /// \brief One Thompson pick and a draw within the picked chunk (Algorithm 1
+  /// lines 6–7); nullopt when no chunk has frames left.
   std::optional<video::FrameId> NextFrame() override;
   void Observe(video::FrameId frame, size_t new_results, size_t once_matched) override;
 
-  /// \brief The batched Thompson draw of Sec. III-F as a first-class API:
-  /// up to `max_frames` chunk choices are drawn against the *current* chunk
-  /// beliefs (no intervening feedback), so GPU inference can run on the whole
-  /// batch. `NextBatch(1)` is one Algorithm 1 pick. Any frames still pending
-  /// from the legacy single-frame adapter are drained first.
-  std::vector<video::FrameId> NextBatch(size_t max_frames) override;
-
-  // ObserveBatch: base-class adapter (sequential per-frame Observe calls).
-  // Updates to (n, N1) are additive, so batched bookkeeping matches
-  // unbatched bookkeeping exactly.
+  // NextBatch / ObserveBatch: the base-class adapters, i.e. the batched
+  // Thompson draw of Sec. III-F. (n, N1) updates are additive, so batched
+  // bookkeeping matches unbatched bookkeeping exactly.
 
   std::string name() const override;
 
@@ -96,10 +83,6 @@ class ExSampleStrategy : public query::SearchStrategy {
 
  private:
   FrameSampler* SamplerFor(size_t chunk);
-  /// One Thompson pick + within-chunk draw; nullopt when no chunk has frames
-  /// left. This is Algorithm 1 lines 6–7.
-  std::optional<video::FrameId> DrawOne();
-  bool FillBatch();
 
   const video::Chunking* chunking_;
   ExSampleOptions options_;
@@ -107,7 +90,6 @@ class ExSampleStrategy : public query::SearchStrategy {
   ChunkStatsTable stats_;
   std::unique_ptr<ChunkPolicy> policy_;
   std::vector<std::unique_ptr<FrameSampler>> samplers_;
-  std::deque<video::FrameId> pending_;
 };
 
 /// \brief Constructs the chunk policy object for an options value (exposed so

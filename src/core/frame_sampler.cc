@@ -66,6 +66,20 @@ std::optional<video::FrameId> StratifiedFrameSampler::Next(common::Rng& rng) {
   }
 }
 
+std::pair<StratifiedFrameSampler, StratifiedFrameSampler> StratifiedFrameSampler::Split(
+    video::FrameId mid, uint64_t left_key, uint64_t right_key) && {
+  assert(begin_ < mid && mid < begin_ + size_);
+  const uint64_t cut = mid - begin_;
+  StratifiedFrameSampler right(mid, begin_ + size_, right_key);
+  for (auto it = sampled_.lower_bound(cut); it != sampled_.end();) {
+    right.sampled_.insert(right.sampled_.end(), *it - cut);
+    it = sampled_.erase(it);
+  }
+  StratifiedFrameSampler left(begin_, mid, left_key);
+  left.sampled_ = std::move(sampled_);
+  return {std::move(left), std::move(right)};
+}
+
 std::unique_ptr<FrameSampler> MakeFrameSampler(WithinChunkSampling kind,
                                                video::FrameId begin, video::FrameId end,
                                                uint64_t key) {

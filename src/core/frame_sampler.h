@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/permutation.h"
@@ -60,6 +61,14 @@ class StratifiedFrameSampler : public FrameSampler {
 
   std::optional<video::FrameId> Next(common::Rng& rng) override;
   uint64_t Remaining() const override { return size_ - sampled_.size(); }
+
+  /// \brief Consumes this sampler, handing the frames it has not emitted to
+  /// two samplers over [begin, mid) and [mid, end), keyed `left_key` and
+  /// `right_key`. Each half starts at level 0 with this sampler's emitted
+  /// frames in its range counted as emitted, so together the halves emit
+  /// exactly the rest, each inside its own half. Requires begin < mid < end.
+  std::pair<StratifiedFrameSampler, StratifiedFrameSampler> Split(
+      video::FrameId mid, uint64_t left_key, uint64_t right_key) &&;
 
   /// \brief The current stratification level (exposed for tests).
   uint32_t level() const { return level_; }

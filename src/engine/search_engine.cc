@@ -73,8 +73,51 @@ SearchEngine::SearchEngine(const video::ShardedRepository* sharded,
       config_(config),
       sharded_(sharded) {}
 
+namespace {
+
+// The options a strategy would otherwise assert on or abort over, checked once
+// for every entry point before any session is built.
+common::Status ValidateQueryOptions(const QueryOptions& options) {
+  const core::BeliefParams* prior = nullptr;  // An unsampled chunk's belief.
+  switch (options.method) {
+    case Method::kExSample:
+      prior = &options.exsample.belief;
+      break;
+    case Method::kExSampleAdaptive:
+      prior = &options.adaptive.belief;
+      if (options.adaptive.min_chunk_frames == 0) {
+        return common::Status::InvalidArgument("adaptive min_chunk_frames must be >= 1");
+      }
+      if (!(options.adaptive.inherit_fraction >= 0.0 &&
+            options.adaptive.inherit_fraction <= 1.0)) {
+        return common::Status::InvalidArgument(
+            "adaptive inherit_fraction must be in [0, 1]");
+      }
+      break;
+    case Method::kHybrid:
+      prior = &options.hybrid.belief;
+      if (options.hybrid.candidates_per_pick == 0) {
+        return common::Status::InvalidArgument("hybrid candidates_per_pick must be >= 1");
+      }
+      break;
+    case Method::kSequential:
+      if (options.sequential_stride == 0) {
+        return common::Status::InvalidArgument("sequential stride must be >= 1");
+      }
+      break;
+    default:
+      break;
+  }
+  if (prior == nullptr) return common::Status::OK();
+  return stats::GammaBelief::Make(prior->alpha0, prior->beta0).status();
+}
+
+}  // namespace
+
 common::Result<std::unique_ptr<query::SearchStrategy>> SearchEngine::MakeStrategy(
     int32_t class_id, const QueryOptions& options) {
+  const common::Status valid = ValidateQueryOptions(options);
+  if (!valid.ok()) return valid;
   switch (options.method) {
     case Method::kExSample:
       return std::unique_ptr<query::SearchStrategy>(
@@ -92,9 +135,6 @@ common::Result<std::unique_ptr<query::SearchStrategy>> SearchEngine::MakeStrateg
           std::make_unique<samplers::RandomPlusStrategy>(repo_,
                                                          options.exsample.seed));
     case Method::kSequential:
-      if (options.sequential_stride == 0) {
-        return common::Status::InvalidArgument("sequential stride must be >= 1");
-      }
       return std::unique_ptr<query::SearchStrategy>(
           std::make_unique<samplers::SequentialStrategy>(
               repo_, options.sequential_stride));
@@ -182,6 +222,9 @@ reuse::ReuseManager* SearchEngine::reuse_manager() {
 common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
     int32_t class_id, const query::RunnerOptions& runner_options,
     const QueryOptions& options) {
+  // Before the warm start below: a refused query must not draw on the bank.
+  const common::Status valid = ValidateQueryOptions(options);
+  if (!valid.ok()) return valid;
   detect::DetectorOptions det_opts = config_.detector;
   det_opts.target_class = class_id;
 
@@ -200,7 +243,8 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   // Warm start: seed the strategy's per-chunk priors from the bank's
   // persisted posteriors *before* the strategy is built. A pure prior
   // substitution — nothing else about the strategy changes, and an empty
-  // bank (or a non-belief method) leaves `options` untouched.
+  // bank (or a method without beliefs over the engine's chunking: adaptive
+  // chunking splits a table of its own) leaves `options` untouched.
   QueryOptions effective = options;
   bool warm_started = false;
   if (reuse != nullptr && reuse->options().warm_start) {
@@ -271,16 +315,12 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
         std::make_unique<track::IouTrackerDiscriminator>(truth_, config_.tracker);
   }
 
+  // The caller sets the stop condition; the rest comes from the query.
   query::RunnerOptions session_options = runner_options;
-  size_t batch_size = std::max<size_t>(1, options.batch_size);
-  if (options.method == Method::kExSample) {
-    // Honor the strategy-level Sec. III-F knob by mapping it onto the
-    // runner's pipeline batch: B frames drawn per belief refresh either way
-    // (proven equivalent in test_batch_pipeline), so configs predating the
-    // batch-first runner keep their batched semantics.
-    batch_size = std::max(batch_size, options.exsample.batch_size);
-  }
-  session_options.batch_size = batch_size;
+  session_options.recall_class = class_id;
+  session_options.max_samples =
+      options.max_samples > 0 ? options.max_samples : repo_->TotalFrames();
+  session_options.batch_size = std::max<size_t>(1, options.batch_size);
   session_options.thread_pool = thread_pool();
   session_options.shard_dispatcher = session->shard_dispatcher_.get();
   // Pipelined decode: every session's prefetcher submits its decode tasks
@@ -384,9 +424,7 @@ std::string SearchEngine::StatsJson() {
 }
 
 common::Result<query::QueryTrace> SearchEngine::Run(
-    int32_t class_id, const query::RunnerOptions& runner_options,
-    const QueryOptions& options) {
-  auto session = MakeSession(class_id, runner_options, options);
+    common::Result<std::unique_ptr<QuerySession>> session) {
   if (!session.ok()) return session.status();
   query::QueryTrace trace = session.value()->Finish();
   // A dead fleet ends the query early: its truncated trace is no answer.
@@ -401,9 +439,6 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::CreateSession(
   }
   query::RunnerOptions runner_options;
   runner_options.result_limit = limit;
-  runner_options.recall_class = class_id;
-  runner_options.max_samples =
-      options.max_samples > 0 ? options.max_samples : repo_->TotalFrames();
   return MakeSession(class_id, runner_options, options);
 }
 
@@ -421,10 +456,8 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
     if (spec.limit == 0) {
       return common::Status::InvalidArgument("result limit must be >= 1");
     }
-    if (spec.options.method == Method::kSequential &&
-        spec.options.sequential_stride == 0) {
-      return common::Status::InvalidArgument("sequential stride must be >= 1");
-    }
+    const common::Status valid = ValidateQueryOptions(spec.options);
+    if (!valid.ok()) return valid;
   }
 
   std::vector<std::unique_ptr<QuerySession>> sessions;
@@ -532,15 +565,7 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
 
 common::Result<query::QueryTrace> SearchEngine::FindDistinct(
     int32_t class_id, uint64_t limit, const QueryOptions& options) {
-  if (limit == 0) {
-    return common::Status::InvalidArgument("result limit must be >= 1");
-  }
-  query::RunnerOptions runner_options;
-  runner_options.result_limit = limit;
-  runner_options.recall_class = class_id;
-  runner_options.max_samples =
-      options.max_samples > 0 ? options.max_samples : repo_->TotalFrames();
-  return Run(class_id, runner_options, options);
+  return Run(CreateSession(class_id, limit, options));
 }
 
 common::Result<query::QueryTrace> SearchEngine::RunToRecall(
@@ -553,12 +578,9 @@ common::Result<query::QueryTrace> SearchEngine::RunToRecall(
     return common::Status::NotFound("no ground-truth instances of this class");
   }
   query::RunnerOptions runner_options;
-  runner_options.recall_class = class_id;
   runner_options.true_distinct_target = static_cast<uint64_t>(
       std::ceil(recall * static_cast<double>(total)));
-  runner_options.max_samples =
-      options.max_samples > 0 ? options.max_samples : repo_->TotalFrames();
-  return Run(class_id, runner_options, options);
+  return Run(MakeSession(class_id, runner_options, options));
 }
 
 }  // namespace engine

@@ -368,9 +368,9 @@ class SearchEngine {
   common::Result<std::unique_ptr<QuerySession>> MakeSession(
       int32_t class_id, const query::RunnerOptions& runner_options,
       const QueryOptions& options);
-  common::Result<query::QueryTrace> Run(int32_t class_id,
-                                        const query::RunnerOptions& runner_options,
-                                        const QueryOptions& options);
+  /// Runs a solo session to completion.
+  static common::Result<query::QueryTrace> Run(
+      common::Result<std::unique_ptr<QuerySession>> session);
 
   const video::VideoRepository* repo_;
   const video::Chunking* chunking_;

@@ -15,9 +15,9 @@ GammaBelief::GammaBelief(double alpha, double beta) : alpha_(alpha), beta_(beta)
 }
 
 common::Result<GammaBelief> GammaBelief::Make(double alpha, double beta) {
-  if (!(alpha > 0.0) || !(beta > 0.0)) {
+  if (!(alpha > 0.0 && beta > 0.0 && std::isfinite(alpha) && std::isfinite(beta))) {
     return common::Status::InvalidArgument(
-        "GammaBelief requires alpha > 0 and beta > 0");
+        "GammaBelief requires finite alpha > 0 and beta > 0");
   }
   return GammaBelief(alpha, beta);
 }

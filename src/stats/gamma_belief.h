@@ -19,8 +19,8 @@ class GammaBelief {
   /// Constructs the belief. Both parameters must be > 0 (asserted).
   GammaBelief(double alpha, double beta);
 
-  /// \brief Validated factory; returns InvalidArgument for non-positive
-  /// parameters.
+  /// \brief Validated factory; returns InvalidArgument for non-positive or
+  /// non-finite parameters.
   static common::Result<GammaBelief> Make(double alpha, double beta);
 
   /// \brief Shape parameter.

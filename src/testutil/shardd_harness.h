@@ -2,6 +2,7 @@
 #define EXSAMPLE_TESTUTIL_SHARDD_HARNESS_H_
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -38,6 +39,9 @@ class ShardServer {
     /// Fault injection: serve this many detect requests, then wedge
     /// (read but never answer). < 0: never.
     int64_t hang_after = -1;
+    /// The server's RLIMIT_NOFILE, so a test can run it out of fds. 0: the
+    /// harness's own limit.
+    rlim_t max_open_files = 0;
   };
 
   ShardServer(std::string shardd_path, Options options)
@@ -108,6 +112,10 @@ class ShardServer {
       // Child: quiet stdout (the listening banner), keep stderr for
       // diagnosing a server that dies on startup.
       std::freopen("/dev/null", "w", stdout);
+      if (options_.max_open_files > 0) {
+        const rlimit limit{options_.max_open_files, options_.max_open_files};
+        ::setrlimit(RLIMIT_NOFILE, &limit);
+      }
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
       for (std::string& arg : args) argv.push_back(arg.data());

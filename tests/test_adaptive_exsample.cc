@@ -58,6 +58,46 @@ TEST(AdaptiveExSampleTest, ExhaustsEntireRange) {
   EXPECT_EQ(seen.size(), 512u);
 }
 
+TEST(AdaptiveExSampleTest, ExhaustedChunkDoesNotSplit) {
+  // Two 32-frame chunks reach the split threshold only with their last
+  // frame: nothing is left to hand to halves, so neither splits.
+  AdaptiveExSampleOptions options;
+  options.initial_chunks = 2;
+  options.split_threshold = 32;
+  options.min_chunk_frames = 1;
+  AdaptiveExSampleStrategy strategy(64, options);
+  std::set<video::FrameId> seen;
+  for (int i = 0; i < 64; ++i) {
+    auto frame = strategy.NextFrame();
+    ASSERT_TRUE(frame.has_value()) << "exhausted early at " << i;
+    EXPECT_TRUE(seen.insert(*frame).second);
+    strategy.Observe(*frame, 1, 0);
+  }
+  EXPECT_FALSE(strategy.NextFrame().has_value());
+  EXPECT_EQ(strategy.Splits(), 0u);
+  EXPECT_EQ(strategy.NumChunks(), 2u);
+}
+
+TEST(AdaptiveExSampleTest, HalfWithNoFramesLeftIsNeverPicked) {
+  // Two-frame chunks split after one sample: the half holding the emitted
+  // frame has none left and must not be picked.
+  AdaptiveExSampleOptions options;
+  options.initial_chunks = 2;
+  options.split_threshold = 1;
+  options.min_chunk_frames = 1;
+  AdaptiveExSampleStrategy strategy(4, options);
+  std::set<video::FrameId> seen;
+  for (int i = 0; i < 4; ++i) {
+    auto frame = strategy.NextFrame();
+    ASSERT_TRUE(frame.has_value()) << "exhausted early at " << i;
+    EXPECT_TRUE(seen.insert(*frame).second);
+    strategy.Observe(*frame, 0, 0);
+  }
+  EXPECT_FALSE(strategy.NextFrame().has_value());
+  EXPECT_EQ(strategy.Splits(), 2u);
+  EXPECT_EQ(strategy.NumChunks(), 4u);
+}
+
 TEST(AdaptiveExSampleTest, SplitsConcentrateOnHotRegion) {
   AdaptiveExSampleOptions options;
   options.initial_chunks = 2;

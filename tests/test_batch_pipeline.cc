@@ -212,64 +212,6 @@ TEST(BatchPipelineTest, TracesInvariantToThreadCount) {
   }
 }
 
-// Batched ExSample semantics moved layers: a strategy configured with
-// batch_size=B on the legacy loop equals a plain strategy on the batched
-// runner with runner batch B (same Thompson draws, same belief refreshes).
-// The stop condition is sample-count based: a result-count stop is the one
-// place the two differ by design (the legacy loop can abandon a half-used
-// internal batch, while the pipeline always finishes a batch it paid for).
-TEST(BatchPipelineTest, RunnerBatchEqualsStrategyInternalBatch) {
-  auto fx = Fixture::Make();
-  const size_t kBatch = 16;
-
-  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, fx->config);
-  detect::DetectorOptions det_opts;
-  det_opts.target_class = 0;
-
-  // Legacy: batching faked inside the strategy's private deque.
-  core::ExSampleOptions legacy_opts;
-  legacy_opts.seed = 5;
-  legacy_opts.batch_size = kBatch;
-  core::ExSampleStrategy legacy_strategy(&fx->chunking, legacy_opts);
-  detect::SimulatedDetector det_a(&fx->truth, det_opts);
-  track::IouTrackerDiscriminator disc_a(&fx->truth, {});
-  query::RunnerOptions ro;
-  ro.recall_class = 0;
-  ro.max_samples = 3000;  // Deliberately not a multiple of kBatch.
-  const query::QueryTrace legacy =
-      RunSingleFrame(fx->truth, &det_a, &disc_a, ro, &legacy_strategy);
-
-  // Batch-first: the runner owns the batch, the strategy stays plain.
-  core::ExSampleOptions plain_opts;
-  plain_opts.seed = 5;
-  core::ExSampleStrategy plain_strategy(&fx->chunking, plain_opts);
-  detect::SimulatedDetector det_b(&fx->truth, det_opts);
-  track::IouTrackerDiscriminator disc_b(&fx->truth, {});
-  ro.batch_size = kBatch;
-  query::QueryRunner runner_b(&fx->truth, &det_b, &disc_b, ro);
-  const query::QueryTrace batched = runner_b.Run(&plain_strategy);
-
-  ExpectTracesIdentical(legacy, batched, "runner-batch vs strategy-batch");
-}
-
-// The engine honors the strategy-level Sec. III-F knob: a pre-refactor
-// config setting only exsample.batch_size gets the same batched semantics as
-// the new runner-level batch_size.
-TEST(BatchPipelineTest, EngineMapsStrategyBatchSizeOntoPipeline) {
-  auto fx = Fixture::Make();
-  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, fx->config);
-
-  engine::QueryOptions legacy_style = MakeQueryOptions(engine::Method::kExSample);
-  legacy_style.exsample.batch_size = 16;
-  engine::QueryOptions runner_style = MakeQueryOptions(engine::Method::kExSample);
-  runner_style.batch_size = 16;
-
-  auto a = engine.FindDistinct(0, 20, legacy_style);
-  auto b = engine.FindDistinct(0, 20, runner_style);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectTracesIdentical(a.value(), b.value(), "strategy-level batch knob");
-}
-
 // NextBatch must emit the same frame sequence NextFrame would.
 TEST(BatchPipelineTest, NextBatchMatchesNextFrameSequence) {
   auto fx = Fixture::Make(6000, 30);

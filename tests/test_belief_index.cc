@@ -45,6 +45,14 @@ struct StateMix {
   uint64_t n1;
 };
 
+// Brings `chunk` through n updates that spread its N1 hits as evenly as
+// they go.
+void Feed(ChunkStatsTable& stats, size_t chunk, uint64_t n, uint64_t n1) {
+  for (uint64_t i = 0; i < n; ++i) {
+    stats.Update(chunk, n1 / n + (i < n1 % n ? 1 : 0), 0);
+  }
+}
+
 ChunkStatsTable MakeTable(const std::vector<StateMix>& mix, BeliefParams prior = {},
                           std::vector<BeliefParams> chunk_priors = {}) {
   size_t total = 0;
@@ -52,11 +60,7 @@ ChunkStatsTable MakeTable(const std::vector<StateMix>& mix, BeliefParams prior =
   ChunkStatsTable stats(total, prior, std::move(chunk_priors));
   size_t chunk = 0;
   for (const StateMix& m : mix) {
-    for (size_t c = 0; c < m.chunks; ++c, ++chunk) {
-      for (uint64_t i = 0; i < m.n; ++i) {
-        stats.Update(chunk, m.n1 / m.n + (i < m.n1 % m.n ? 1 : 0), 0);
-      }
-    }
+    for (size_t c = 0; c < m.chunks; ++c, ++chunk) Feed(stats, chunk, m.n, m.n1);
   }
   return stats;
 }
@@ -256,6 +260,42 @@ TEST(BeliefIndexTest, ThompsonMatchesPerChunkLoopWithWarmPriors) {
   ExpectThompsonMatchesBruteForce(stats, 10000, 15, "warm priors");
 }
 
+// Splits `parent` as adaptive chunking does: retires it and appends two
+// children under `prior`. Returns the left child; the right one follows it.
+size_t Split(ChunkStatsTable& stats, size_t parent, BeliefParams prior) {
+  stats.Retire(parent);
+  const size_t left = stats.AddChunk(prior);
+  EXPECT_EQ(stats.AddChunk(prior), left + 1);
+  return left;
+}
+
+TEST(BeliefIndexTest, ThompsonMatchesPerChunkLoopAfterSplits) {
+  // An adaptive-chunking table: split parents are retired, and their
+  // children start from priors holding half the parent's (n, N1) evidence
+  // (inherit_fraction 1), so children of one parent share a belief until
+  // their own samples part them.
+  ChunkStatsTable stats(8);
+  Feed(stats, 0, 32, 6);
+  Feed(stats, 1, 32, 1);
+  for (size_t j = 2; j < 8; ++j) Feed(stats, j, 2 + j, j % 3 == 0 ? 1 : 0);
+  const size_t hot = Split(stats, 0, {0.1 + 3, 1.0 + 16});   // Chunks 8, 9.
+  const size_t cold = Split(stats, 1, {0.1 + 0, 1.0 + 16});  // Chunks 10, 11.
+  Feed(stats, hot, 32, 8);
+  const size_t hotter = Split(stats, hot, {0.1 + 5, 1.0 + 24});  // Chunks 12, 13.
+  Feed(stats, hot + 1, 3, 0);
+  Feed(stats, cold, 1, 1);
+  Feed(stats, cold + 1, 2, 0);
+  Feed(stats, hotter, 4, 2);
+  stats.Retire(7);  // Exhausted.
+  ASSERT_EQ(stats.NumChunks(), 14u);
+  ASSERT_EQ(stats.EligibleChunks(), 10u);
+  ExpectIndexConsistent(stats);
+  for (const size_t parent : {size_t{0}, size_t{1}, hot}) {
+    EXPECT_FALSE(stats.Eligible(parent)) << parent;
+  }
+  ExpectThompsonMatchesBruteForce(stats, 20000, 19, "split table");
+}
+
 TEST(BeliefIndexTest, GreedyTiesAcrossGroupsStayUniformOverChunks) {
   // With prior (1, 1), three unsampled chunks (mean 1/1) tie exactly with one
   // chunk holding one hit in one sample (mean 2/2): groups of 3 and 1, so each
@@ -312,21 +352,30 @@ TEST(BeliefIndexTest, UniformPolicyIsUniformOverEligibleChunks) {
 
 TEST(BeliefIndexTest, InvariantsHoldUnderRandomUpdatesAndRetires) {
   const BeliefParams flat;
+  const std::vector<BeliefParams> kinds = {{0.1, 1.0}, {1.1, 2.0}, {2.1, 3.0}};
   for (const bool warm : {false, true}) {
     const size_t chunks = 200;
     std::vector<BeliefParams> priors;
     common::Rng rng(warm ? 31 : 32);
     if (warm) {
-      const std::vector<BeliefParams> kinds = {{0.1, 1.0}, {1.1, 2.0}, {2.1, 3.0}};
       for (size_t j = 0; j < chunks; ++j) priors.push_back(kinds[rng.NextBounded(3)]);
     }
     ChunkStatsTable stats(chunks, flat, priors);
     ExpectIndexConsistent(stats);
     size_t peak_live = stats.Groups().size();
     for (int step = 0; step < 4000; ++step) {
-      const size_t chunk = rng.NextBounded(chunks);
+      const size_t chunk = rng.NextBounded(stats.NumChunks());
       if (rng.NextBounded(40) == 0) {
         stats.Retire(chunk);  // Idempotent on an already retired chunk.
+      } else if (rng.NextBounded(80) == 0) {
+        // A split's child: appended eligible and unsampled under its own
+        // prior (on the flat table, the first one gives every chunk its own).
+        const BeliefParams& prior = kinds[rng.NextBounded(3)];
+        const size_t added = stats.AddChunk(prior);
+        EXPECT_EQ(added, stats.NumChunks() - 1);
+        EXPECT_TRUE(stats.Eligible(added));
+        EXPECT_EQ(BitsOf(stats.Belief(added)),
+                  BitsOf(stats::GammaBelief(prior.alpha0, prior.beta0)));
       } else {
         // Hits, misses and noisy second sightings (N1 may go negative).
         const size_t hits = rng.NextBounded(8) == 0 ? 1 + rng.NextBounded(2) : 0;
@@ -339,7 +388,8 @@ TEST(BeliefIndexTest, InvariantsHoldUnderRandomUpdatesAndRetires) {
     ExpectIndexConsistent(stats);
     // Freed slots are reused: the slot vector never outgrows the live peak.
     EXPECT_LE(stats.Groups().size(), peak_live) << (warm ? "warm" : "flat");
-    EXPECT_LT(stats.EligibleChunks(), chunks);
+    EXPECT_GT(stats.NumChunks(), chunks);
+    EXPECT_LT(stats.EligibleChunks(), stats.NumChunks());
   }
 }
 

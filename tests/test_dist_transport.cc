@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "engine/search_engine.h"
@@ -1401,6 +1402,38 @@ long ProcStatusField(pid_t pid, const std::string& field) {
   return -1;
 }
 
+/// utime + stime of `pid` from `/proc/<pid>/stat`, in seconds, or -1.
+double ProcCpuSeconds(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  // The fields after the command name, which ends the last ')': state is
+  // field 3, utime and stime are fields 14 and 15, in clock ticks.
+  const size_t name_end = stat.rfind(')');
+  if (name_end == std::string::npos) return -1.0;
+  std::istringstream fields(stat.substr(name_end + 1));
+  std::string skip;
+  for (int field = 3; field < 14; ++field) fields >> skip;
+  unsigned long long utime = 0, stime = 0;
+  if (!(fields >> utime >> stime)) return -1.0;
+  return static_cast<double>(utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
+}
+
+/// A TCP connection to `port` on the loopback interface, or -1.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(SocketTransportTest, StalledHugeFrameHeadersCostTheServerNoMemoryOrThreads) {
   // Four peers each send only a frame header declaring 60 MB, then stall
   // with their connections open. The server must keep serving a real query,
@@ -1417,15 +1450,9 @@ TEST(SocketTransportTest, StalledHugeFrameHeadersCostTheServerNoMemoryOrThreads)
   const std::vector<uint8_t> header = FrameHeader(60u << 20);
   std::vector<int> stalled;
   for (int i = 0; i < 4; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ConnectLoopback(server.port());
     ASSERT_GE(fd, 0);
     stalled.push_back(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-              0);
     ASSERT_TRUE(SendRaw(fd, header.data(), header.size()));
   }
 
@@ -1455,6 +1482,45 @@ TEST(SocketTransportTest, StalledHugeFrameHeadersCostTheServerNoMemoryOrThreads)
       << " kB";
   EXPECT_LE(ProcStatusField(server.pid(), "Threads"), threads_before);
   for (const int fd : stalled) ::close(fd);
+}
+
+TEST(SocketTransportTest, ConnectionsPastTheFdLimitDoNotSpinTheServer) {
+  // With 16 fds the server cannot accept 24 peers. An accept past its limit
+  // fails with EMFILE and leaves the listener readable; the idle peers must
+  // still cost it almost no CPU, and once they close it serves as before.
+  auto fx = DistFixture::Make(/*num_shards=*/1);
+  testutil::ShardServer::Options options;
+  options.max_open_files = 16;
+  testutil::ShardServer server(EXSAMPLE_SHARDD_PATH, options);
+  SearchEngine reference = MakeEngine(*fx, 1, OracleConfig());
+  auto solo = reference.FindDistinct(/*class_id=*/0, /*limit=*/10);
+  ASSERT_TRUE(solo.ok());
+  const auto expect_socket_query_matches_solo = [&](const std::string& what) {
+    SearchEngine socket = MakeEngine(*fx, 1, SocketConfig({server.host()}));
+    auto over_socket = socket.FindDistinct(/*class_id=*/0, /*limit=*/10);
+    ASSERT_TRUE(over_socket.ok()) << what << ": " << over_socket.status().ToString();
+    ExpectSameTrace(solo.value(), over_socket.value(), what);
+  };
+  // Serving (and dropping) one connection before the server runs out of fds
+  // also primes UBSan's vptr cache for its connection type: on a cache miss
+  // the check probes memory through a pipe, which needs two free fds, and a
+  // sanitized server at its limit would report a false type error.
+  expect_socket_query_matches_solo("socket query before the peers");
+
+  std::vector<int> peers;
+  for (int i = 0; i < 24; ++i) {
+    const int fd = ConnectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    peers.push_back(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu_before = ProcCpuSeconds(server.pid());
+  ASSERT_GE(cpu_before, 0.0) << "/proc/<pid>/stat is unreadable";
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(ProcCpuSeconds(server.pid()) - cpu_before, 0.2)
+      << "CPU-seconds the server used in one idle second";
+  for (const int fd : peers) ::close(fd);
+  expect_socket_query_matches_solo("socket query after peers past the fd limit");
 }
 
 // The engine's whole thread budget is `num_threads - 1` pool workers plus

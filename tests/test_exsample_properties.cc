@@ -135,28 +135,5 @@ TEST(OptimalWeightsBruteForceTest, MatchesGridSearchOnThreeChunks) {
   EXPECT_GE(solved.expected_discoveries, best_value * 0.999);
 }
 
-TEST(BatchedEquivalenceProperty, StateMatchesUnbatchedUnderSameFeedback) {
-  // Feeding identical (frame, d0, d1) observations to batched and unbatched
-  // strategies must leave identical chunk statistics (commutativity of the
-  // Sec. III-F batch update).
-  auto chunking = video::MakeFixedCountChunks(uint64_t{10000}, 8).value();
-  core::ExSampleOptions b1, b8;
-  b1.batch_size = 1;
-  b8.batch_size = 8;
-  core::ExSampleStrategy s1(&chunking, b1), s8(&chunking, b8);
-  common::Rng rng(23);
-  for (int i = 0; i < 500; ++i) {
-    const video::FrameId frame = rng.NextBounded(10000);
-    const size_t d0 = rng.NextBounded(3);
-    const size_t d1 = rng.NextBounded(2);
-    s1.Observe(frame, d0, d1);
-    s8.Observe(frame, d0, d1);
-  }
-  for (size_t j = 0; j < 8; ++j) {
-    EXPECT_EQ(s1.Stats().State(j).n, s8.Stats().State(j).n);
-    EXPECT_EQ(s1.Stats().State(j).n1, s8.Stats().State(j).n1);
-  }
-}
-
 }  // namespace
 }  // namespace exsample

@@ -109,14 +109,11 @@ TEST(ExSampleStrategyTest, BatchedUpdatesAreCommutative) {
   // Batched mode draws B frames per belief refresh (Sec. III-F); the chunk
   // statistics after observing a batch must match the unbatched bookkeeping.
   const video::Chunking chunking = SmallChunking(10000, 4);
-  ExSampleOptions batched;
-  batched.batch_size = 16;
-  batched.seed = 7;
-  ExSampleStrategy strategy(&chunking, batched);
-  std::vector<video::FrameId> frames;
-  for (int i = 0; i < 16; ++i) {
-    frames.push_back(*strategy.NextFrame());
-  }
+  ExSampleOptions options;
+  options.seed = 7;
+  ExSampleStrategy strategy(&chunking, options);
+  const std::vector<video::FrameId> frames = strategy.NextBatch(16);
+  ASSERT_EQ(frames.size(), 16u);
   for (video::FrameId f : frames) strategy.Observe(f, 1, 0);
   uint64_t total_n = 0;
   int64_t total_n1 = 0;
@@ -130,17 +127,17 @@ TEST(ExSampleStrategyTest, BatchedUpdatesAreCommutative) {
 
 TEST(ExSampleStrategyTest, BatchedStillExhaustsCleanly) {
   const video::Chunking chunking = SmallChunking(64, 4);
-  ExSampleOptions options;
-  options.batch_size = 16;
-  ExSampleStrategy strategy(&chunking, options);
+  ExSampleStrategy strategy(&chunking);
   std::set<video::FrameId> seen;
-  for (int i = 0; i < 64; ++i) {
-    auto frame = strategy.NextFrame();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_TRUE(seen.insert(*frame).second);
-    strategy.Observe(*frame, 0, 0);
+  for (int b = 0; b < 4; ++b) {
+    const std::vector<video::FrameId> batch = strategy.NextBatch(16);
+    ASSERT_EQ(batch.size(), 16u);
+    for (const video::FrameId frame : batch) {
+      EXPECT_TRUE(seen.insert(frame).second);
+      strategy.Observe(frame, 0, 0);
+    }
   }
-  EXPECT_FALSE(strategy.NextFrame().has_value());
+  EXPECT_TRUE(strategy.NextBatch(16).empty());
 }
 
 TEST(ExSampleStrategyTest, DeterministicBySeed) {
@@ -163,10 +160,9 @@ TEST(ExSampleStrategyTest, NamesReflectConfiguration) {
   ExSampleOptions ucb;
   ucb.policy = ExSampleOptions::Policy::kBayesUcb;
   EXPECT_EQ(ExSampleStrategy(&chunking, ucb).name(), "exsample-ucb");
-  ExSampleOptions batched;
-  batched.batch_size = 8;
-  batched.within_chunk = WithinChunkSampling::kUniform;
-  EXPECT_EQ(ExSampleStrategy(&chunking, batched).name(), "exsample+unif+b8");
+  ExSampleOptions uniform;
+  uniform.within_chunk = WithinChunkSampling::kUniform;
+  EXPECT_EQ(ExSampleStrategy(&chunking, uniform).name(), "exsample+unif");
   ExSampleOptions greedy;
   greedy.policy = ExSampleOptions::Policy::kGreedy;
   EXPECT_EQ(ExSampleStrategy(&chunking, greedy).name(), "exsample-greedy");

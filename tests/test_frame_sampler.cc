@@ -124,6 +124,37 @@ TEST(StratifiedSamplerTest, LevelAdvancesAsSamplesAccumulate) {
   EXPECT_LE(sampler.level(), 8u);
 }
 
+TEST(StratifiedSamplerTest, SplitHalvesEmitExactlyTheUnemittedFrames) {
+  // After k draws, the two halves together emit the range minus those k
+  // frames: each remaining frame once, inside its own half.
+  constexpr video::FrameId kBegin = 1000, kMid = 1137, kEnd = 1300;
+  for (const uint64_t k : {0, 1, 7, 100, 299, 300}) {
+    StratifiedFrameSampler sampler(kBegin, kEnd, /*key=*/19);
+    common::Rng rng(k + 1);
+    std::set<video::FrameId> emitted;
+    for (uint64_t i = 0; i < k; ++i) emitted.insert(*sampler.Next(rng));
+    auto halves = std::move(sampler).Split(kMid, /*left_key=*/23, /*right_key=*/29);
+    EXPECT_EQ(halves.first.level(), 0u);
+    EXPECT_EQ(halves.second.level(), 0u);
+    EXPECT_EQ(halves.first.Remaining() + halves.second.Remaining(), kEnd - kBegin - k);
+    std::set<video::FrameId> rest;
+    const struct {
+      StratifiedFrameSampler* half;
+      video::FrameId begin, end;
+    } parts[] = {{&halves.first, kBegin, kMid}, {&halves.second, kMid, kEnd}};
+    for (const auto& part : parts) {
+      while (const std::optional<video::FrameId> frame = part.half->Next(rng)) {
+        EXPECT_GE(*frame, part.begin) << "k=" << k;
+        EXPECT_LT(*frame, part.end) << "k=" << k;
+        EXPECT_EQ(emitted.count(*frame), 0u) << "re-emitted " << *frame;
+        EXPECT_TRUE(rest.insert(*frame).second) << "duplicate " << *frame;
+      }
+      EXPECT_EQ(part.half->Remaining(), 0u);
+    }
+    EXPECT_EQ(rest.size(), kEnd - kBegin - k);
+  }
+}
+
 TEST(MakeFrameSamplerTest, FactoryKinds) {
   auto uniform = MakeFrameSampler(WithinChunkSampling::kUniform, 0, 10, 1);
   auto stratified = MakeFrameSampler(WithinChunkSampling::kStratified, 0, 10, 1);

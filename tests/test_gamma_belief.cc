@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/math_util.h"
@@ -16,6 +17,8 @@ TEST(GammaBeliefTest, MakeRejectsBadParameters) {
   EXPECT_FALSE(GammaBelief::Make(0.0, 1.0).ok());
   EXPECT_FALSE(GammaBelief::Make(1.0, 0.0).ok());
   EXPECT_FALSE(GammaBelief::Make(-1.0, 1.0).ok());
+  EXPECT_FALSE(GammaBelief::Make(std::numeric_limits<double>::infinity(), 1.0).ok());
+  EXPECT_FALSE(GammaBelief::Make(1.0, std::numeric_limits<double>::quiet_NaN()).ok());
   EXPECT_TRUE(GammaBelief::Make(0.1, 1.0).ok());
 }
 

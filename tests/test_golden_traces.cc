@@ -112,13 +112,17 @@ struct Golden {
 // unsharded sessions ran over one-shard contexts. The exsample and hybrid
 // digests were re-pinned in every row when Thompson picks began drawing one
 // maximum per group of identical beliefs (same pick distribution, another
-// random stream). Re-pin only for an intended trace change.
+// random stream). The exsample-adaptive digests were re-pinned in every row
+// when adaptive chunking moved onto the shared ChunkStatsTable and Thompson
+// pick: another random stream, splits counted by a chunk's own samples, the
+// inherited evidence carried in the children's priors, and exhausted chunks
+// left unsplit. Re-pin only for an intended trace change.
 const Golden kGolden[] = {
     // clang-format off
     {"default", "exsample", 1, 0x9e36568d47c0e756ULL},
     {"default", "exsample", 2, 0x0196706ad95b995eULL},
-    {"default", "exsample-adaptive", 1, 0xea54311afc7a7e4aULL},
-    {"default", "exsample-adaptive", 2, 0x0d9703ceb083526eULL},
+    {"default", "exsample-adaptive", 1, 0xfef0994bace49720ULL},
+    {"default", "exsample-adaptive", 2, 0xdbcee0c95e8f095cULL},
     {"default", "random", 1, 0xed792de252ba62c7ULL},
     {"default", "random", 2, 0x722d5da420a1969bULL},
     {"default", "random+", 1, 0xfdb2102aed3dff24ULL},
@@ -131,8 +135,8 @@ const Golden kGolden[] = {
     {"default", "hybrid", 2, 0x345227f5a4c3d8a9ULL},
     {"pipelined", "exsample", 1, 0xae886d9fbcc4c9deULL},
     {"pipelined", "exsample", 2, 0x3386163eaf2eba20ULL},
-    {"pipelined", "exsample-adaptive", 1, 0xf787592e1170e7b4ULL},
-    {"pipelined", "exsample-adaptive", 2, 0xc4180a03f950c718ULL},
+    {"pipelined", "exsample-adaptive", 1, 0xf3d6c7bb7b41a4b5ULL},
+    {"pipelined", "exsample-adaptive", 2, 0x4d3c70d4b16e18c2ULL},
     {"pipelined", "random", 1, 0x1763026bc7b7b319ULL},
     {"pipelined", "random", 2, 0xa0e371cae621194cULL},
     {"pipelined", "random+", 1, 0x1682a736abacba7aULL},
@@ -145,8 +149,8 @@ const Golden kGolden[] = {
     {"pipelined", "hybrid", 2, 0x974a9d66a2ec8d5aULL},
     {"loopback", "exsample", 1, 0x9e36568d47c0e756ULL},
     {"loopback", "exsample", 2, 0x0196706ad95b995eULL},
-    {"loopback", "exsample-adaptive", 1, 0xea54311afc7a7e4aULL},
-    {"loopback", "exsample-adaptive", 2, 0x0d9703ceb083526eULL},
+    {"loopback", "exsample-adaptive", 1, 0xfef0994bace49720ULL},
+    {"loopback", "exsample-adaptive", 2, 0xdbcee0c95e8f095cULL},
     {"loopback", "random", 1, 0xed792de252ba62c7ULL},
     {"loopback", "random", 2, 0x722d5da420a1969bULL},
     {"loopback", "random+", 1, 0xfdb2102aed3dff24ULL},
@@ -159,8 +163,8 @@ const Golden kGolden[] = {
     {"loopback", "hybrid", 2, 0x345227f5a4c3d8a9ULL},
     {"reuse-all-twice", "exsample", 1, 0x5a6194cae06a474eULL},
     {"reuse-all-twice", "exsample", 2, 0x46c0b06344dd6430ULL},
-    {"reuse-all-twice", "exsample-adaptive", 1, 0x296496326038e46bULL},
-    {"reuse-all-twice", "exsample-adaptive", 2, 0xe845add9a67990efULL},
+    {"reuse-all-twice", "exsample-adaptive", 1, 0x6bb34f4239c637f3ULL},
+    {"reuse-all-twice", "exsample-adaptive", 2, 0xba6dbe0bfb8df9ecULL},
     {"reuse-all-twice", "random", 1, 0x461f6b8522781161ULL},
     {"reuse-all-twice", "random", 2, 0x4fe7d0657552a9b8ULL},
     {"reuse-all-twice", "random+", 1, 0x8324ad6585e08f36ULL},
@@ -173,8 +177,8 @@ const Golden kGolden[] = {
     {"reuse-all-twice", "hybrid", 2, 0xb518ad4faffc1edeULL},
     {"decode-reuse", "exsample", 1, 0x13ab8855ff9a5836ULL},
     {"decode-reuse", "exsample", 2, 0x074e0e722e89c06bULL},
-    {"decode-reuse", "exsample-adaptive", 1, 0xf624cb51f2226077ULL},
-    {"decode-reuse", "exsample-adaptive", 2, 0x3f4930766b38da33ULL},
+    {"decode-reuse", "exsample-adaptive", 1, 0x66ef8fa1c4955d15ULL},
+    {"decode-reuse", "exsample-adaptive", 2, 0xfad386a897edeed0ULL},
     {"decode-reuse", "random", 1, 0xf5a9ce427b274ae4ULL},
     {"decode-reuse", "random", 2, 0x7056a42964f84860ULL},
     {"decode-reuse", "random+", 1, 0x2e23a5393dea7a51ULL},
@@ -187,8 +191,8 @@ const Golden kGolden[] = {
     {"decode-reuse", "hybrid", 2, 0xa3312287ef1de3adULL},
     {"decode-prefetch", "exsample", 1, 0xae886d9fbcc4c9deULL},
     {"decode-prefetch", "exsample", 2, 0x3386163eaf2eba20ULL},
-    {"decode-prefetch", "exsample-adaptive", 1, 0xf787592e1170e7b4ULL},
-    {"decode-prefetch", "exsample-adaptive", 2, 0xc4180a03f950c718ULL},
+    {"decode-prefetch", "exsample-adaptive", 1, 0xf3d6c7bb7b41a4b5ULL},
+    {"decode-prefetch", "exsample-adaptive", 2, 0x4d3c70d4b16e18c2ULL},
     {"decode-prefetch", "random", 1, 0x1763026bc7b7b319ULL},
     {"decode-prefetch", "random", 2, 0xa0e371cae621194cULL},
     {"decode-prefetch", "random+", 1, 0x1682a736abacba7aULL},

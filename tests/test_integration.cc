@@ -50,13 +50,15 @@ struct Workload {
 // Runs one strategy to the given recall with an oracle discriminator and a
 // perfect detector; returns the trace.
 query::QueryTrace RunToRecall(const Workload& w, query::SearchStrategy* strategy,
-                              double recall, uint64_t max_samples = 2'000'000) {
+                              double recall, uint64_t max_samples = 2'000'000,
+                              size_t batch_size = 1) {
   detect::SimulatedDetector detector(&w.truth, detect::DetectorOptions::Perfect(0));
   track::OracleDiscriminator discrim;
   query::RunnerOptions options;
   options.true_distinct_target = static_cast<uint64_t>(
       std::ceil(recall * static_cast<double>(w.truth.NumInstances(0))));
   options.max_samples = max_samples;
+  options.batch_size = batch_size;
   query::QueryRunner runner(&w.truth, &detector, &discrim, options);
   return runner.Run(strategy);
 }
@@ -187,10 +189,8 @@ TEST(IntegrationTest, BatchedExSampleStaysEffective) {
   core::ExSampleStrategy s1(&w->chunking, unbatched);
   const auto t1 = RunToRecall(*w, &s1, 0.5);
 
-  core::ExSampleOptions batched = unbatched;
-  batched.batch_size = 16;
-  core::ExSampleStrategy s16(&w->chunking, batched);
-  const auto t16 = RunToRecall(*w, &s16, 0.5);
+  core::ExSampleStrategy s16(&w->chunking, unbatched);
+  const auto t16 = RunToRecall(*w, &s16, 0.5, 2'000'000, /*batch_size=*/16);
 
   ASSERT_TRUE(t1.SamplesToRecall(0.5).has_value());
   ASSERT_TRUE(t16.SamplesToRecall(0.5).has_value());

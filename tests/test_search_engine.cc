@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "scene/generator.h"
 
 namespace exsample {
@@ -146,6 +152,71 @@ TEST(SearchEngineTest, MaxSamplesCapRespected) {
   auto trace = engine.FindDistinct(0, 1000000, options);
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace.value().final.samples, 50u);
+}
+
+// Options a strategy would assert on or abort over are refused with
+// InvalidArgument, by solo queries and by RunConcurrent alike; the latter
+// refuses before it builds the valid proxy session listed first. A refused
+// query builds no session, so it draws no warm start from the belief bank.
+TEST(SearchEngineTest, RejectsInvalidQueryOptions) {
+  auto fx = EngineFixture::Make();
+  EngineConfig config = OracleConfig();
+  config.reuse = reuse::ReuseOptions::All();
+  SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
+  ASSERT_TRUE(engine.FindDistinct(0, 5).ok());  // Banks a posterior for class 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, QueryOptions>> bad;
+  const auto add = [&bad](const std::string& what, Method method,
+                          const std::function<void(QueryOptions&)>& set) {
+    QueryOptions options;
+    options.method = method;
+    set(options);
+    bad.emplace_back(what, options);
+  };
+  add("sequential stride 0", Method::kSequential,
+      [](QueryOptions& o) { o.sequential_stride = 0; });
+  add("adaptive min_chunk_frames 0", Method::kExSampleAdaptive, [](QueryOptions& o) {
+    o.adaptive.min_chunk_frames = 0;
+    o.adaptive.split_threshold = 1;
+  });
+  for (const double f : {-0.25, 1.5, nan}) {
+    add("adaptive inherit_fraction " + std::to_string(f), Method::kExSampleAdaptive,
+        [f](QueryOptions& o) { o.adaptive.inherit_fraction = f; });
+  }
+  for (const double v : {0.0, -1.0, nan, inf}) {
+    const std::string value = std::to_string(v);
+    add("exsample alpha0 " + value, Method::kExSample,
+        [v](QueryOptions& o) { o.exsample.belief.alpha0 = v; });
+    add("exsample beta0 " + value, Method::kExSample,
+        [v](QueryOptions& o) { o.exsample.belief.beta0 = v; });
+    add("adaptive alpha0 " + value, Method::kExSampleAdaptive,
+        [v](QueryOptions& o) { o.adaptive.belief.alpha0 = v; });
+    add("adaptive beta0 " + value, Method::kExSampleAdaptive,
+        [v](QueryOptions& o) { o.adaptive.belief.beta0 = v; });
+    add("hybrid alpha0 " + value, Method::kHybrid,
+        [v](QueryOptions& o) { o.hybrid.belief.alpha0 = v; });
+    add("hybrid beta0 " + value, Method::kHybrid,
+        [v](QueryOptions& o) { o.hybrid.belief.beta0 = v; });
+  }
+  add("hybrid candidates_per_pick 0", Method::kHybrid,
+      [](QueryOptions& o) { o.hybrid.candidates_per_pick = 0; });
+
+  QuerySpec proxy;
+  proxy.limit = 5;
+  proxy.options.method = Method::kProxyGuided;
+  for (const auto& [what, options] : bad) {
+    EXPECT_EQ(engine.FindDistinct(0, 5, options).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << what;
+    QuerySpec spec;
+    spec.limit = 5;
+    spec.options = options;
+    EXPECT_EQ(engine.RunConcurrent({proxy, spec}).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << what;
+  }
+  EXPECT_EQ(engine.reuse_manager()->beliefs().Stats().warm_starts, 0u);
 }
 
 // --- Sharded-engine concurrency determinism ---------------------------------

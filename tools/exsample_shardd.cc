@@ -49,6 +49,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -351,19 +352,29 @@ int main(int argc, char** argv) {
       query::SocketTransportOptions().request_deadline_seconds);
   std::vector<std::unique_ptr<Connection>> conns;
   std::vector<pollfd> fds;
+  // An accept that fails for want of an fd leaves the connection queued and
+  // the listener readable: polling it then would spin. It rests (poll skips
+  // a negative fd) until a connection closes or a short timeout passes.
+  constexpr int kAcceptRetryMs = 100;
+  bool listener_rests = false;
   for (;;) {
-    fds.assign(1, pollfd{listener, POLLIN, 0});
+    fds.assign(1, pollfd{listener_rests ? -1 : listener, POLLIN, 0});
     for (const auto& conn : conns) fds.push_back(pollfd{conn->fd, POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), -1) <= 0) continue;  // EINTR.
+    const int ready =
+        ::poll(fds.data(), fds.size(), listener_rests ? kAcceptRetryMs : -1);
+    if (ready == 0) listener_rests = false;
+    if (ready <= 0) continue;  // The timeout, or EINTR.
     // fds[i + 1] polled conns[i]; serving back to front keeps that pairing
     // through the erases.
     for (size_t i = conns.size(); i-- > 0;) {
       if (fds[i + 1].revents != 0 && !ServeReadable(*conns[i])) {
         conns.erase(conns.begin() + i);
+        listener_rests = false;
       }
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listener, nullptr, nullptr);
+    listener_rests = fd < 0 && (errno == EMFILE || errno == ENFILE);
     if (fd < 0) continue;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
