@@ -1,6 +1,7 @@
-// Observability overhead: the unified counter registry and per-stage latency
-// histograms must be effectively free on the detect-bound profile, and — the
-// hard contract — collecting them must not change a single trace bit.
+// Observability overhead: per-stage latency histograms (the part of the
+// stats `collect_stats` switches) must be effectively free on the
+// detect-bound profile, and — the hard contract — collecting them must not
+// change a single trace bit.
 //
 // Two questions:
 //
@@ -62,7 +63,7 @@ std::vector<engine::QuerySpec> MakeSpecs(size_t sessions, uint64_t limit,
 struct RunResult {
   std::vector<query::QueryTrace> traces;
   double wall_seconds = 0.0;
-  uint64_t steps_counted = 0;  // From the registry; 0 on the stats-off arm.
+  uint64_t steps_counted = 0;  // From the stats snapshot; 0 on the stats-off arm.
   uint64_t detect_records = 0;
 };
 
@@ -79,7 +80,7 @@ RunResult RunOnce(Workload& workload, const std::vector<engine::QuerySpec>& spec
   result.traces = std::move(traces).value();
   result.wall_seconds = std::chrono::duration<double>(elapsed).count();
   if (collect_stats) {
-    stats::StatsSnapshot snap = engine.counter_registry()->Sync();
+    const stats::StatsSnapshot snap = engine.SnapshotStats();
     const auto it = snap.counters.find("execution.steps");
     result.steps_counted = it != snap.counters.end() ? it->second : 0;
     result.detect_records = engine.stage_timer().Count(stats::Stage::kDetect);
@@ -118,7 +119,7 @@ int Run(const BenchConfig& config, const std::string& json_path) {
   const std::vector<engine::QuerySpec> specs =
       MakeSpecs(kSessions, kLimit, kMaxSamples, config.seed);
 
-  std::printf("=== Observability: trace neutrality and registry overhead ===\n\n");
+  std::printf("=== Observability: trace neutrality and stage-timing overhead ===\n\n");
   std::printf("workload: %zu sessions x limit %llu over %llu frames, %d reps "
               "per arm\n\n",
               kSessions, static_cast<unsigned long long>(kLimit),

@@ -13,6 +13,7 @@
 #include "query/trace.h"
 #include "reuse/reuse.h"
 #include "stats/stage_timer.h"
+#include "stats/stats_json.h"
 #include "track/discriminator.h"
 #include "video/decode.h"
 
@@ -31,19 +32,21 @@ class SearchEngine;
 /// sessions over the shared resources; that is how `SearchEngine::
 /// RunConcurrent` serves several users' queries at once.
 ///
+/// Its stats structs are the only tallies of its work: the engine's
+/// `StatsJson()` reads them while the session is live, and `Finish`,
+/// `AbortStep` or destruction folds them, with its stage timer, into the
+/// engine's totals exactly once.
+///
 /// Sessions are created by `SearchEngine::CreateSession` and must not outlive
-/// their engine.
+/// their engine, except to be destroyed.
 class QuerySession {
  public:
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
+  ~QuerySession();
 
   /// \brief Processes the next batch; returns false once the query is done.
-  bool Step() {
-    const bool progressed = execution_->Step();
-    if (progressed) ++scheduler_stats_.steps_granted;
-    return progressed;
-  }
+  bool Step() { return execution_->Step(); }
 
   /// \brief Split-phase stepping, the seam cross-session batch coalescing
   /// hangs off: `BeginStep` picks the next batch and submits its detect work
@@ -52,11 +55,7 @@ class QuerySession {
   /// `FinishStep` completes the step. `Step()` remains the one-call
   /// composition. Drivers that begin a step must finish it before beginning
   /// another (`DetectPending` tells which half is owed).
-  bool BeginStep() {
-    const bool progressed = execution_->BeginStep();
-    if (progressed) ++scheduler_stats_.steps_granted;
-    return progressed;
-  }
+  bool BeginStep() { return execution_->BeginStep(); }
   void FinishStep() { execution_->FinishStep(); }
   bool DetectPending() const { return execution_->DetectPending(); }
 
@@ -64,11 +63,11 @@ class QuerySession {
   /// engine's detect transport failed permanently and cancelled its pending
   /// tickets). The session is finished afterwards; its trace ends at the
   /// last completed step. `RunConcurrent` calls this before surfacing the
-  /// transport error. Like `Finish`, it retires the session's counter slab
-  /// and publishes its stage timer.
+  /// transport error. Like `Finish`, it folds the session's stats into the
+  /// engine's totals.
   void AbortStep() {
     execution_->AbortPendingStep();
-    PublishStageTimer();
+    RetireStats();
   }
 
   /// \brief Administrative cancellation: finishes the session at its last
@@ -100,7 +99,7 @@ class QuerySession {
   query::QueryTrace Finish() {
     query::QueryTrace trace = execution_->Finish();
     HarvestBeliefs();
-    PublishStageTimer();
+    RetireStats();
     return trace;
   }
 
@@ -119,7 +118,7 @@ class QuerySession {
   }
 
   /// \brief Scheduling/coalescing observability, mirroring `PrefetchStats`:
-  /// steps granted to this session, frames submitted through the shared
+  /// steps this session processed, frames submitted through the shared
   /// detector service, and how many of its frames/device batches were
   /// coalesced with other sessions'.
   const query::SessionSchedulerStats& scheduler_stats() const {
@@ -134,23 +133,23 @@ class QuerySession {
 
   /// \brief The session's per-stage latency histograms (pick → classify →
   /// decode → detect → discriminate → observe). All-zero when the engine's
-  /// `collect_stats` is off. Merged into the engine-wide aggregate once at
-  /// `Finish`.
+  /// `collect_stats` is off. Merged into the engine-wide aggregate when the
+  /// session's stats are folded into the engine's totals.
   const stats::StageTimer& stage_timer() const { return stage_timer_; }
 
  private:
   friend class SearchEngine;
   QuerySession() = default;
 
-  // Merges this session's stage histograms into the engine-wide timer,
-  // once. Runs on the thread calling Finish — the session's coordinator —
-  // which is the engine timer's single-writer contract (the engine is
-  // single-driver, like every other engine method).
-  void PublishStageTimer() {
-    if (engine_stage_timer_ == nullptr || stage_timer_published_) return;
-    engine_stage_timer_->Merge(stage_timer_);
-    stage_timer_published_ = true;
-  }
+  // Leaves the engine's live sessions, folding this session's stats and
+  // stage timer into the engine's totals — once, and never after the engine
+  // is gone (it then clears `engine_`).
+  void RetireStats();
+
+  // Writes the session's stats structs under `session.*`, and under
+  // `execution.*` the step, frame and result counts they and the trace
+  // hold.
+  void ExportStats(stats::StatsSnapshot* snapshot) const;
 
   void HarvestBeliefs() {
     if (belief_bank_ == nullptr || beliefs_harvested_ || !status().ok()) return;
@@ -171,9 +170,8 @@ class QuerySession {
   std::unique_ptr<query::ShardDispatcher> shard_dispatcher_;
   std::unique_ptr<track::Discriminator> discriminator_;
   std::unique_ptr<query::QueryExecution> execution_;
-  // Scheduler/coalescing tallies: `steps_granted` counted here, the
-  // coalescing fields filled in by the engine's shared detector service
-  // (wired via RunnerOptions::session_stats).
+  // Scheduler/coalescing tallies, filled in by the execution and the
+  // engine's shared detector service (wired via RunnerOptions::session_stats).
   query::SessionSchedulerStats scheduler_stats_;
   // Cross-query reuse: the session's binding to the engine's shared
   // ReuseManager (wired via RunnerOptions::reuse; null when cache and
@@ -186,12 +184,11 @@ class QuerySession {
   reuse::ReuseKey belief_key_{};
   uint64_t chunking_signature_ = 0;
   bool beliefs_harvested_ = false;
-  // Observability: the session's own stage timer (single writer: the
-  // stepping thread, via RunnerOptions::stats) and where Finish publishes it
-  // (null when the engine's collect_stats is off).
+  // The session's own stage timer (single writer: the stepping thread, via
+  // RunnerOptions::stage_timer; untouched when collect_stats is off).
   stats::StageTimer stage_timer_;
-  stats::StageTimer* engine_stage_timer_ = nullptr;
-  bool stage_timer_published_ = false;
+  // The engine whose live sessions this one is in; null once retired.
+  SearchEngine* engine_ = nullptr;
 };
 
 }  // namespace engine

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 
 #include "engine/wave_driver.h"
-#include "stats/stats_json.h"
+#include "serve/tenant.h"
 
 namespace exsample {
 namespace engine {
@@ -72,6 +73,49 @@ SearchEngine::SearchEngine(const video::ShardedRepository* sharded,
       truth_(truth),
       config_(config),
       sharded_(sharded) {}
+
+SearchEngine::~SearchEngine() {
+  // A session may outlive its engine to be destroyed: cut its way back.
+  for (QuerySession* session : live_sessions_) session->engine_ = nullptr;
+}
+
+QuerySession::~QuerySession() { RetireStats(); }
+
+void QuerySession::RetireStats() {
+  if (engine_ == nullptr) return;
+  engine_->RetireSession(this);
+  engine_ = nullptr;
+}
+
+void QuerySession::ExportStats(stats::StatsSnapshot* snapshot) const {
+  uint64_t frames_detected = 0;
+  for (const query::ShardStats& shard : shard_dispatcher_->Stats()) {
+    frames_detected += shard.frames_detected;
+    stats::Export(shard, "session.shards.", snapshot);
+  }
+  for (const auto& store : shard_stores_) {
+    stats::Export(store->Stats(), "session.decode.", snapshot);
+  }
+  if (prefetcher() != nullptr) {
+    stats::Export(prefetcher()->stats(), "session.prefetch.", snapshot);
+  }
+  stats::Export(scheduler_stats_, "session.scheduler.", snapshot);
+  stats::Export(reuse_stats_, "session.reuse.", snapshot);
+  const query::DiscoveryPoint& final = Trace().final;
+  stats::StatsWriter execution(snapshot, "execution.");
+  execution.Counter("steps", scheduler_stats_.steps_granted);
+  execution.Counter("frames_picked", final.samples);
+  execution.Counter("frames_reused", reuse_stats_.cache_hits + reuse_stats_.sketch_skips);
+  execution.Counter("frames_detected", frames_detected);
+  execution.Counter("results_reported", final.reported_results);
+}
+
+void SearchEngine::RetireSession(QuerySession* session) {
+  session->ExportStats(&retired_);
+  stage_timer_.Merge(session->stage_timer_);
+  live_sessions_.erase(
+      std::find(live_sessions_.begin(), live_sessions_.end(), session));
+}
 
 namespace {
 
@@ -200,12 +244,10 @@ query::DetectorService* SearchEngine::detector_service() {
     detector_service_ = std::make_unique<query::DetectorService>(
         options, num_shards, thread_pool());
     if (config_.collect_stats) {
-      // The service's hot-path ticks and its submit→grant / transport
-      // latency records all run on the coordinator thread that drives
-      // Submit/Poll/Flush/Take — the same single-writer thread the engine
-      // timer already belongs to.
-      detector_service_->BindStats(query::ServiceStatsBinding::Bind(
-          &registry_, registry_.AcquireSlab("service"), &stage_timer_));
+      // The service's submit→grant / transport latency records run on the
+      // coordinator thread that drives Submit/Poll/Flush/Take — the same
+      // single-writer thread the engine timer already belongs to.
+      detector_service_->BindStageTimer(&stage_timer_);
     }
   }
   return detector_service_.get();
@@ -335,19 +377,10 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   // materializes an equivalent detector from exactly these options.
   session_options.detector_options = det_opts;
   session_options.session_stats = &session->scheduler_stats_;
-  // Observability: the session ticks its own registry slab and its own
-  // stage timer from the stepping thread (single-writer both ways);
-  // Finish() retires the slab and merges the timer into the engine
-  // aggregate. All-null when collect_stats is off — the runner's hot path
-  // then pays one branch.
-  if (config_.collect_stats) {
-    session_options.stats = query::ExecutionStatsBinding::Bind(
-        &registry_,
-        registry_.AcquireSlab(
-            "session/" + std::to_string(session_options.service_session_id)),
-        &session->stage_timer_);
-    session->engine_stage_timer_ = &stage_timer_;
-  }
+  // The session times its stages from the stepping thread (single writer);
+  // its retirement merges the timer into the engine aggregate. Null when
+  // collect_stats is off — the runner's hot path then pays one branch.
+  if (config_.collect_stats) session_options.stage_timer = &session->stage_timer_;
   // Detect-stage reuse (cache/sketch): the session binds to the engine's
   // shared manager under its key; the runner consults it per picked batch.
   // Warm start alone leaves this null — the detect stage is then untouched.
@@ -359,68 +392,64 @@ common::Result<std::unique_ptr<QuerySession>> SearchEngine::MakeSession(
   session->execution_ = std::make_unique<query::QueryExecution>(
       truth_, /*detector=*/nullptr, session->discriminator_.get(),
       session->strategy_.get(), session_options);
+  session->engine_ = this;
+  live_sessions_.push_back(session.get());
   return session;
 }
 
-std::string SearchEngine::StatsJson() {
-  // Push half: sum every slab (sessions, service) into the named snapshot.
-  stats::StatsSnapshot snapshot = registry_.Sync();
-
-  // Pull half: engine-lifetime components keep their own authoritative
-  // stats structs (all either coordinator-written or mutex-guarded); they
-  // are published into the snapshot here, at export time, under the same
-  // dotted naming scheme as the slab metrics.
-  if (detector_service_ != nullptr) {
-    const query::DetectorServiceStats& s = detector_service_->stats();
-    snapshot.counters["service.requests"] = s.requests;
-    snapshot.counters["service.fill_flushes"] = s.fill_flushes;
-    snapshot.counters["service.deadline_flushes"] = s.deadline_flushes;
-    snapshot.counters["service.wire_retries"] = s.wire_retries;
-    snapshot.counters["service.wire_requeues"] = s.wire_requeues;
-    snapshot.counters["service.wire_reroutes"] = s.wire_reroutes;
-    snapshot.counters["service.shards_down"] = s.shards_down;
-    snapshot.gauges["service.wire_charged_seconds"] = s.wire_charged_seconds;
-    snapshot.gauges["service.fill_rate"] = detector_service_->FillRate();
-    snapshot.gauges["service.pending_frames"] =
-        static_cast<double>(detector_service_->PendingFrames());
+stats::StatsSnapshot SearchEngine::SnapshotStats() {
+  stats::StatsSnapshot snapshot = retired_;
+  snapshot.sync_sequence = ++stats_sequence_;
+  for (const QuerySession* session : live_sessions_) session->ExportStats(&snapshot);
+  for (const serve::TenantRegistry* tenants : tenant_tables_) {
+    tenants->ExportStats(&snapshot);
   }
-  if (transport_ != nullptr) {
-    // Snapshot by value: the transport keeps counting after this export.
-    const query::TransportStats t = transport_->Stats();
-    snapshot.counters["transport.requests"] = t.requests;
-    snapshot.counters["transport.responses"] = t.responses;
-    snapshot.counters["transport.bytes_sent"] = t.bytes_sent;
-    snapshot.counters["transport.bytes_received"] = t.bytes_received;
-    snapshot.counters["transport.failures_injected"] = t.failures_injected;
-    snapshot.counters["transport.control_messages"] = t.control_messages;
-    snapshot.counters["transport.connects"] = t.connects;
-    snapshot.counters["transport.reconnects"] = t.reconnects;
-    snapshot.counters["transport.inferred_failures"] = t.inferred_failures;
-    snapshot.counters["transport.late_responses_dropped"] =
-        t.late_responses_dropped;
-  }
+  if (detector_service_ != nullptr) detector_service_->ExportStats(&snapshot);
+  // By value: the transport keeps counting after this export.
+  if (transport_ != nullptr) stats::Export(transport_->Stats(), "transport.", &snapshot);
   if (reuse_manager_ != nullptr) {
-    const reuse::DetectionCacheStats c = reuse_manager_->cache().Stats();
-    snapshot.counters["reuse.cache.hits"] = c.hits;
-    snapshot.counters["reuse.cache.misses"] = c.misses;
-    snapshot.counters["reuse.cache.insertions"] = c.insertions;
-    snapshot.counters["reuse.cache.evicted_empty"] = c.evicted_empty;
-    snapshot.counters["reuse.cache.evicted_nonempty"] = c.evicted_nonempty;
-    snapshot.gauges["reuse.cache.entries"] = static_cast<double>(c.entries);
-    snapshot.gauges["reuse.cache.nonempty_entries"] =
-        static_cast<double>(c.nonempty_entries);
-    const reuse::ScannedSketchStats k = reuse_manager_->sketch().Stats();
-    snapshot.counters["reuse.sketch.recorded_empty"] = k.recorded_empty;
-    snapshot.counters["reuse.sketch.recorded_nonempty"] = k.recorded_nonempty;
-    snapshot.counters["reuse.sketch.known_empty"] = k.known_empty;
-    snapshot.counters["reuse.sketch.guard_rejects"] = k.guard_rejects;
-    const reuse::BeliefBankStats b = reuse_manager_->beliefs().Stats();
-    snapshot.counters["reuse.beliefs.posteriors_recorded"] =
-        b.posteriors_recorded;
-    snapshot.counters["reuse.beliefs.warm_starts"] = b.warm_starts;
+    stats::Export(reuse_manager_->cache().Stats(), "reuse.cache.", &snapshot);
+    stats::Export(reuse_manager_->sketch().Stats(), "reuse.sketch.", &snapshot);
+    stats::Export(reuse_manager_->beliefs().Stats(), "reuse.beliefs.", &snapshot);
   }
+  return snapshot;
+}
 
-  return stats::WriteStatsJson(snapshot, &stage_timer_);
+std::string SearchEngine::StatsJson() {
+  return stats::WriteStatsJson(SnapshotStats(), &stage_timer_);
+}
+
+common::Status SearchEngine::WriteStatsFile(const std::string& path) {
+  const std::string json = StatsJson();
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
+  out << json;
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return common::Status::Internal("cannot write stats to " + path);
+  }
+  return common::Status::OK();
+}
+
+void SearchEngine::RoundCompleted() {
+  ++rounds_completed_;
+  if (config_.stats_dump_path.empty() || config_.stats_dump_every_rounds == 0 ||
+      rounds_completed_ % config_.stats_dump_every_rounds != 0) {
+    return;
+  }
+  // A failed dump keeps the previous one; the workload goes on.
+  WriteStatsFile(config_.stats_dump_path);
+}
+
+void SearchEngine::BindTenants(const serve::TenantRegistry* tenants) {
+  tenant_tables_.push_back(tenants);
+}
+
+void SearchEngine::UnbindTenants(const serve::TenantRegistry* tenants) {
+  tenants->ExportStats(&retired_);
+  tenant_tables_.erase(
+      std::find(tenant_tables_.begin(), tenant_tables_.end(), tenants));
 }
 
 common::Result<query::QueryTrace> SearchEngine::Run(
@@ -488,20 +517,6 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
 
   std::vector<query::SessionSchedulerInfo> infos(sessions.size());
   std::vector<size_t> order;
-  // Periodic observability dump: every `stats_dump_every_rounds` scheduler
-  // rounds the engine rewrites `stats_dump_path` with a fresh StatsJson()
-  // snapshot, from this coordinator thread (so the pull-published component
-  // stats are read race-free). Collection itself never touches the
-  // simulated clock, so dumping cannot perturb any trace.
-  uint64_t rounds_completed = 0;
-  const auto maybe_dump_stats = [&]() {
-    if (config_.stats_dump_every_rounds == 0 || config_.stats_dump_path.empty())
-      return;
-    ++rounds_completed;
-    if (rounds_completed % config_.stats_dump_every_rounds != 0) return;
-    std::ofstream out(config_.stats_dump_path, std::ios::trunc);
-    if (out) out << StatsJson();
-  };
   // The wave execution (begin → flush → finish in submission order, sticky
   // transport failure) lives in the shared `SessionWaveDriver` — the same
   // machinery the serving layer drives admitted tenant sessions through.
@@ -540,7 +555,7 @@ common::Result<std::vector<query::QueryTrace>> SearchEngine::RunConcurrent(
       }
     }
     if (failed || !driver.FlushWave()) break;
-    maybe_dump_stats();
+    RoundCompleted();
     // A round with no progress still terminates the loop eventually: its
     // first grant to a then-live session either progressed or marked that
     // session done, so no-progress rounds strictly shrink the live set and

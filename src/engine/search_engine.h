@@ -25,8 +25,8 @@
 #include "samplers/proxy_strategy.h"
 #include "samplers/random_strategy.h"
 #include "scene/ground_truth.h"
-#include "stats/counter_registry.h"
 #include "stats/stage_timer.h"
+#include "stats/stats_json.h"
 #include "track/iou_discriminator.h"
 #include "track/oracle_discriminator.h"
 #include "video/chunking.h"
@@ -34,6 +34,10 @@
 #include "video/sharded_repository.h"
 
 namespace exsample {
+namespace serve {
+class TenantRegistry;
+}  // namespace serve
+
 namespace engine {
 
 /// \brief Which frame-selection method a query uses.
@@ -182,19 +186,21 @@ struct EngineConfig {
   /// bit-identical to the pre-reuse engine.
   reuse::ReuseOptions reuse;
 
-  /// Engine-wide observability: when true (the default) every session and
-  /// the shared detect service tick named counters into the engine's
-  /// `stats::CounterRegistry` (lock-free per-writer slabs) and record
-  /// per-stage latency histograms into `stats::StageTimer`s, all exported by
-  /// `SearchEngine::StatsJson()`. Collection never changes a trace
+  /// Stage timing: when true (the default) every session and the shared
+  /// detect service record per-stage latency histograms into
+  /// `stats::StageTimer`s, exported by `SearchEngine::StatsJson()` beside
+  /// the components' stats structs (which count either way — they are the
+  /// components' own accounting). Timing never changes a trace
   /// (`bench_observability` exit-enforces bit-identity and <= 3% overhead);
-  /// false turns every collection site into a single null test.
+  /// false turns every timing site into a single null test.
   bool collect_stats = true;
-  /// When non-empty (and `collect_stats`), `RunConcurrent` rewrites this
-  /// file with a fresh `StatsJson()` snapshot every
-  /// `stats_dump_every_rounds` scheduler rounds — the periodic dump a
-  /// monitoring scraper tails. 0 rounds disables the periodic dump (the
-  /// caller can still call `StatsJson()` whenever it wants).
+  /// When non-empty, the round loops (`RunConcurrent` and
+  /// `serve::TenantServer::Serve`) replace this file with a fresh
+  /// `StatsJson()` every `stats_dump_every_rounds` scheduler rounds of the
+  /// engine (`RoundCompleted`) — the periodic dump a monitoring scraper
+  /// tails, written whole (`WriteStatsFile`). 0 rounds disables the
+  /// periodic dump (the caller can still call `StatsJson()` whenever it
+  /// wants).
   std::string stats_dump_path;
   uint64_t stats_dump_every_rounds = 0;
 
@@ -264,6 +270,10 @@ class SearchEngine {
   /// wins).
   SearchEngine(const video::ShardedRepository* sharded, const video::Chunking* chunking,
                const scene::GroundTruth* truth, EngineConfig config = {});
+
+  SearchEngine(const SearchEngine&) = delete;
+  SearchEngine& operator=(const SearchEngine&) = delete;
+  ~SearchEngine();
 
   /// \brief "Find `limit` distinct objects of `class_id`": runs until the
   /// discriminator has returned `limit` results (or the repository is
@@ -345,29 +355,59 @@ class SearchEngine {
   /// Exposes cache/sketch/bank statistics for observability.
   reuse::ReuseManager* reuse_manager();
 
-  /// \brief The engine-wide counter registry every session's and the
-  /// service's slabs hang off. Always present; slabs are only acquired (and
-  /// hot paths only tick) when `config.collect_stats` is on.
-  stats::CounterRegistry* counter_registry() { return &registry_; }
-
   /// \brief The engine-wide stage-latency aggregate: per-session pipeline
-  /// timers merge in when their sessions finish; the shared service's
-  /// submit→grant and transport histograms record into it directly.
+  /// timers merge in when their sessions finish, abort or are destroyed;
+  /// the shared service's submit→grant and transport histograms record
+  /// into it directly.
   const stats::StageTimer& stage_timer() const { return stage_timer_; }
 
-  /// \brief One versioned JSON snapshot of everything the engine observes:
-  /// the synced counter registry, the per-component stats structs published
-  /// under uniform names (service.*, transport.*, reuse.*), and the
-  /// per-stage latency histograms. Deterministic key order; see
-  /// `stats::WriteStatsJson` for the shape. Call from the coordinator
+  /// \brief Every stats struct the engine can reach, each field under one
+  /// dotted name: the detect service (`service.*`), the transport
+  /// (`transport.*`), the reuse cache, sketch and bank (`reuse.*`), the
+  /// bound tenant tables (`tenant.<id>.*`), and the sessions' structs summed
+  /// over the live sessions and the totals retired ones were folded into
+  /// (`session.*`, with `execution.*` restating their steps, frames and
+  /// results). Each call bumps `sync_sequence`. Call from the coordinator
   /// thread (between steps / after runs) — the same single-driver contract
   /// every other engine method has.
+  stats::StatsSnapshot SnapshotStats();
+
+  /// \brief `SnapshotStats()` and the per-stage latency histograms as one
+  /// versioned JSON document. Deterministic key order; see
+  /// `stats::WriteStatsJson` for the shape.
   std::string StatsJson();
 
+  /// \brief Replaces `path` with a fresh `StatsJson()`: the JSON is
+  /// computed first, written to `<path>.tmp` and renamed over `path`, so a
+  /// reader never sees a partial file. On failure `path` is left as it was
+  /// and no `<path>.tmp` remains.
+  common::Status WriteStatsFile(const std::string& path);
+
+  /// \brief Called by the round loops once per scheduler round: every
+  /// `config.stats_dump_every_rounds`-th round of the engine's lifetime
+  /// writes `config.stats_dump_path` (`WriteStatsFile`; a failed write
+  /// leaves the previous dump and does not stop the workload).
+  void RoundCompleted();
+
+  /// \brief Adds `tenants` to what `SnapshotStats()` walks until
+  /// `UnbindTenants`, which folds its tallies into the engine's totals. The
+  /// serving layer binds its table for the server's lifetime.
+  void BindTenants(const serve::TenantRegistry* tenants);
+  void UnbindTenants(const serve::TenantRegistry* tenants);
+
+  /// \brief Sessions created and not yet finished, aborted or destroyed —
+  /// the ones `SnapshotStats()` reads live.
+  size_t NumLiveSessions() const { return live_sessions_.size(); }
+
  private:
+  friend class QuerySession;
+
   common::Result<std::unique_ptr<QuerySession>> MakeSession(
       int32_t class_id, const query::RunnerOptions& runner_options,
       const QueryOptions& options);
+  /// Folds a finishing session's stats and stage timer into the totals and
+  /// drops it from the live sessions.
+  void RetireSession(QuerySession* session);
   /// Runs a solo session to completion.
   static common::Result<query::QueryTrace> Run(
       common::Result<std::unique_ptr<QuerySession>> session);
@@ -398,11 +438,16 @@ class SearchEngine {
   uint64_t next_session_id_ = 1;
   // Engine-owned cross-query reuse state (config.reuse), lazy.
   std::unique_ptr<reuse::ReuseManager> reuse_manager_;
-  // Engine-wide observability: the counter registry (owns every slab) and
-  // the cross-session stage-latency aggregate. The registry outlives every
-  // session, so slab pointers handed to components stay valid for the
-  // engine's lifetime.
-  stats::CounterRegistry registry_;
+  // What SnapshotStats walks besides the engine's components: live sessions
+  // in creation order (so sums of seconds add up in a fixed order), the
+  // bound tenant tables, and the totals retired sessions and unbound tables
+  // were folded into.
+  std::vector<QuerySession*> live_sessions_;
+  std::vector<const serve::TenantRegistry*> tenant_tables_;
+  stats::StatsSnapshot retired_;
+  uint64_t stats_sequence_ = 0;
+  uint64_t rounds_completed_ = 0;
+  // The cross-session stage-latency aggregate.
   stats::StageTimer stage_timer_;
 };
 

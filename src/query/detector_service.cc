@@ -20,22 +20,6 @@ double NowSeconds() {
 
 }  // namespace
 
-ServiceStatsBinding ServiceStatsBinding::Bind(stats::CounterRegistry* registry,
-                                              stats::CounterSlab* slab,
-                                              stats::StageTimer* timer) {
-  ServiceStatsBinding binding;
-  binding.slab = slab;
-  binding.timer = timer;
-  binding.submits = registry->RegisterCounter("service.submits");
-  binding.frames = registry->RegisterCounter("service.frames");
-  binding.device_batches = registry->RegisterCounter("service.device_batches");
-  binding.shared_batches = registry->RegisterCounter("service.shared_batches");
-  binding.flushes = registry->RegisterCounter("service.flushes");
-  binding.wire_batches = registry->RegisterCounter("service.wire_batches");
-  binding.queue_depth = registry->RegisterGauge("service.queue_depth");
-  return binding;
-}
-
 DetectorService::DetectorService(DetectorServiceOptions options, size_t num_shards,
                                  common::ThreadPool* pool)
     : options_(options) {
@@ -121,9 +105,6 @@ DetectorService::Ticket DetectorService::Submit(const DetectRequest& request) {
   }
   pending_frames_ += request.frames.size();
   stats_.requests += 1;
-  stats::SlabAdd(stats_binding_.slab, stats_binding_.submits);
-  stats::SlabSetGauge(stats_binding_.slab, stats_binding_.queue_depth,
-                      static_cast<double>(pending_frames_));
   if (request.session_stats != nullptr) {
     request.session_stats->frames_submitted += request.frames.size();
   }
@@ -144,7 +125,6 @@ void DetectorService::Poll() {
 void DetectorService::Flush() {
   if (pending_frames_ == 0) return;
   stats_.flushes += 1;
-  stats::SlabAdd(stats_binding_.slab, stats_binding_.flushes);
   FlushShards(FlushReason::kBarrier);
 }
 
@@ -181,8 +161,6 @@ void DetectorService::FlushShards(FlushReason reason) {
   if (work_.empty()) return;
   if (reason == FlushReason::kFill) stats_.fill_flushes += 1;
   if (reason == FlushReason::kDeadline) stats_.deadline_flushes += 1;
-  stats::SlabSetGauge(stats_binding_.slab, stats_binding_.queue_depth,
-                      static_cast<double>(pending_frames_));
 
   SendAndCollect();
   if (!transport_status_.ok()) return;  // Everything pending was cancelled.
@@ -207,7 +185,7 @@ void DetectorService::FlushShards(FlushReason reason) {
           ticket_latencies_.begin() + static_cast<ptrdiff_t>(kTicketLatencyCap / 2));
     }
     ticket_latencies_.push_back(done_seconds - pr.submit_seconds);
-    stats::TimerRecord(stats_binding_.timer, stats::Stage::kSubmitToGrant,
+    stats::TimerRecord(stage_timer_, stats::Stage::kSubmitToGrant,
                        done_seconds - pr.submit_seconds);
     pr.ready = true;
   }
@@ -237,9 +215,6 @@ void DetectorService::BookSlices(const ShardWork& work) {
     stats_.device_batches += 1;
     stats_.frames += end - begin;
     if (shared) stats_.shared_batches += 1;
-    stats::SlabAdd(stats_binding_.slab, stats_binding_.device_batches);
-    stats::SlabAdd(stats_binding_.slab, stats_binding_.frames, end - begin);
-    if (shared) stats::SlabAdd(stats_binding_.slab, stats_binding_.shared_batches);
     for (const PendingRequest* pr : in_slice_) {
       SessionSchedulerStats* session = pr->request.session_stats;
       if (session == nullptr) continue;
@@ -333,7 +308,6 @@ void DetectorService::SendAndCollect() {
     slice.in_flight = true;
     ++in_flight;
     stats_.wire_batches += 1;
-    stats::SlabAdd(stats_binding_.slab, stats_binding_.wire_batches);
     // Proactive reroute off a runner already known to be down: still a
     // first send, counted apart from failure-driven requeue resends.
     if (slice.runner != slice.origin_shard) stats_.wire_reroutes += 1;
@@ -460,6 +434,13 @@ std::vector<detect::Detections> DetectorService::Take(Ticket ticket) {
   std::vector<detect::Detections> results = std::move(pr->results);
   Release(pr);
   return results;
+}
+
+void DetectorService::ExportStats(stats::StatsSnapshot* snapshot) const {
+  stats::StatsWriter out(snapshot, "service.");
+  ExportFields(stats_, out);
+  out.Gauge("fill_rate", FillRate());
+  out.Gauge("pending_frames", static_cast<double>(pending_frames_));
 }
 
 double DetectorService::FillRate() const {

@@ -15,36 +15,12 @@
 #include "query/shard_dispatch.h"
 #include "query/transport.h"
 #include "query/wire.h"
-#include "stats/counter_registry.h"
 #include "stats/stage_timer.h"
+#include "stats/stats_json.h"
 #include "video/repository.h"
 
 namespace exsample {
 namespace query {
-
-/// \brief The detect service's binding to the engine-wide observability
-/// registry: a single-writer counter slab, a stage timer for the
-/// submit→grant and transport-round-trip histograms, and the
-/// pre-registered metric ids. All-null (the default) collects nothing.
-/// Written only from the coordinator thread driving the service, per the
-/// registry's single-writer contract.
-struct ServiceStatsBinding {
-  stats::CounterSlab* slab = nullptr;
-  stats::StageTimer* timer = nullptr;
-  stats::MetricId submits = 0;
-  stats::MetricId frames = 0;
-  stats::MetricId device_batches = 0;
-  stats::MetricId shared_batches = 0;
-  stats::MetricId flushes = 0;
-  stats::MetricId wire_batches = 0;
-  stats::MetricId queue_depth = 0;  // Gauge: frames queued, not yet flushed.
-
-  /// Registers the service metric names and returns a binding over
-  /// `slab`/`timer` (either may be null to collect only the other half).
-  static ServiceStatsBinding Bind(stats::CounterRegistry* registry,
-                                  stats::CounterSlab* slab,
-                                  stats::StageTimer* timer);
-};
 
 /// \brief Coalescing configuration of a `DetectorService`.
 struct DetectorServiceOptions {
@@ -123,6 +99,26 @@ struct DetectorServiceStats {
   /// observability).
   double wire_charged_seconds = 0.0;
 };
+
+/// Names every field of `DetectorServiceStats` for the stats export.
+inline void ExportFields(const DetectorServiceStats& s, stats::StatsWriter& out) {
+  const auto& [requests, frames, device_batches, shared_batches, flushes,
+               fill_flushes, deadline_flushes, wire_batches, wire_retries,
+               wire_requeues, wire_reroutes, shards_down, wire_charged_seconds] = s;
+  out.Counter("requests", requests);
+  out.Counter("frames", frames);
+  out.Counter("device_batches", device_batches);
+  out.Counter("shared_batches", shared_batches);
+  out.Counter("flushes", flushes);
+  out.Counter("fill_flushes", fill_flushes);
+  out.Counter("deadline_flushes", deadline_flushes);
+  out.Counter("wire_batches", wire_batches);
+  out.Counter("wire_retries", wire_retries);
+  out.Counter("wire_requeues", wire_requeues);
+  out.Counter("wire_reroutes", wire_reroutes);
+  out.Counter("shards_down", shards_down);
+  out.Gauge("wire_charged_seconds", wire_charged_seconds);
+}
 
 /// \brief Shared detect stage: coalesces pending frames from many query
 /// sessions into full device batches.
@@ -295,9 +291,14 @@ class DetectorService {
   /// frames / (device_batches * device_batch). 0 before the first flush.
   double FillRate() const;
 
-  /// \brief Attaches (or detaches, with a default-constructed binding) the
-  /// observability sinks. Call from the coordinator thread, between steps.
-  void BindStats(const ServiceStatsBinding& binding) { stats_binding_ = binding; }
+  /// \brief Writes `stats()` under `service.*`, with the fill rate and the
+  /// frames still queued (`PendingFrames`), into `snapshot`.
+  void ExportStats(stats::StatsSnapshot* snapshot) const;
+
+  /// \brief Attaches (or detaches, with null) the stage timer the
+  /// submit→grant and transport round-trip latencies are recorded into.
+  /// Call from the coordinator thread, between steps.
+  void BindStageTimer(stats::StageTimer* timer) { stage_timer_ = timer; }
 
   /// \brief The runner-side session directory (wire id -> detector context)
   /// the service maintains for its transport. Exposed for tests.
@@ -372,7 +373,7 @@ class DetectorService {
   /// process the round trip is the detection itself, which sessions time as
   /// their detect stage, and a clock read is not free on a one-frame step.
   stats::StageTimer* RoundTripTimer() const {
-    return owned_transport_ == nullptr ? stats_binding_.timer : nullptr;
+    return owned_transport_ == nullptr ? stage_timer_ : nullptr;
   }
 
   /// Deterministic per-slice bookkeeping of one shard's extracted work.
@@ -399,7 +400,7 @@ class DetectorService {
   std::unordered_set<uint64_t> registered_sessions_;
   std::vector<double> ticket_latencies_;
   DetectorServiceStats stats_;
-  ServiceStatsBinding stats_binding_;
+  stats::StageTimer* stage_timer_ = nullptr;  // Null: latencies unrecorded.
 
   // Per-flush scratch, kept so a steady-state flush allocates nothing.
   std::vector<WorkItem> items_;

@@ -14,6 +14,7 @@
 #include "common/span.h"
 #include "common/thread_pool.h"
 #include "query/shard_dispatch.h"
+#include "stats/stats_json.h"
 #include "video/decode.h"
 #include "video/repository.h"
 
@@ -40,6 +41,16 @@ struct PrefetchStats {
   /// Largest decode-ahead distance observed; never exceeds `depth`.
   size_t max_ahead = 0;
 };
+
+/// Names every field of `PrefetchStats` for the stats export.
+inline void ExportFields(const PrefetchStats& s, stats::StatsWriter& out) {
+  const auto& [batches, frames, async_reads, inline_reads, max_ahead] = s;
+  out.Counter("batches", batches);
+  out.Counter("frames", frames);
+  out.Counter("async_reads", async_reads);
+  out.Counter("inline_reads", inline_reads);
+  out.Max("max_ahead", static_cast<double>(max_ahead));
+}
 
 /// \brief Pipelined decode stage: decodes a picked batch's frames on a worker
 /// pool while the detect stage consumes earlier frames of the batch.

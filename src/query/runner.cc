@@ -31,22 +31,6 @@ bool CountNewDistinct(const track::MatchResult& result, const RunnerOptions& opt
 
 }  // namespace
 
-ExecutionStatsBinding ExecutionStatsBinding::Bind(stats::CounterRegistry* registry,
-                                                  stats::CounterSlab* slab,
-                                                  stats::StageTimer* timer) {
-  ExecutionStatsBinding binding;
-  binding.registry = registry;
-  binding.slab = slab;
-  binding.timer = timer;
-  binding.steps = registry->RegisterCounter("execution.steps");
-  binding.frames_picked = registry->RegisterCounter("execution.frames_picked");
-  binding.frames_reused = registry->RegisterCounter("execution.frames_reused");
-  binding.frames_detected = registry->RegisterCounter("execution.frames_detected");
-  binding.results_reported =
-      registry->RegisterCounter("execution.results_reported");
-  return binding;
-}
-
 QueryExecution::QueryExecution(const scene::GroundTruth* truth,
                                detect::ObjectDetector* detector,
                                track::Discriminator* discriminator,
@@ -121,7 +105,7 @@ bool QueryExecution::BeginStep() {
   const size_t want = static_cast<size_t>(
       std::min<uint64_t>(std::max<size_t>(1, options_.batch_size), samples_left));
   {
-    stats::StageTimer::Scoped pick_timer(options_.stats.timer,
+    stats::StageTimer::Scoped pick_timer(options_.stage_timer,
                                          stats::Stage::kPick);
     pending_frames_ = strategy_->NextBatch(want);
   }
@@ -129,9 +113,7 @@ bool QueryExecution::BeginStep() {
     finished_ = true;
     return false;
   }
-  stats::SlabAdd(options_.stats.slab, options_.stats.steps);
-  stats::SlabAdd(options_.stats.slab, options_.stats.frames_picked,
-                 pending_frames_.size());
+  if (options_.session_stats != nullptr) ++options_.session_stats->steps_granted;
 
   // Resolve each frame's owning shard once per batch; decode, detect
   // dispatch, and per-frame accounting below all reuse it.
@@ -154,7 +136,7 @@ bool QueryExecution::BeginStep() {
   // changes which frames are paid for, never what any stage observes.
   const bool reusing = options_.reuse != nullptr;
   if (reusing) {
-    stats::StageTimer::Scoped classify_timer(options_.stats.timer,
+    stats::StageTimer::Scoped classify_timer(options_.stage_timer,
                                              stats::Stage::kClassify);
     reuse_outcomes_.clear();
     reuse_detections_.assign(pending_frames_.size(), detect::Detections());
@@ -169,8 +151,6 @@ bool QueryExecution::BeginStep() {
         miss_shards_.push_back(frame_shards_[i]);
       }
     }
-    stats::SlabAdd(options_.stats.slab, options_.stats.frames_reused,
-                   pending_frames_.size() - miss_frames_.size());
   }
   const std::vector<video::FrameId>& detect_frames =
       reusing ? miss_frames_ : pending_frames_;
@@ -183,7 +163,7 @@ bool QueryExecution::BeginStep() {
   // flush waits for each slice's frames, so the decode-ahead window spans
   // the whole coalesce window.
   if (prefetcher_ != nullptr && !detect_frames.empty()) {
-    stats::StageTimer::Scoped decode_timer(options_.stats.timer,
+    stats::StageTimer::Scoped decode_timer(options_.stage_timer,
                                            stats::Stage::kDecode);
     const std::vector<double>& charges =
         prefetcher_->SubmitBatch(detect_frames, detect_shards);
@@ -220,7 +200,7 @@ bool QueryExecution::CompleteStep(bool flush) {
   // A solo step's inline flush is its detect stage, timed as one.
   std::vector<detect::Detections> miss_detections;
   {
-    stats::StageTimer::Scoped detect_timer(options_.stats.timer,
+    stats::StageTimer::Scoped detect_timer(options_.stage_timer,
                                            stats::Stage::kDetect);
     if (flush) service_->Flush();
     if (!service_->transport_status().ok()) {
@@ -234,10 +214,6 @@ bool QueryExecution::CompleteStep(bool flush) {
     pending_ticket_ = 0;
   }
   const bool reusing = options_.reuse != nullptr;
-  const std::vector<video::FrameId>& detect_frames =
-      reusing ? miss_frames_ : pending_frames_;
-  stats::SlabAdd(options_.stats.slab, options_.stats.frames_detected,
-                 detect_frames.size());
 
   // Discriminate stage: strictly sequential in batch order — matching is
   // stateful, and reproducibility requires a fixed observation order. This is
@@ -247,9 +223,8 @@ bool QueryExecution::CompleteStep(bool flush) {
   // with fresh ones in the same order a cold run would observe, byte-equal,
   // so everything downstream (matching, feedback, results) is unchanged.
   feedback_.clear();
-  const uint64_t reported_before = current_.reported_results;
   std::chrono::steady_clock::time_point discriminate_start;
-  if (options_.stats.timer != nullptr) {
+  if (options_.stage_timer != nullptr) {
     discriminate_start = std::chrono::steady_clock::now();
   }
   size_t miss_pos = 0;
@@ -285,20 +260,18 @@ bool QueryExecution::CompleteStep(bool flush) {
     }
   }
 
-  if (options_.stats.timer != nullptr) {
-    options_.stats.timer->Record(
+  if (options_.stage_timer != nullptr) {
+    options_.stage_timer->Record(
         stats::Stage::kDiscriminate,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       discriminate_start)
             .count());
   }
-  stats::SlabAdd(options_.stats.slab, options_.stats.results_reported,
-                 current_.reported_results - reported_before);
 
   // Feedback stage: the strategy sees the whole batch's outcomes at once
   // (Sec. III-F — belief updates are delayed until the batch returns).
   {
-    stats::StageTimer::Scoped observe_timer(options_.stats.timer,
+    stats::StageTimer::Scoped observe_timer(options_.stage_timer,
                                             stats::Stage::kObserve);
     strategy_->ObserveBatch(feedback_);
   }
@@ -328,8 +301,6 @@ void QueryExecution::AbortPendingStep() {
   // left behind would let a later wire batch resolve to a dangling pointer.
   finished_ = true;
   service_->UnregisterSession(options_.service_session_id);
-  // Aborted sessions are dropped without Finish: retire the slab here.
-  RetireStatsSlab();
 }
 
 void QueryExecution::Terminate() {
@@ -364,16 +335,8 @@ QueryTrace QueryExecution::Finish() {
     // Finish leaves one never-again-resolved directory entry behind, which
     // is bounded by session count and harmless (ids are never reused).
     service_->UnregisterSession(options_.service_session_id);
-    RetireStatsSlab();
   }
   return trace_;
-}
-
-void QueryExecution::RetireStatsSlab() {
-  if (options_.stats.slab == nullptr) return;
-  stats::CounterSlab* slab = options_.stats.slab;
-  options_.stats.slab = nullptr;
-  options_.stats.registry->RetireSlab(slab);
 }
 
 QueryRunner::QueryRunner(const scene::GroundTruth* truth,

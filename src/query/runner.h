@@ -18,39 +18,12 @@
 #include "query/trace.h"
 #include "reuse/reuse.h"
 #include "scene/ground_truth.h"
-#include "stats/counter_registry.h"
 #include "stats/stage_timer.h"
 #include "track/discriminator.h"
 #include "video/decode.h"
 
 namespace exsample {
 namespace query {
-
-/// \brief A query execution's binding to the engine-wide observability
-/// registry: a single-writer counter slab, the session's stage-latency
-/// timer, and the pre-registered metric ids the execution ticks.
-///
-/// All-null (the default) disables collection — every hot-path site then
-/// costs one pointer test. The slab and timer must be written from the
-/// session's coordinator thread only (the thread calling
-/// `BeginStep`/`FinishStep`), which is the registry's single-writer
-/// contract. `Finish` retires the slab into `registry`, which owns it.
-struct ExecutionStatsBinding {
-  stats::CounterRegistry* registry = nullptr;
-  stats::CounterSlab* slab = nullptr;
-  stats::StageTimer* timer = nullptr;
-  stats::MetricId steps = 0;
-  stats::MetricId frames_picked = 0;
-  stats::MetricId frames_reused = 0;
-  stats::MetricId frames_detected = 0;
-  stats::MetricId results_reported = 0;
-
-  /// Registers the execution metric names and returns a binding over
-  /// `slab`/`timer` (either may be null to collect only the other half).
-  static ExecutionStatsBinding Bind(stats::CounterRegistry* registry,
-                                    stats::CounterSlab* slab,
-                                    stats::StageTimer* timer);
-};
 
 /// \brief Default cost constants from the paper's measurements (Sec. V-B):
 /// detector-bound sampling runs at ~20 fps; proxy scoring scans at ~100 fps
@@ -134,9 +107,9 @@ struct RunnerOptions {
   /// these options, so they must match the detector the session was built
   /// with or remote traces diverge.
   detect::DetectorOptions detector_options;
-  /// Optional scheduler/coalescing tallies for this session, filled in by
-  /// the service at flush time (`frames_submitted`, `frames_coalesced`,
-  /// `batches_shared`); the driver counts `steps_granted`.
+  /// Optional scheduler/coalescing tallies for this session: the execution
+  /// counts `steps_granted` (every batch `BeginStep` picks), the service
+  /// the rest at submit and flush time.
   SessionSchedulerStats* session_stats = nullptr;
   /// When non-null, the detect stage consults cross-query reuse before
   /// paying for detection: every picked frame is classified against the
@@ -152,11 +125,12 @@ struct RunnerOptions {
   /// are bit-identical and only the charged seconds shrink. Null (the
   /// default) is the pre-reuse execution, bit for bit.
   reuse::SessionReuse* reuse = nullptr;
-  /// Observability binding (counters + per-stage latency histograms). The
-  /// default (all null) collects nothing; either way the trace is
-  /// bit-identical — stats are tallied beside the pipeline, never inside
-  /// its accounting (`bench_observability` exit-enforces both halves).
-  ExecutionStatsBinding stats;
+  /// The session's per-stage latency histograms, written from the thread
+  /// calling `BeginStep`/`FinishStep` only. Null (the default) times
+  /// nothing; either way the trace is bit-identical — timing runs beside
+  /// the pipeline, never inside its accounting (`bench_observability`
+  /// exit-enforces it).
+  stats::StageTimer* stage_timer = nullptr;
 };
 
 /// \brief Incremental execution state of one distinct-object query.
@@ -219,8 +193,8 @@ class QueryExecution {
   /// abandoned batch) and marks the execution finished: the strategy already
   /// consumed the batch's frames, so the query cannot legally continue. The
   /// trace ends at the last completed step. Either way the session's wire
-  /// registration is withdrawn and its counter slab retired, as `Finish`
-  /// does, and `status()` takes the service's transport failure.
+  /// registration is withdrawn, as `Finish` does, and `status()` takes the
+  /// service's transport failure.
   void AbortPendingStep();
 
   /// \brief Administrative termination between steps: marks the execution
@@ -254,10 +228,6 @@ class QueryExecution {
 
  private:
   bool StopConditionHit() const;
-  /// Hands the counter slab back to the registry: its ticks join the retired
-  /// totals and the slab is freed, so an engine holds slabs for live queries
-  /// only. Unhooked first — nothing may tick it afterwards. Idempotent.
-  void RetireStatsSlab();
   /// Second half of a step, after an optional inline service flush:
   /// collects the detections, discriminates in batch order, feeds the
   /// strategy back. Returns false when the transport failed and the step

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "common/span.h"
+#include "stats/stats_json.h"
 
 namespace exsample {
 namespace query {
@@ -66,6 +67,17 @@ struct SessionSchedulerStats {
   /// Of those, batches shared with at least one other session.
   uint64_t batches_shared = 0;
 };
+
+/// Names every field of `SessionSchedulerStats` for the stats export.
+inline void ExportFields(const SessionSchedulerStats& s, stats::StatsWriter& out) {
+  const auto& [steps_granted, frames_submitted, frames_coalesced, device_batches,
+               batches_shared] = s;
+  out.Counter("steps_granted", steps_granted);
+  out.Counter("frames_submitted", frames_submitted);
+  out.Counter("frames_coalesced", frames_coalesced);
+  out.Counter("device_batches", device_batches);
+  out.Counter("batches_shared", batches_shared);
+}
 
 /// \brief Tuning knobs shared by the scheduler implementations.
 struct SessionSchedulerOptions {

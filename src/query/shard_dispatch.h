@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "detect/detector.h"
+#include "stats/stats_json.h"
 #include "video/decode.h"
 #include "video/sharded_repository.h"
 
@@ -42,6 +43,17 @@ struct ShardStats {
   double detect_seconds = 0.0;  ///< Simulated detector seconds charged.
   double decode_seconds = 0.0;  ///< Simulated decode seconds charged.
 };
+
+/// Names every field of `ShardStats` for the stats export.
+inline void ExportFields(const ShardStats& s, stats::StatsWriter& out) {
+  const auto& [frames_detected, batches, frames_decoded, detect_seconds,
+               decode_seconds] = s;
+  out.Counter("frames_detected", frames_detected);
+  out.Counter("batches", batches);
+  out.Counter("frames_decoded", frames_decoded);
+  out.Gauge("detect_seconds", detect_seconds);
+  out.Gauge("decode_seconds", decode_seconds);
+}
 
 /// \brief A query execution's per-shard contexts: which shard owns a frame,
 /// which detector serves it, where its decode is charged, and the per-shard

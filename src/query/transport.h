@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "query/wire.h"
+#include "stats/stats_json.h"
 
 namespace exsample {
 namespace query {
@@ -111,6 +112,23 @@ struct TransportStats {
   /// deadline fired and a retry superseded the attempt).
   uint64_t late_responses_dropped = 0;
 };
+
+/// Names every field of `TransportStats` for the stats export.
+inline void ExportFields(const TransportStats& s, stats::StatsWriter& out) {
+  const auto& [requests, responses, bytes_sent, bytes_received, failures_injected,
+               control_messages, connects, reconnects, inferred_failures,
+               late_responses_dropped] = s;
+  out.Counter("requests", requests);
+  out.Counter("responses", responses);
+  out.Counter("bytes_sent", bytes_sent);
+  out.Counter("bytes_received", bytes_received);
+  out.Counter("failures_injected", failures_injected);
+  out.Counter("control_messages", control_messages);
+  out.Counter("connects", connects);
+  out.Counter("reconnects", reconnects);
+  out.Counter("inferred_failures", inferred_failures);
+  out.Counter("late_responses_dropped", late_responses_dropped);
+}
 
 /// \brief The transport boundary between the `DetectorService`'s per-shard
 /// queues and the shard runners that execute them.

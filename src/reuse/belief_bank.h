@@ -9,6 +9,7 @@
 #include "core/chunk_stats.h"
 #include "core/estimator.h"
 #include "reuse/reuse_key.h"
+#include "stats/stats_json.h"
 #include "video/chunking.h"
 
 namespace exsample {
@@ -27,6 +28,13 @@ struct BeliefBankStats {
   /// Queries whose priors were warm-started from the bank.
   uint64_t warm_starts = 0;
 };
+
+/// Names every field of `BeliefBankStats` for the stats export.
+inline void ExportFields(const BeliefBankStats& s, stats::StatsWriter& out) {
+  const auto& [posteriors_recorded, warm_starts] = s;
+  out.Counter("posteriors_recorded", posteriors_recorded);
+  out.Counter("warm_starts", warm_starts);
+}
 
 /// \brief Persisted per-chunk posterior evidence for warm-starting later
 /// queries' chunk beliefs.

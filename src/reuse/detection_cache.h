@@ -8,6 +8,7 @@
 
 #include "detect/detection.h"
 #include "reuse/reuse_key.h"
+#include "stats/stats_json.h"
 #include "video/repository.h"
 
 namespace exsample {
@@ -34,6 +35,19 @@ struct DetectionCacheStats {
   size_t entries = 0;
   size_t nonempty_entries = 0;
 };
+
+/// Names every field of `DetectionCacheStats` for the stats export.
+inline void ExportFields(const DetectionCacheStats& s, stats::StatsWriter& out) {
+  const auto& [hits, misses, insertions, evicted_empty, evicted_nonempty, entries,
+               nonempty_entries] = s;
+  out.Counter("hits", hits);
+  out.Counter("misses", misses);
+  out.Counter("insertions", insertions);
+  out.Counter("evicted_empty", evicted_empty);
+  out.Counter("evicted_nonempty", evicted_nonempty);
+  out.Gauge("entries", static_cast<double>(entries));
+  out.Gauge("nonempty_entries", static_cast<double>(nonempty_entries));
+}
 
 /// \brief Exact cross-query detection store: per-(key, frame) `Detections`
 /// lists, bit-identical to what a real detect call would return.

@@ -9,6 +9,7 @@
 #include "reuse/detection_cache.h"
 #include "reuse/reuse_key.h"
 #include "reuse/scanned_sketch.h"
+#include "stats/stats_json.h"
 #include "video/repository.h"
 
 namespace exsample {
@@ -65,6 +66,19 @@ struct ReuseSessionStats {
   /// True when this session's chunk beliefs were warm-started from the bank.
   bool warm_started = false;
 };
+
+/// Names every field of `ReuseSessionStats` for the stats export; summed
+/// over sessions, `warm_started` counts the warm-started ones.
+inline void ExportFields(const ReuseSessionStats& s, stats::StatsWriter& out) {
+  const auto& [cache_hits, cache_misses, sketch_skips, saved_detector_seconds,
+               charged_detector_seconds, warm_started] = s;
+  out.Counter("cache_hits", cache_hits);
+  out.Counter("cache_misses", cache_misses);
+  out.Counter("sketch_skips", sketch_skips);
+  out.Gauge("saved_detector_seconds", saved_detector_seconds);
+  out.Gauge("charged_detector_seconds", charged_detector_seconds);
+  out.Counter("warm_started", warm_started);
+}
 
 /// \brief The engine-owned cross-query reuse state: one detection cache, one
 /// scanned sketch, and one belief bank, shared by every session the engine

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "reuse/reuse_key.h"
+#include "stats/stats_json.h"
 #include "video/repository.h"
 
 namespace exsample {
@@ -36,6 +37,15 @@ struct ScannedSketchStats {
   /// — the reason a skip can be advertised as false-positive-*safe*.
   uint64_t guard_rejects = 0;
 };
+
+/// Names every field of `ScannedSketchStats` for the stats export.
+inline void ExportFields(const ScannedSketchStats& s, stats::StatsWriter& out) {
+  const auto& [recorded_empty, recorded_nonempty, known_empty, guard_rejects] = s;
+  out.Counter("recorded_empty", recorded_empty);
+  out.Counter("recorded_nonempty", recorded_nonempty);
+  out.Counter("known_empty", known_empty);
+  out.Counter("guard_rejects", guard_rejects);
+}
 
 /// \brief Compact record of the scanned outcome space: which (frame, class)
 /// pairs earlier queries already detected on and found *empty*.

@@ -27,9 +27,11 @@ const char* OutcomeKindName(OutcomeKind kind) {
 TenantServer::TenantServer(engine::SearchEngine* engine, ServeOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      tenants_(engine->config().collect_stats ? engine->counter_registry()
-                                              : nullptr),
-      admission_(&tenants_, options_.admission) {}
+      admission_(&tenants_, options_.admission) {
+  engine_->BindTenants(&tenants_);
+}
+
+TenantServer::~TenantServer() { engine_->UnbindTenants(&tenants_); }
 
 common::Result<size_t> TenantServer::AddTenant(const TenantSpec& spec) {
   return tenants_.Register(spec);
@@ -147,10 +149,11 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
   };
 
   // Resolve, then release: record the outcome of the session at `pos`
-  // (`Finish` also withdraws its wire registration and retires its counter
-  // slab), hand its final tallies to the scheduler, and destroy it. Runs only at round boundaries, where
-  // every session is quiescent (no pending steps) — the precondition both
-  // Finish and Cancel rely on.
+  // (`Finish` also withdraws its wire registration and folds its stats into
+  // the engine's totals), hand its final tallies to the scheduler, and
+  // destroy it. Runs only at round boundaries, where every session is
+  // quiescent (no pending steps) — the precondition both Finish and Cancel
+  // rely on.
   const auto resolve = [&](size_t pos, OutcomeKind kind, common::Status why) {
     Admitted& a = live[pos];
     QueryOutcome& outcome = outcomes[a.query_index];
@@ -347,6 +350,7 @@ common::Result<std::vector<QueryOutcome>> TenantServer::Serve(
     }
     if (failed || !driver.FlushWave()) break;
     peak_pending = round_peak;
+    engine_->RoundCompleted();
   }
 
   if (!driver.status().ok()) {

@@ -52,7 +52,10 @@ struct QueryOutcome {
   double finished_seconds = -1.0;
 };
 
-/// \brief Serving-layer configuration.
+/// \brief Serving-layer configuration. Observability comes from the engine's:
+/// `Serve` ends every scheduler round with `SearchEngine::RoundCompleted`,
+/// so `EngineConfig::stats_dump_path`/`stats_dump_every_rounds` dump the
+/// stats periodically here as they do under `RunConcurrent`.
 struct ServeOptions {
   AdmissionOptions admission;
   /// Which scheduler orders sessions *within* a tenant. Unset mirrors the
@@ -100,10 +103,12 @@ struct ServeOptions {
 /// (`verify_solo_traces` makes the loop prove it fatally).
 class TenantServer {
  public:
-  /// `engine` must outlive the server. Per-tenant stats land in the engine's
-  /// `CounterRegistry` (scopes `tenant/<id>`, names `tenant.<id>.*`) when
-  /// the engine collects stats, and surface through `StatsJson()`.
+  /// `engine` must outlive the server. The server binds its tenant table to
+  /// the engine (`SearchEngine::BindTenants`), so every tenant's usage
+  /// surfaces through `StatsJson()` as `tenant.<id>.*`, and after the server
+  /// is gone as the last tallies it left.
   TenantServer(engine::SearchEngine* engine, ServeOptions options);
+  ~TenantServer();
 
   TenantServer(const TenantServer&) = delete;
   TenantServer& operator=(const TenantServer&) = delete;

@@ -131,8 +131,6 @@ common::Result<TenantSpec> ParseTenantSpec(const std::string& text) {
   return spec;
 }
 
-TenantRegistry::TenantRegistry(stats::CounterRegistry* stats) : stats_(stats) {}
-
 common::Result<size_t> TenantRegistry::Register(const TenantSpec& spec) {
   const common::Status valid = ValidateTenantSpec(spec);
   if (!valid.ok()) return valid;
@@ -140,24 +138,8 @@ common::Result<size_t> TenantRegistry::Register(const TenantSpec& spec) {
     return common::Status::InvalidArgument("duplicate tenant id '" + spec.id +
                                            "'");
   }
-  Entry entry;
-  entry.spec = spec;
-  if (stats_ != nullptr) {
-    const std::string prefix = "tenant." + spec.id + ".";
-    entry.metrics.slab = stats_->AcquireSlab("tenant/" + spec.id);
-    entry.metrics.admitted = stats_->RegisterCounter(prefix + "admitted");
-    entry.metrics.rejected = stats_->RegisterCounter(prefix + "rejected");
-    entry.metrics.shed = stats_->RegisterCounter(prefix + "shed");
-    entry.metrics.completed = stats_->RegisterCounter(prefix + "completed");
-    entry.metrics.steps = stats_->RegisterCounter(prefix + "steps");
-    entry.metrics.frames = stats_->RegisterCounter(prefix + "frames");
-    entry.metrics.charged_seconds =
-        stats_->RegisterGauge(prefix + "charged_seconds");
-    entry.metrics.live_sessions = stats_->RegisterGauge(prefix + "live_sessions");
-    entry.metrics.queued = stats_->RegisterGauge(prefix + "queued");
-  }
   const size_t index = tenants_.size();
-  tenants_.push_back(std::move(entry));
+  tenants_.push_back(Entry{spec, TenantUsage{}});
   by_id_.emplace(spec.id, index);
   return index;
 }
@@ -182,56 +164,42 @@ bool TenantRegistry::OverBudget(size_t tenant) const {
 
 void TenantRegistry::ChargeStep(size_t tenant, double seconds_delta,
                                 uint64_t frames_delta) {
-  Entry& e = tenants_[tenant];
-  e.usage.charged_seconds += seconds_delta;
-  e.usage.frames += frames_delta;
-  e.usage.steps += 1;
-  stats::SlabAdd(e.metrics.slab, e.metrics.steps);
-  stats::SlabAdd(e.metrics.slab, e.metrics.frames, frames_delta);
-  stats::SlabSetGauge(e.metrics.slab, e.metrics.charged_seconds,
-                      e.usage.charged_seconds);
+  TenantUsage& usage = tenants_[tenant].usage;
+  usage.charged_seconds += seconds_delta;
+  usage.frames += frames_delta;
+  usage.steps += 1;
 }
 
 void TenantRegistry::OnAdmitted(size_t tenant) {
-  Entry& e = tenants_[tenant];
-  e.usage.admitted += 1;
-  e.usage.live_sessions += 1;
-  stats::SlabAdd(e.metrics.slab, e.metrics.admitted);
-  stats::SlabSetGauge(e.metrics.slab, e.metrics.live_sessions,
-                      static_cast<double>(e.usage.live_sessions));
+  TenantUsage& usage = tenants_[tenant].usage;
+  usage.admitted += 1;
+  usage.live_sessions += 1;
 }
 
-void TenantRegistry::OnRejected(size_t tenant) {
-  Entry& e = tenants_[tenant];
-  e.usage.rejected += 1;
-  stats::SlabAdd(e.metrics.slab, e.metrics.rejected);
-}
+void TenantRegistry::OnRejected(size_t tenant) { tenants_[tenant].usage.rejected += 1; }
 
 void TenantRegistry::OnShed(size_t tenant) {
-  Entry& e = tenants_[tenant];
-  e.usage.shed += 1;
-  common::Check(e.usage.live_sessions > 0, "shed without a live session");
-  e.usage.live_sessions -= 1;
-  stats::SlabAdd(e.metrics.slab, e.metrics.shed);
-  stats::SlabSetGauge(e.metrics.slab, e.metrics.live_sessions,
-                      static_cast<double>(e.usage.live_sessions));
+  TenantUsage& usage = tenants_[tenant].usage;
+  usage.shed += 1;
+  common::Check(usage.live_sessions > 0, "shed without a live session");
+  usage.live_sessions -= 1;
 }
 
 void TenantRegistry::OnCompleted(size_t tenant) {
-  Entry& e = tenants_[tenant];
-  e.usage.completed += 1;
-  common::Check(e.usage.live_sessions > 0, "completion without a live session");
-  e.usage.live_sessions -= 1;
-  stats::SlabAdd(e.metrics.slab, e.metrics.completed);
-  stats::SlabSetGauge(e.metrics.slab, e.metrics.live_sessions,
-                      static_cast<double>(e.usage.live_sessions));
+  TenantUsage& usage = tenants_[tenant].usage;
+  usage.completed += 1;
+  common::Check(usage.live_sessions > 0, "completion without a live session");
+  usage.live_sessions -= 1;
 }
 
 void TenantRegistry::SetQueued(size_t tenant, size_t queued) {
-  Entry& e = tenants_[tenant];
-  e.usage.queued = queued;
-  stats::SlabSetGauge(e.metrics.slab, e.metrics.queued,
-                      static_cast<double>(queued));
+  tenants_[tenant].usage.queued = queued;
+}
+
+void TenantRegistry::ExportStats(stats::StatsSnapshot* snapshot) const {
+  for (const Entry& e : tenants_) {
+    stats::Export(e.usage, "tenant." + e.spec.id + ".", snapshot);
+  }
 }
 
 }  // namespace serve

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "stats/counter_registry.h"
+#include "stats/stats_json.h"
 
 namespace exsample {
 namespace serve {
@@ -37,7 +37,7 @@ std::optional<SloClass> ParseSloClass(const std::string& name);
 /// accounting the engine already keeps per session (simulated charged
 /// seconds / detector frames) — no new measurement machinery.
 struct TenantSpec {
-  /// Stable identity; also the stats scope (`tenant.<id>.*` metric names).
+  /// Stable identity; also names the tenant's stats (`tenant.<id>.*`).
   /// Must be non-empty and use only [a-z0-9_-] so the dotted metric names
   /// stay parseable.
   std::string id;
@@ -75,9 +75,9 @@ common::Status ValidateTenantSpec(const TenantSpec& spec);
 /// Unknown keys are an error so typos fail loudly.
 common::Result<TenantSpec> ParseTenantSpec(const std::string& text);
 
-/// \brief Running usage/outcome tallies of one tenant — the registry's
-/// authoritative copy (the `tenant.<id>.*` slab metrics mirror it for the
-/// JSON export).
+/// \brief Running usage/outcome tallies of one tenant, exported as
+/// `tenant.<id>.*` by the engine its table is bound to
+/// (`SearchEngine::BindTenants`).
 struct TenantUsage {
   /// Simulated charged seconds across the tenant's sessions (decode +
   /// detect + overhead), the WFQ currency and the GPU budget's meter.
@@ -96,21 +96,29 @@ struct TenantUsage {
   size_t queued = 0;
 };
 
-/// \brief The serving layer's tenant table: specs, usage accounting, and the
-/// per-tenant stats slabs.
+/// Names every field of `TenantUsage` for the stats export.
+inline void ExportFields(const TenantUsage& s, stats::StatsWriter& out) {
+  const auto& [charged_seconds, frames, steps, admitted, rejected, shed, completed,
+               live_sessions, queued] = s;
+  out.Gauge("charged_seconds", charged_seconds);
+  out.Counter("frames", frames);
+  out.Counter("steps", steps);
+  out.Counter("admitted", admitted);
+  out.Counter("rejected", rejected);
+  out.Counter("shed", shed);
+  out.Counter("completed", completed);
+  out.Gauge("live_sessions", static_cast<double>(live_sessions));
+  out.Gauge("queued", static_cast<double>(queued));
+}
+
+/// \brief The serving layer's tenant table: specs and usage accounting.
 ///
 /// Tenants are dense-indexed in registration order; the index is the handle
 /// every other serve component uses (the scheduler's WFQ state, admission's
 /// token buckets, the server's session bindings key off it).
 class TenantRegistry {
  public:
-  /// `stats` may be null (no metric export); when set, every registered
-  /// tenant gets its own slab (scope `tenant/<id>`) and metric family
-  /// `tenant.<id>.{admitted,rejected,shed,completed,steps,frames}` counters
-  /// plus `tenant.<id>.{charged_seconds,live_sessions,queued}` gauges,
-  /// summed into `StatsJson()` by the registry sync like every other slab.
-  explicit TenantRegistry(stats::CounterRegistry* stats);
-
+  TenantRegistry() = default;
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
@@ -126,7 +134,6 @@ class TenantRegistry {
   bool OverBudget(size_t tenant) const;
 
   /// Usage mutators, called by the serving loop (single driver thread).
-  /// Each mirrors the authoritative tally into the tenant's slab.
   void ChargeStep(size_t tenant, double seconds_delta, uint64_t frames_delta);
   void OnAdmitted(size_t tenant);
   void OnRejected(size_t tenant);
@@ -134,26 +141,16 @@ class TenantRegistry {
   void OnCompleted(size_t tenant);
   void SetQueued(size_t tenant, size_t queued);
 
+  /// \brief Writes every tenant's usage under `tenant.<id>.*` into
+  /// `snapshot`.
+  void ExportStats(stats::StatsSnapshot* snapshot) const;
+
  private:
-  struct Metrics {
-    stats::CounterSlab* slab = nullptr;
-    stats::MetricId admitted = 0;
-    stats::MetricId rejected = 0;
-    stats::MetricId shed = 0;
-    stats::MetricId completed = 0;
-    stats::MetricId steps = 0;
-    stats::MetricId frames = 0;
-    stats::MetricId charged_seconds = 0;
-    stats::MetricId live_sessions = 0;
-    stats::MetricId queued = 0;
-  };
   struct Entry {
     TenantSpec spec;
     TenantUsage usage;
-    Metrics metrics;
   };
 
-  stats::CounterRegistry* stats_;
   std::vector<Entry> tenants_;
   std::map<std::string, size_t> by_id_;
 };

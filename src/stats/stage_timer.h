@@ -102,7 +102,7 @@ class StageTimer {
   std::array<Histogram, kNumStages> histograms_;
 };
 
-/// Null-safe record helper, mirroring `SlabAdd`.
+/// Null-safe record helper, mirroring `StageTimer::Scoped`.
 inline void TimerRecord(StageTimer* timer, Stage stage, double seconds) {
   if (timer != nullptr) timer->Record(stage, seconds);
 }

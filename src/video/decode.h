@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "video/repository.h"
+#include "stats/stats_json.h"
 
 namespace exsample {
 namespace video {
@@ -42,6 +43,15 @@ struct DecodeStats {
   uint64_t frames_decoded = 0;  // Includes keyframe-to-target warmup frames.
   double total_seconds = 0.0;
 };
+
+/// Names every field of `DecodeStats` for the stats export.
+inline void ExportFields(const DecodeStats& s, stats::StatsWriter& out) {
+  const auto& [random_reads, sequential_reads, frames_decoded, total_seconds] = s;
+  out.Counter("random_reads", random_reads);
+  out.Counter("sequential_reads", sequential_reads);
+  out.Counter("frames_decoded", frames_decoded);
+  out.Gauge("total_seconds", total_seconds);
+}
 
 /// \brief The accounting half of one frame read, produced by
 /// `SimulatedVideoStore::PlanRead` and executable by `PerformRead`.

@@ -136,7 +136,7 @@ TEST(TenantSpecTest, SloClassNamesRoundTrip) {
 // --- TenantRegistry ----------------------------------------------------------
 
 TEST(TenantRegistryTest, RegistersAndTracksUsage) {
-  TenantRegistry registry(nullptr);
+  TenantRegistry registry;
   TenantSpec spec;
   spec.id = "alpha";
   auto index = registry.Register(spec);
@@ -163,7 +163,7 @@ TEST(TenantRegistryTest, RegistersAndTracksUsage) {
 }
 
 TEST(TenantRegistryTest, BudgetsTripOnSecondsOrFrames) {
-  TenantRegistry registry(nullptr);
+  TenantRegistry registry;
   TenantSpec seconds_capped;
   seconds_capped.id = "sec";
   seconds_capped.gpu_seconds_budget = 5.0;
@@ -188,7 +188,7 @@ TEST(TenantRegistryTest, BudgetsTripOnSecondsOrFrames) {
 // --- AdmissionController -----------------------------------------------------
 
 struct AdmissionHarness {
-  TenantRegistry registry{nullptr};
+  TenantRegistry registry;
   size_t Add(const TenantSpec& spec) {
     auto index = registry.Register(spec);
     EXPECT_TRUE(index.ok()) << index.status().ToString();
@@ -334,7 +334,7 @@ TEST(AdmissionTest, FullQueueTurnsHoldIntoRejection) {
 // --- WeightedTenantScheduler -------------------------------------------------
 
 struct WfqHarness {
-  TenantRegistry registry{nullptr};
+  TenantRegistry registry;
   std::vector<query::SessionSchedulerInfo> infos;
   std::vector<size_t> session_tenant;
 
@@ -839,10 +839,32 @@ TEST(TenantServerTest, ExportsPerTenantStats) {
   EXPECT_NE(json.find("\"tenant.observed.live_sessions\""), std::string::npos);
 }
 
+TEST(TenantServerTest, AcceptsTwoHundredTenants) {
+  // Regression: per-tenant metrics used to take slots of a fixed 512-metric
+  // counter registry, so the 86th tenant on a fresh engine aborted the
+  // process. Tenant usage now lives only in the tenant table.
+  auto fx = ServeFixture::Make();
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth,
+                              OracleConfig());
+  TenantServer server(&engine, {});
+  for (size_t t = 0; t < 200; ++t) {
+    TenantSpec spec;
+    spec.id = "t" + std::to_string(t);
+    ASSERT_TRUE(server.AddTenant(spec).ok()) << spec.id;
+  }
+  TenantQuery q;
+  q.tenant = "t199";
+  q.spec = MakeSpec(/*limit=*/4);
+  ASSERT_TRUE(server.Serve({q}).ok());
+  EXPECT_NE(engine.StatsJson().find("\"tenant.t199.admitted\": 1"),
+            std::string::npos);
+}
+
 // --- Session lifetimes -------------------------------------------------------
 //
 // Serve releases a session the moment its outcome is recorded: the session
-// is destroyed, its counter slab retired, and it leaves the scheduler's span.
+// is destroyed, its stats folded into the engine's totals, and it leaves the
+// scheduler's span.
 // These tests serve streams long enough that early sessions are released
 // while later ones of the same tenant still run.
 
@@ -883,16 +905,16 @@ TEST_P(ServeLifetimeTest, ReleasedSessionsLeaveLaterOnesOnSchedule) {
   }
 
   // Steps of other sessions between two consecutive steps of one session,
-  // and the registry's slab count (engine service, tenant, live sessions).
+  // and the sessions the engine's stats walk holds.
   constexpr size_t kNever = std::numeric_limits<size_t>::max();
   std::vector<size_t> last_step(queries.size(), kNever);
-  size_t step = 0, max_gap = 0, max_slabs = 0;
+  size_t step = 0, max_gap = 0, max_live = 0;
   const auto observer = [&](size_t qi, const engine::QuerySession&, double) {
     if (last_step[qi] != kNever) {
       max_gap = std::max(max_gap, step - last_step[qi] - 1);
     }
     last_step[qi] = step++;
-    max_slabs = std::max(max_slabs, engine.counter_registry()->NumSlabs());
+    max_live = std::max(max_live, engine.NumLiveSessions());
   };
   auto outcomes = server.Serve(queries, observer);
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
@@ -916,9 +938,9 @@ TEST_P(ServeLifetimeTest, ReleasedSessionsLeaveLaterOnesOnSchedule) {
   // A round grants at most kMaxLive steps, and a live session waits at most
   // kStarvationRounds whole rounds between grants.
   EXPECT_LE(max_gap, (kStarvationRounds + 2) * kMaxLive - 2);
-  // Finished sessions hand their slabs back: only the live ones hold one.
-  EXPECT_LE(max_slabs, 2 + kMaxLive);
-  EXPECT_EQ(engine.counter_registry()->NumSlabs(), 2u);
+  // Finished sessions leave the engine's stats walk: only live ones stay.
+  EXPECT_LE(max_live, kMaxLive);
+  EXPECT_EQ(engine.NumLiveSessions(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -969,9 +991,9 @@ TEST(TenantServerTest, TransportDeathAfterReleasesSurfacesStatus) {
       server.tenants().usage(0).completed + server.tenants().usage(1).completed;
   EXPECT_GT(completed, 0u);               // Released before the death...
   EXPECT_LT(completed, queries.size());  // ...which came mid-stream.
-  // The aborted sessions retired their slabs like the released ones: only
-  // the service's and the two tenants' remain.
-  EXPECT_EQ(engine.counter_registry()->NumSlabs(), 3u);
+  // The aborted sessions left the engine's stats walk like the released
+  // ones.
+  EXPECT_EQ(engine.NumLiveSessions(), 0u);
 }
 
 // --- Threaded serving under TSan ---------------------------------------------

@@ -523,7 +523,7 @@ TEST(SchedulerTest, PriorityStarvationBoundHoldsUnderTenantSkew) {
   // the inner `starvation_rounds` plus one round of slack for the weighted
   // pick's prefix consumption (a tenant's last plan entry can slip a round
   // when the WFQ share jitters by one grant).
-  serve::TenantRegistry registry(nullptr);
+  serve::TenantRegistry registry;
   serve::TenantSpec big;
   big.id = "big";
   big.weight = 9.0;

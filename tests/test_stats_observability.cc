@@ -1,23 +1,29 @@
-// Engine-wide observability: the unified counter registry (per-writer slabs
-// aggregated by Sync), per-stage latency histograms (StageTimer), and the
-// versioned JSON export — plus the stats-primitive regression fixes that
-// rode along (RunningStat::Merge equivalence, DetectorService::FillRate
-// zero-guard). The suite carries the `stats` label (plus `concurrency`: CI
-// re-runs it under TSan — the slab-tick-vs-Sync path is the one deliberately
-// unlocked concurrency in the subsystem).
+// Engine-wide observability: the stats structs every component counts in,
+// walked into one snapshot by SearchEngine::SnapshotStats (each field under
+// one name, no field left out), per-stage latency histograms (StageTimer),
+// the versioned JSON export and its periodic dump — plus the stats-primitive
+// regression fixes that rode along (RunningStat::Merge equivalence,
+// DetectorService::FillRate zero-guard). The suite carries the `stats` label
+// (plus `concurrency`: the field-completeness workload runs loopback shard
+// runners and decode-ahead tasks, which CI re-runs under TSan).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cctype>
 #include <cmath>
-#include <thread>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
 #include <vector>
 
 #include "engine/search_engine.h"
 #include "query/detector_service.h"
 #include "query/trace.h"
 #include "scene/generator.h"
-#include "stats/counter_registry.h"
+#include "serve/serving.h"
 #include "stats/running_stat.h"
 #include "stats/stage_timer.h"
 #include "stats/stats_json.h"
@@ -26,108 +32,23 @@ namespace exsample {
 namespace stats {
 namespace {
 
-// --- CounterRegistry --------------------------------------------------------
+// --- StatsWriter ------------------------------------------------------------
 
-TEST(CounterRegistryTest, RegisterDedupsByNameAndKind) {
-  CounterRegistry registry;
-  const MetricId a = registry.RegisterCounter("frames");
-  const MetricId b = registry.RegisterCounter("frames");
-  const MetricId c = registry.RegisterCounter("steps");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(registry.NumCounters(), 2u);
-  // Gauges are a separate id space: the same name is a distinct metric.
-  const MetricId g = registry.RegisterGauge("frames");
-  EXPECT_EQ(g, registry.RegisterGauge("frames"));
-  EXPECT_EQ(registry.NumGauges(), 1u);
-}
-
-TEST(CounterRegistryTest, SyncSumsAcrossSlabs) {
-  CounterRegistry registry;
-  const MetricId frames = registry.RegisterCounter("frames");
-  const MetricId depth = registry.RegisterGauge("depth");
-  CounterSlab* a = registry.AcquireSlab("session/0");
-  CounterSlab* b = registry.AcquireSlab("session/1");
-  a->Add(frames, 3);
-  b->Add(frames, 4);
-  a->SetGauge(depth, 1.5);
-  b->SetGauge(depth, 2.0);  // Gauges sum too: each slab owns its share.
-
-  StatsSnapshot snap = registry.Sync();
-  EXPECT_EQ(snap.counters.at("frames"), 7u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 3.5);
-  EXPECT_EQ(snap.sync_sequence, 1u);
-  EXPECT_EQ(registry.Sync().sync_sequence, 2u);
-}
-
-TEST(CounterRegistryTest, RetiredSlabsKeepSyncTotalsExact) {
-  CounterRegistry registry;
-  const MetricId frames = registry.RegisterCounter("frames");
-  const MetricId depth = registry.RegisterGauge("depth");
-  CounterSlab* a = registry.AcquireSlab("session/0");
-  CounterSlab* b = registry.AcquireSlab("session/1");
-  CounterSlab* c = registry.AcquireSlab("service");
-  a->Add(frames, 3);
-  b->Add(frames, 4);
-  c->Add(frames, 5);
-  c->SetGauge(depth, 2.5);
-  registry.RetireSlab(a);
-  registry.RetireSlab(b);
-  EXPECT_EQ(registry.NumSlabs(), 1u);
-
-  // A counter registered after the retirements still syncs from zero.
-  const MetricId late = registry.RegisterCounter("late");
-  c->Add(frames, 1);
-  c->Add(late, 2);
-  StatsSnapshot snap = registry.Sync();
-  EXPECT_EQ(snap.counters.at("frames"), 13u);
-  EXPECT_EQ(snap.counters.at("late"), 2u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 2.5);
-}
-
-TEST(CounterRegistryTest, NullSafeHelpersAreNoOpsOnNull) {
-  SlabAdd(nullptr, 0, 5);
-  SlabSetGauge(nullptr, 0, 1.0);
-  CounterRegistry registry;
-  const MetricId id = registry.RegisterCounter("x");
-  CounterSlab* slab = registry.AcquireSlab("s");
-  SlabAdd(slab, id);
-  SlabAdd(slab, id, 2);
-  EXPECT_EQ(slab->CounterValue(id), 3u);
-}
-
-// The TSan target: one writer thread ticking its own slab while the main
-// thread Syncs concurrently. Single-writer relaxed slots must be data-race
-// free against the aggregating reader, and no increment may be lost once
-// the writer has joined.
-TEST(CounterRegistryTest, SyncUnderConcurrentIncrementIsRaceFreeAndLossless) {
-  CounterRegistry registry;
-  const MetricId ticks = registry.RegisterCounter("ticks");
-  const MetricId level = registry.RegisterGauge("level");
-  CounterSlab* slab = registry.AcquireSlab("writer");
-
-  constexpr uint64_t kIterations = 20000;
-  std::atomic<bool> start{false};
-  std::thread writer([&] {
-    while (!start.load(std::memory_order_acquire)) {
-    }
-    for (uint64_t i = 0; i < kIterations; ++i) {
-      slab->Add(ticks);
-      slab->SetGauge(level, static_cast<double>(i));
-    }
-  });
-
-  start.store(true, std::memory_order_release);
-  uint64_t last_seen = 0;
-  for (int i = 0; i < 200; ++i) {
-    const StatsSnapshot snap = registry.Sync();
-    const uint64_t seen = snap.counters.at("ticks");
-    EXPECT_GE(seen, last_seen) << "counter went backwards under sync";
-    EXPECT_LE(seen, kIterations);
-    last_seen = seen;
+TEST(StatsWriterTest, PrefixesNamesAndCombinesSourcesByKind) {
+  StatsSnapshot snap;
+  for (const uint64_t frames : {3u, 4u}) {
+    StatsWriter out(&snap, "session.");
+    out.Counter("frames", frames);
+    out.Counter("warm", frames == 4);  // A flag counts its setters.
+    out.Gauge("seconds", 0.5 * static_cast<double>(frames));
+    out.Max("ahead", static_cast<double>(frames));
   }
-  writer.join();
-  EXPECT_EQ(registry.Sync().counters.at("ticks"), kIterations);
+  EXPECT_EQ(snap.counters.at("session.frames"), 7u);
+  EXPECT_EQ(snap.counters.at("session.warm"), 1u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("session.seconds"), 3.5);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("session.ahead"), 4.0);
+  EXPECT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.gauges.size(), 2u);
 }
 
 // --- StageTimer -------------------------------------------------------------
@@ -398,25 +319,28 @@ TEST(EngineStatsTest, StatsJsonReflectsACompletedWorkload) {
   EXPECT_NE(json.find("\"service.frames\""), std::string::npos);
   EXPECT_NE(json.find("\"service.fill_rate\""), std::string::npos);
 
-  // The registry's picked-frame counter agrees with the traces' own
-  // accounting, and the stage histograms saw the sessions' detect stages.
-  stats::StatsSnapshot snap = engine.counter_registry()->Sync();
+  // The picked-frame count agrees with the traces' own accounting and with
+  // the frames the service detected (no reuse: every picked frame), and the
+  // stage histograms saw the sessions' detect stages.
+  const stats::StatsSnapshot snap = engine.SnapshotStats();
   uint64_t samples = 0;
   for (const query::QueryTrace& t : traces.value()) samples += t.final.samples;
   EXPECT_EQ(snap.counters.at("execution.frames_picked"), samples);
+  EXPECT_EQ(snap.counters.at("execution.frames_detected"), samples);
+  EXPECT_EQ(snap.counters.at("service.frames"), samples);
   EXPECT_GT(engine.stage_timer().Count(Stage::kPick), 0u);
   EXPECT_GT(engine.stage_timer().Count(Stage::kDetect), 0u);
   EXPECT_GT(engine.stage_timer().Count(Stage::kSubmitToGrant), 0u);
 }
 
-TEST(EngineStatsTest, FinishedSessionsRetireTheirSlabs) {
-  // A session's slab lives only while the session does: Finish folds its
-  // ticks into the registry's retired totals and frees it, and the synced
-  // counters read exactly what they read while every slab was live.
+TEST(EngineStatsTest, FinishedSessionsFoldIntoTheTotals) {
+  // The engine reads a session live only while the session is live: Finish
+  // folds its stats into the engine's totals and drops it from the walk,
+  // and the snapshot reads exactly what it read while every session was
+  // live — sums of seconds and maxima included.
   auto fx = EngineFixture::Make();
   engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth,
                               OracleConfig());
-  stats::CounterRegistry* registry = engine.counter_registry();
 
   constexpr size_t kSessions = 5;
   std::vector<std::unique_ptr<engine::QuerySession>> sessions;
@@ -435,16 +359,17 @@ TEST(EngineStatsTest, FinishedSessionsRetireTheirSlabs) {
     samples += session.value()->Trace().final.samples;
     sessions.push_back(std::move(session).value());
   }
-  // One slab per live session, plus the engine's detect service's.
-  EXPECT_EQ(registry->NumSlabs(), kSessions + 1);
-  const StatsSnapshot live = registry->Sync();
+  EXPECT_EQ(engine.NumLiveSessions(), kSessions);
+  const StatsSnapshot live = engine.SnapshotStats();
   EXPECT_EQ(live.counters.at("execution.steps"), steps);
   EXPECT_EQ(live.counters.at("execution.frames_picked"), samples);
 
   for (const auto& session : sessions) session->Finish();
-  EXPECT_EQ(registry->NumSlabs(), 1u);
-  const StatsSnapshot retired = registry->Sync();
+  EXPECT_EQ(engine.NumLiveSessions(), 0u);
+  const StatsSnapshot retired = engine.SnapshotStats();
   EXPECT_EQ(retired.counters, live.counters);
+  EXPECT_EQ(retired.gauges, live.gauges);
+  EXPECT_EQ(retired.sync_sequence, live.sync_sequence + 1);
 }
 
 TEST(EngineStatsTest, CollectionIsTraceNeutral) {
@@ -477,9 +402,185 @@ TEST(EngineStatsTest, CollectionIsTraceNeutral) {
                                           traces_off.value()[i]))
         << "session " << i;
   }
-  // And off really is off: nothing was registered or recorded.
-  EXPECT_EQ(engine_off.counter_registry()->NumCounters(), 0u);
-  EXPECT_EQ(engine_off.stage_timer().Count(Stage::kPick), 0u);
+  // And off really is off: no stage was timed.
+  for (size_t stage = 0; stage < kNumStages; ++stage) {
+    EXPECT_EQ(engine_off.stage_timer().Count(static_cast<Stage>(stage)), 0u)
+        << StageName(static_cast<Stage>(stage));
+  }
+}
+
+// --- Export completeness and the periodic dump --------------------------------
+
+// Reads the JSON `WriteStatsJson` emits — objects of numbers — into a flat
+// map keyed by '/'-joined paths ("counters/service.frames",
+// "stages/pick/count"). Returns false on anything malformed or trailing.
+bool ReadStatsJson(const std::string& text, std::map<std::string, double>* out) {
+  size_t pos = 0;
+  const auto skip = [&] {
+    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
+      ++pos;
+    }
+  };
+  const auto eat = [&](char c) {
+    skip();
+    if (pos >= text.size() || text[pos] != c) return false;
+    ++pos;
+    return true;
+  };
+  std::function<bool(const std::string&)> value = [&](const std::string& path) {
+    skip();
+    if (!eat('{')) {
+      const char* begin = text.c_str() + pos;
+      char* end = nullptr;
+      const double number = std::strtod(begin, &end);
+      if (end == begin) return false;
+      pos += static_cast<size_t>(end - begin);
+      (*out)[path] = number;
+      return true;
+    }
+    if (eat('}')) return true;
+    do {
+      if (!eat('"')) return false;
+      const size_t close = text.find('"', pos);  // Stats keys hold no escapes.
+      if (close == std::string::npos) return false;
+      const std::string key = text.substr(pos, close - pos);
+      pos = close + 1;
+      if (!eat(':') || !value(path.empty() ? key : path + "/" + key)) return false;
+    } while (eat(','));
+    return eat('}');
+  };
+  if (!value("")) return false;
+  skip();
+  return pos == text.size();
+}
+
+// Every key `ExportFields` names for a default `S` under `prefix`, as the
+// JSON paths `ReadStatsJson` reports them.
+template <typename S>
+std::vector<std::string> NamedPaths(const std::string& prefix) {
+  StatsSnapshot names;
+  Export(S{}, prefix, &names);
+  std::vector<std::string> paths;
+  for (const auto& entry : names.counters) paths.push_back("counters/" + entry.first);
+  for (const auto& entry : names.gauges) paths.push_back("gauges/" + entry.first);
+  return paths;
+}
+
+serve::TenantQuery TenantQueryFor(const std::string& tenant, size_t i) {
+  serve::TenantQuery q;
+  q.tenant = tenant;
+  q.arrival_seconds = 0.5 * static_cast<double>(i);
+  q.spec.class_id = 0;
+  q.spec.limit = 6;
+  q.spec.options.batch_size = 4;
+  q.spec.options.exsample.seed = 60 + i;
+  return q;
+}
+
+TEST(StatsExportTest, JsonHoldsEveryNamedFieldOfEveryStruct) {
+  // One workload that reaches every stats struct: two shards over the
+  // loopback transport, decode with prefetch, every reuse piece, and two
+  // tenants. Each struct exports under its own prefix, so a field the walk
+  // misses — or a struct it never reaches — leaves a key out.
+  auto fx = EngineFixture::Make();
+  engine::EngineConfig config = OracleConfig();
+  config.transport = engine::TransportKind::kLoopback;
+  config.num_shards = 2;
+  config.num_threads = 2;
+  config.simulate_decode = true;
+  config.prefetch_depth = 2;
+  config.reuse.cache = true;
+  config.reuse.sketch = true;
+  config.reuse.warm_start = true;
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
+  serve::TenantServer server(&engine, {});
+  for (const char* id : {"a", "b"}) {
+    serve::TenantSpec spec;
+    spec.id = id;
+    ASSERT_TRUE(server.AddTenant(spec).ok());
+  }
+  std::vector<serve::TenantQuery> queries;
+  for (size_t i = 0; i < 4; ++i) queries.push_back(TenantQueryFor(i % 2 ? "b" : "a", i));
+  auto outcomes = server.Serve(queries);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+
+  std::map<std::string, double> json;
+  ASSERT_TRUE(ReadStatsJson(engine.StatsJson(), &json));
+  std::vector<std::string> expected;
+  const auto expect = [&](std::vector<std::string> paths) {
+    expected.insert(expected.end(), paths.begin(), paths.end());
+  };
+  expect(NamedPaths<query::DetectorServiceStats>("service."));
+  expect(NamedPaths<query::TransportStats>("transport."));
+  expect(NamedPaths<reuse::DetectionCacheStats>("reuse.cache."));
+  expect(NamedPaths<reuse::ScannedSketchStats>("reuse.sketch."));
+  expect(NamedPaths<reuse::BeliefBankStats>("reuse.beliefs."));
+  expect(NamedPaths<serve::TenantUsage>("tenant.a."));
+  expect(NamedPaths<serve::TenantUsage>("tenant.b."));
+  expect(NamedPaths<query::SessionSchedulerStats>("session.scheduler."));
+  expect(NamedPaths<reuse::ReuseSessionStats>("session.reuse."));
+  expect(NamedPaths<query::PrefetchStats>("session.prefetch."));
+  expect(NamedPaths<query::ShardStats>("session.shards."));
+  expect(NamedPaths<video::DecodeStats>("session.decode."));
+  for (const std::string& path : expected) EXPECT_EQ(json.count(path), 1u) << path;
+  // The walk reached live work, not just default structs.
+  EXPECT_GT(json["counters/session.prefetch.frames"], 0.0);
+  EXPECT_GT(json["counters/session.decode.frames_decoded"], 0.0);
+  EXPECT_GT(json["counters/transport.requests"], 0.0);
+  EXPECT_EQ(json["counters/tenant.a.completed"] + json["counters/tenant.b.completed"],
+            static_cast<double>(queries.size()));
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+bool FileExists(const std::string& path) { return std::ifstream(path).good(); }
+
+TEST(StatsExportTest, BothRoundLoopsDumpTheStatsWhole) {
+  // `stats_dump_every_rounds` drives the periodic dump from RunConcurrent's
+  // and TenantServer::Serve's round loops alike; each dump replaces the file
+  // whole (written aside, then renamed), so no temp file is left behind.
+  auto fx = EngineFixture::Make();
+  for (const bool serve : {false, true}) {
+    SCOPED_TRACE(serve ? "TenantServer::Serve" : "RunConcurrent");
+    const std::string path = ::testing::TempDir() + "stats_dump_" +
+                             (serve ? "serve" : "concurrent") + ".json";
+    std::remove(path.c_str());
+    engine::EngineConfig config = OracleConfig();
+    config.stats_dump_path = path;
+    config.stats_dump_every_rounds = 1;
+    engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, config);
+    std::vector<serve::TenantQuery> queries = {TenantQueryFor("t", 0),
+                                               TenantQueryFor("t", 1)};
+    if (serve) {
+      serve::TenantServer server(&engine, {});
+      serve::TenantSpec spec;
+      spec.id = "t";
+      ASSERT_TRUE(server.AddTenant(spec).ok());
+      ASSERT_TRUE(server.Serve(queries).ok());
+    } else {
+      ASSERT_TRUE(engine.RunConcurrent({queries[0].spec, queries[1].spec}).ok());
+    }
+    std::map<std::string, double> json;
+    ASSERT_TRUE(ReadStatsJson(ReadFile(path), &json)) << ReadFile(path);
+    EXPECT_GT(json["counters/execution.steps"], 0.0);
+    EXPECT_GT(json["sync_sequence"], 0.0);
+    if (serve) {
+      EXPECT_EQ(json.count("counters/tenant.t.admitted"), 1u);
+    }
+    EXPECT_FALSE(FileExists(path + ".tmp"));
+    std::remove(path.c_str());
+  }
+  // A dump that cannot be written is an error, not an abort, and leaves
+  // nothing behind.
+  engine::SearchEngine engine(&fx->repo, &fx->chunking, &fx->truth, OracleConfig());
+  const std::string unwritable = ::testing::TempDir() + "no_such_dir/stats.json";
+  EXPECT_FALSE(engine.WriteStatsFile(unwritable).ok());
+  EXPECT_FALSE(FileExists(unwritable + ".tmp"));
 }
 
 }  // namespace

@@ -83,14 +83,15 @@
 //                      --concurrent's own N is not used. Example:
 //                        --tenants='prod:weight=4,queries=3;batch:slo=besteffort,rate=0.1,queries=5'
 //
-// Observability (the engine's unified counter registry and per-stage latency
+// Observability (every component's stats struct and the per-stage latency
 // histograms; see the README's observability section):
 //   --stats-json=PATH  after the run, write the engine's versioned stats
 //                      snapshot (counters, gauges, per-stage latency
 //                      quantiles) as JSON to PATH
-//   --stats-every=N    with --stats-json and --concurrent: additionally
-//                      rewrite PATH every N scheduler rounds while the
-//                      workload runs, so progress can be watched live
+//   --stats-every=N    with --stats-json and --concurrent (with or without
+//                      --tenants): additionally replace PATH every N
+//                      scheduler rounds while the workload runs, so progress
+//                      can be watched live; PATH is never seen half-written
 //
 // An unknown flag, a missing =VALUE, or a malformed number exits 2.
 
@@ -329,16 +330,15 @@ void PrintDetectorStats(engine::SearchEngine& search) {
   }
 }
 
-// The final --stats-json dump; returns false only when the path cannot be
-// opened (the run itself already succeeded — the caller still fails loudly).
+// The final --stats-json dump; returns false only when the file cannot be
+// written (the run itself already succeeded — the caller still fails loudly).
 bool WriteStatsDump(engine::SearchEngine& search, const std::string& path) {
   if (path.empty()) return true;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  const common::Status written = search.WriteStatsFile(path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.message().c_str());
     return false;
   }
-  out << search.StatsJson();
   std::printf("stats written to %s\n", path.c_str());
   return true;
 }
